@@ -2,7 +2,7 @@
 
 The package splits into small, layered modules:
 
-- ``dist``    -- Poisson/binomial kernels, evaluated in log space
+- ``dist``    -- Poisson/binomial kernels over scipy's incomplete gamma/beta
 - ``solver``  -- cheat-proof switch-rate root finders
 - ``payoff``  -- expected payoffs and the balanced-split infeasibility scan
 - ``engine``  -- day-by-day crowd simulation
@@ -11,7 +11,7 @@ The package splits into small, layered modules:
 - ``cli``     -- ``mgstrat`` command-line front end
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .solver import (  # noqa: F401
     LambdaTable,

@@ -34,8 +34,9 @@ from . import __version__
 from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, derive_rng, run
 from .kpr import kpr_run
 from .payoff import expected_payoffs
-from .solver import NumericError, solve_lambda
+from .solver import MAX_TOLERANCE, NumericError, solve_lambda
 from .stats import (
+    EpisodeStats,
     c_autocorrelation,
     delta_histogram,
     episode_lengths,
@@ -47,33 +48,148 @@ __all__ = ["RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTD
 
 OUTDIR_ENV = "MGSTRAT_OUTDIR"
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "solve-lambda": {"delta_max": 10, "tolerance": 1e-10},
-    "payoff-table": {"delta_max": 50},
-    "simulate": {
-        "n": 2001,
-        "epsilon": 0.5,
-        "steps": 10000,
-        "seed": 1,
-        "wait_t": 0,
-        "reset_prefactor": 0.5,
-        "mode": MODE_STRATEGY,
-        "record_choices": False,
-        "stats": False,
-        "burn_in": 0,
-        "tau_max": 100,
-    },
-    "sweep": {
-        "n": 2001,
-        "epsilons": "0.1:0.9:0.1",
-        "seeds": 20,
-        "steps": 10000,
-        "seed": 1,
-        "wait_t": 0,
-        "reset_prefactor": 0.5,
-        "burn_in": 0,
-    },
-    "kpr": {"n": 64, "seeds": 200, "max_steps": 10000, "seed": 1},
+
+def _number(name: str, value: Any, kind: type) -> int | float:
+    """``value`` as a finite int or float; ValueError naming ``name`` otherwise."""
+    what = "an integer" if kind is int else "a finite number"
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        finite = False
+    if not finite or (kind is int and value != int(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _epsilon_values(raw: Any) -> list[Any]:
+    """The entries of a ``start:stop:step`` range, a comma list or a JSON list."""
+    if isinstance(raw, list):
+        values = raw
+    elif isinstance(raw, str):
+        try:
+            parts = [float(p) for p in raw.replace(":", ",").split(",") if p.strip()]
+        except ValueError:
+            raise ValueError(f"epsilons must be numbers, got {raw!r}") from None
+        if ":" in raw:
+            if raw.count(":") != 2 or len(parts) != 3:
+                raise ValueError(f"epsilons range must be start:stop:step, got {raw!r}")
+            start, stop, step = (_number("epsilons", p, float) for p in parts)
+            if step <= 0:
+                raise ValueError(f"epsilons step must be positive, got {step}")
+            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            parts = [start + i * step for i in range(max(count, 0))]
+        values = parts
+    else:
+        raise ValueError(f"epsilons must be a string or a list, got {raw!r}")
+    if not values:
+        raise ValueError(f"epsilons resolves to an empty list: {raw!r}")
+    return values
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a subcommand, declared once.
+
+    The declaration builds the ``--flag``, names the config-file key, gives
+    the default and checks every value, whether it came from a flag or a
+    file.  ``kind`` is int, float, bool (a bare on/off flag), str (one of
+    ``choices``) or list (the epsilons syntax, bounded entry by entry).
+    ``lo`` and ``hi`` are inclusive bounds, except that ``lo`` excludes
+    itself when ``lo_open`` is set.
+    """
+
+    name: str
+    kind: type
+    default: Any
+    help: str
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    choices: tuple[str, ...] = ()
+
+    def bounds_text(self) -> str:
+        if self.hi is not None:
+            return f"lie in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"
+        return f"be {'greater than' if self.lo_open else 'at least'} {self.lo:g}"
+
+    def _bounded(self, value: int | float) -> int | float:
+        low = self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo)
+        if low or (self.hi is not None and value > self.hi):
+            raise ValueError(f"{self.name} must {self.bounds_text()}, got {value}")
+        return value
+
+    def coerce(self, value: Any) -> Any:
+        """``value`` as this parameter's type; ValueError naming the key otherwise."""
+        if self.kind is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"{self.name} must be true or false, got {value!r}")
+            return value
+        if self.kind is str:
+            if value not in self.choices:
+                raise ValueError(
+                    f"{self.name} must be one of {', '.join(self.choices)}, got {value!r}"
+                )
+            return value
+        if self.kind is list:
+            return [
+                self._bounded(round(_number(self.name, v, float), 12))
+                for v in _epsilon_values(value)
+            ]
+        return self._bounded(_number(self.name, value, self.kind))
+
+
+_N = Param("n", int, 2001, "population size, odd", lo=1)
+_STEPS = Param("steps", int, 10000, "days simulated after day 0", lo=1)
+_SEED = Param("seed", int, 1, "master random seed", lo=0)
+_WAIT_T = Param("wait_t", int, 0, "marginal days before a reset", lo=0)
+_PREFACTOR = Param(
+    "reset_prefactor", float, 0.5, "reset flip probability is this times m**(epsilon-1)",
+    lo=0.0, lo_open=True,
+)
+_BURN_IN = Param("burn_in", int, 0, "leading days left out of the statistics", lo=0)
+
+# Every parameter of every subcommand, with the subcommand's help line.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[Param, ...]]] = {
+    "solve-lambda": ("tabulate cheat-proof switch-rate means", (
+        Param("delta_max", int, 10, "largest imbalance tabulated", lo=1),
+        Param("tolerance", float, 1e-10, "bisection stops once |residual| is below this",
+              lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
+    )),
+    "payoff-table": ("stay/switch winning probabilities at the solved rate", (
+        Param("delta_max", int, 50, "largest imbalance tabulated", lo=1),
+    )),
+    "simulate": ("run the two-restaurant crowd simulation", (
+        _N,
+        Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
+        _STEPS,
+        _SEED,
+        _WAIT_T,
+        _PREFACTOR,
+        Param("mode", str, MODE_STRATEGY, "strategy, or a uniform redraw every day",
+              choices=(MODE_STRATEGY, "baseline", MODE_BASELINE)),
+        Param("record_choices", bool, False, "keep every agent's daily choice"),
+        Param("stats", bool, False, "also write the derived statistics; turns on "
+              "choice recording"),
+        _BURN_IN,
+        Param("tau_max", int, 100, "largest autocorrelation lag", lo=1),
+    )),
+    "sweep": ("inefficiency versus epsilon over many seeds", (
+        _N,
+        Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
+              lo=0.0, hi=1.0),
+        Param("seeds", int, 20, "runs per epsilon", lo=1),
+        _STEPS,
+        _SEED,
+        _WAIT_T,
+        _PREFACTOR,
+        _BURN_IN,
+    )),
+    "kpr": ("ranked-restaurant cyclic-strategy convergence", (
+        Param("n", int, 64, "agents and restaurants", lo=1),
+        Param("seeds", int, 200, "independent runs", lo=1),
+        Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
+        _SEED,
+    )),
 }
 
 
@@ -126,60 +242,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"mgstrat {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for subcommand, (help_line, table) in _SUBCOMMANDS.items():
+        p = sub.add_parser(subcommand, help=help_line)
         p.add_argument("--config", type=Path, help="JSON file of key/value settings")
         p.add_argument(
             "--outdir",
             type=Path,
             help=f"output directory (default: ${OUTDIR_ENV} or ./out)",
         )
-
-    p = sub.add_parser("solve-lambda", help="tabulate cheat-proof switch-rate means")
-    add_common(p)
-    p.add_argument("--delta-max", dest="delta_max", type=int)
-    p.add_argument("--tolerance", type=float)
-
-    p = sub.add_parser(
-        "payoff-table", help="stay/switch winning probabilities at the solved rate"
-    )
-    add_common(p)
-    p.add_argument("--delta-max", dest="delta_max", type=int)
-
-    p = sub.add_parser("simulate", help="run the two-restaurant crowd simulation")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--wait-t", dest="wait_t", type=int)
-    p.add_argument("--reset-prefactor", dest="reset_prefactor", type=float)
-    p.add_argument("--mode", choices=["strategy", "baseline", "random-baseline"])
-    p.add_argument(
-        "--record-choices", dest="record_choices", action="store_const", const=True
-    )
-    p.add_argument("--stats", action="store_const", const=True)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--tau-max", dest="tau_max", type=int)
-
-    p = sub.add_parser("sweep", help="inefficiency versus epsilon over many seeds")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--epsilons", type=str, help="start:stop:step or comma list")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--wait-t", dest="wait_t", type=int)
-    p.add_argument("--reset-prefactor", dest="reset_prefactor", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-
-    p = sub.add_parser("kpr", help="ranked-restaurant cyclic-strategy convergence")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--seed", type=int)
-
+        for param in table:
+            flag = "--" + param.name.replace("_", "-")
+            if param.kind is bool:
+                p.add_argument(flag, dest=param.name, action="store_const", const=True,
+                               help=param.help)
+                continue
+            bounds = "" if param.lo is None else f"; must {param.bounds_text()}"
+            p.add_argument(
+                flag,
+                dest=param.name,
+                type=str if param.kind is list else param.kind,
+                choices=param.choices or None,
+                help=f"{param.help}{bounds} (default: {param.default})",
+            )
     return parser
 
 
@@ -202,114 +286,19 @@ def _load_config_file(path: Path, allowed: Iterable[str]) -> dict[str, Any]:
     return out
 
 
-def _parse_epsilons(raw: Any) -> list[float]:
-    if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
-        text = str(raw)
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"epsilons range must be start:stop:step, got {text!r}"
-                )
-            start, stop, step_size = (float(p) for p in parts)
-            if step_size <= 0:
-                raise ValueError(f"epsilons step must be positive, got {step_size}")
-            count = int(math.floor((stop - start) / step_size + 1e-9)) + 1
-            values = [start + i * step_size for i in range(max(count, 0))]
-        else:
-            values = [float(p) for p in text.split(",") if p.strip()]
-    if not values:
-        raise ValueError(f"epsilons resolves to an empty list: {raw!r}")
-    return [round(v, 12) for v in values]
-
-
-def _require_int(params: dict[str, Any], key: str, minimum: int) -> int:
-    value = params[key]
-    if isinstance(value, bool) or value != int(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"{key} must be at least {minimum}, got {value}")
-    params[key] = value
-    return value
-
-
-def _require_bool(params: dict[str, Any], key: str) -> bool:
-    value = params[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _validate(subcommand: str, params: dict[str, Any]) -> dict[str, Any]:
-    if "delta_max" in params:
-        _require_int(params, "delta_max", 1)
-    if "tolerance" in params:
-        tolerance = float(params["tolerance"])
-        if not (tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {params['tolerance']}")
-        params["tolerance"] = tolerance
-    if "n" in params:
-        n = _require_int(params, "n", 1)
-        if subcommand != "kpr" and n % 2 == 0:
-            raise ValueError(f"n must be odd, got {n}")
-    if "epsilon" in params:
-        epsilon = float(params["epsilon"])
-        if not (0.0 <= epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {params['epsilon']}")
-        params["epsilon"] = epsilon
-    if "epsilons" in params:
-        values = _parse_epsilons(params["epsilons"])
-        for v in values:
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"epsilons entries must lie in [0, 1], got {v}")
-        params["epsilons"] = values
-    if "steps" in params:
-        _require_int(params, "steps", 1)
-    if "max_steps" in params:
-        _require_int(params, "max_steps", 1)
-    if "seed" in params:
-        if isinstance(params["seed"], bool) or params["seed"] != int(params["seed"]):
-            raise ValueError(f"seed must be an integer, got {params['seed']!r}")
-        params["seed"] = int(params["seed"])
-    if "seeds" in params:
-        _require_int(params, "seeds", 1)
-    if "wait_t" in params:
-        _require_int(params, "wait_t", 0)
-    if "burn_in" in params:
-        _require_int(params, "burn_in", 0)
-    if "tau_max" in params:
-        _require_int(params, "tau_max", 1)
-    if "reset_prefactor" in params:
-        prefactor = float(params["reset_prefactor"])
-        if not (prefactor > 0.0):
-            raise ValueError(
-                f"reset_prefactor must be positive, got {params['reset_prefactor']}"
-            )
-        params["reset_prefactor"] = prefactor
-    if "mode" in params:
-        mode = {"baseline": MODE_BASELINE}.get(params["mode"], params["mode"])
-        if mode not in (MODE_STRATEGY, MODE_BASELINE):
-            raise ValueError(f"mode must be strategy or baseline, got {params['mode']!r}")
-        params["mode"] = mode
-    if "record_choices" in params:
-        _require_bool(params, "record_choices")
-    if "stats" in params:
-        if _require_bool(params, "stats"):
-            # C(tau) needs the per-agent record, so --stats implies it.
-            params["record_choices"] = True
-    if subcommand == "simulate":
-        if params["burn_in"] >= params["steps"]:
-            raise ValueError(
-                f"burn_in must be smaller than steps, got {params['burn_in']}"
-            )
-        if params["stats"] and params["tau_max"] >= params["steps"]:
-            raise ValueError(
-                f"tau_max must be smaller than steps, got {params['tau_max']}"
-            )
-    return params
+def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
+    """The rules that tie a key to another key or to the subcommand."""
+    if "n" in params and subcommand != "kpr" and params["n"] % 2 == 0:
+        raise ValueError(f"n must be odd, got {params['n']}")
+    if params.get("mode") == "baseline":
+        params["mode"] = MODE_BASELINE
+    if "burn_in" in params and params["burn_in"] >= params["steps"]:
+        raise ValueError(f"burn_in must be smaller than steps, got {params['burn_in']}")
+    if params.get("stats"):
+        if params["tau_max"] >= params["steps"]:
+            raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
+        # C(tau) needs the per-agent record, so --stats implies it.
+        params["record_choices"] = True
 
 
 def _planned_outputs(subcommand: str, params: dict[str, Any]) -> list[str]:
@@ -335,19 +324,19 @@ def parse_config(
     argument.  Raises ValueError naming the offending key on bad input;
     argparse itself exits with code 2 on malformed flags.
     """
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = _build_parser().parse_args(argv)
     subcommand = namespace.subcommand
-    defaults = _DEFAULTS[subcommand]
-    params = dict(defaults)
+    table = _SUBCOMMANDS[subcommand][1]
+    raw = {param.name: param.default for param in table}
     config_path = namespace.config or (Path(config_file) if config_file else None)
     if config_path is not None:
-        params.update(_load_config_file(config_path, defaults))
-    for key in defaults:
-        flag_value = getattr(namespace, key, None)
+        raw.update(_load_config_file(config_path, raw))
+    for param in table:
+        flag_value = getattr(namespace, param.name)
         if flag_value is not None:
-            params[key] = flag_value
-    params = _validate(subcommand, params)
+            raw[param.name] = flag_value
+    params = {param.name: param.coerce(raw[param.name]) for param in table}
+    _apply_cross_key_rules(subcommand, params)
     outdir = namespace.outdir or Path(os.environ.get(OUTDIR_ENV) or "out")
     return RunManifest(
         subcommand=subcommand,
@@ -453,11 +442,12 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     }
     episodes = episode_lengths(trajectory)
     if episodes:
+        summary = EpisodeStats.from_lengths(episodes)
         results["episodes"] = {
             "count": len(episodes),
-            "mean": float(np.mean(episodes)),
-            "median": float(np.median(episodes)),
-            "max": int(np.max(episodes)),
+            "mean": summary.mean,
+            "median": summary.median,
+            "max": summary.max,
         }
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])

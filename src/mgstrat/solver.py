@@ -34,10 +34,11 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .dist import binomial_cdf, poisson_pmf_vector
+from .dist import binomial_cdf, poisson_cdf
 
 __all__ = [
     "ASYMPTOTIC_GAP",
+    "MAX_TOLERANCE",
     "NumericError",
     "indifference_residual",
     "solve_lambda",
@@ -50,6 +51,10 @@ __all__ = [
 
 # Large-imbalance limit of solve_lambda(d) - d.
 ASYMPTOTIC_GAP = 1.0 / 6.0
+
+# Loosest residual tolerance solve_lambda accepts.  The bisection stops on
+# the residual alone, so a looser one would return a visibly wrong root.
+MAX_TOLERANCE = 1e-6
 
 _MAX_BISECTIONS = 200
 
@@ -73,21 +78,30 @@ def indifference_residual(lam: float, delta: int) -> float:
     _check_delta(delta)
     if not (lam > 0.0) or math.isinf(lam):
         raise ValueError(f"mean must be finite and positive, got {lam}")
-    pmf = poisson_pmf_vector(delta, lam)
-    return float(2.0 * pmf[:delta].sum() - 1.0 + pmf[delta])
+    # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1).
+    return poisson_cdf(delta - 1, lam) + poisson_cdf(delta, lam) - 1.0
 
 
-@lru_cache(maxsize=None)
 def solve_lambda(delta: int, tolerance: float = 1e-10) -> float:
     """Cheat-proof mean defector count for imbalance ``delta``.
 
     Bisects :func:`indifference_residual` on [delta, delta + 1], widening
     the bracket once if the sign change is not already inside.  Stops when
-    the residual magnitude drops below ``tolerance``.
+    the residual magnitude drops below ``tolerance``, which must lie in
+    (0, MAX_TOLERANCE].  Roots are cached per (delta, tolerance), however
+    the arguments are passed; ``solve_lambda.cache_clear()`` empties the
+    cache.
     """
     _check_delta(delta)
-    if not (tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not (0.0 < tolerance <= MAX_TOLERANCE):
+        raise ValueError(
+            f"tolerance must lie in (0, {MAX_TOLERANCE:g}], got {tolerance}"
+        )
+    return _bisect_root(int(delta), float(tolerance))
+
+
+@lru_cache(maxsize=None)
+def _bisect_root(delta: int, tolerance: float) -> float:
     lo, hi = float(delta), float(delta + 1)
     f_lo = indifference_residual(lo, delta)
     f_hi = indifference_residual(hi, delta)
@@ -112,6 +126,10 @@ def solve_lambda(delta: int, tolerance: float = 1e-10) -> float:
         f"switch-rate solver: residual still {f_mid:.3e} after {_MAX_BISECTIONS} "
         f"bisections for imbalance {delta}"
     )
+
+
+solve_lambda.cache_clear = _bisect_root.cache_clear  # type: ignore[attr-defined]
+solve_lambda.cache_info = _bisect_root.cache_info  # type: ignore[attr-defined]
 
 
 def lambda_gap(delta: int) -> float:

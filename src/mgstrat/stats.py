@@ -38,23 +38,15 @@ def _burned(values: np.ndarray, burn_in: int, what: str) -> np.ndarray:
     return out
 
 
-def inefficiency_eta(
-    trajectory: Trajectory, n: int | None = None, burn_in: int = 0
-) -> float:
+def inefficiency_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
     """(4/n) * mean over days of (imbalance + 1/2)^2.
 
     Equivalent to (4/n) * mean of (attendance_A - n/2)^2, since the signed
-    imbalance is M - attendance_A and n = 2M + 1.  ``n`` defaults to the
-    trajectory's own population size.
+    imbalance is M - attendance_A and n = 2M + 1 is the trajectory's
+    population size.
     """
-    if n is None:
-        n = trajectory.n
-    elif n != trajectory.n:
-        raise ValueError(
-            f"population size {n} does not match the trajectory's {trajectory.n}"
-        )
     deltas = _burned(trajectory.deltas, burn_in, "days").astype(np.float64)
-    return float(4.0 / n * np.mean((deltas + 0.5) ** 2))
+    return float(4.0 / trajectory.n * np.mean((deltas + 0.5) ** 2))
 
 
 def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float]:

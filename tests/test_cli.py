@@ -1,10 +1,12 @@
 """Command-line front-end tests: parsing, precedence, dispatch, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mgstrat import __version__
 from mgstrat.cli import (
     OUTDIR_ENV,
     RunManifest,
@@ -120,6 +122,67 @@ class TestParseConfig:
     def test_kpr_allows_even_population(self):
         manifest = parse_config(["kpr", "--n", "64"])
         assert manifest.params["n"] == 64
+
+
+# (subcommand, key, JSON text of a value the key must refuse)
+BAD_CONFIG_VALUES = [
+    (subcommand, key, value)
+    for subcommand, key in (
+        ("simulate", "n"),
+        ("simulate", "epsilon"),
+        ("solve-lambda", "tolerance"),
+        ("simulate", "mode"),
+        ("sweep", "epsilons"),
+        ("simulate", "seed"),
+    )
+    for value in ("null", "Infinity", "NaN", "[0.5]", '"abc"', "true")
+    if not (key == "epsilons" and value == "[0.5]")  # a valid epsilons list
+] + [
+    ("sweep", "epsilons", '[0.5, "abc"]'),
+    ("sweep", "epsilons", "[0.5, null]"),
+    ("sweep", "epsilons", '"0.1:Infinity:0.1"'),
+    ("simulate", "stats", "null"),
+    ("kpr", "max_steps", "2.5"),
+    ("simulate", "reset_prefactor", "1e400"),
+]
+
+
+@pytest.mark.parametrize("subcommand,key,value", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, subcommand, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(f'{{"{key}": {value}}}')
+    code = main([subcommand, "--config", str(config), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["solve-lambda", "--tolerance", "1e300"], "tolerance"),
+        (["solve-lambda", "--tolerance", "0"], "tolerance"),
+        (["simulate", "--seed", "-1"], "seed"),
+        (["simulate", "--epsilon", "nan"], "epsilon"),
+        (["sweep", "--epsilons", "0.1:nan:0.1"], "epsilons"),
+        (["sweep", "--steps", "100", "--burn-in", "100"], "burn_in"),
+    ],
+)
+def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
+    code = main(argv + ["--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_config_number_is_an_integer(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 201.0, "epsilon": 1}))
+    params = parse_config(["simulate", "--config", str(config)]).params
+    assert params["n"] == 201 and type(params["n"]) is int
+    assert params["epsilon"] == 1.0 and type(params["epsilon"]) is float
 
 
 class TestDispatch:
@@ -255,6 +318,12 @@ class TestDispatch:
         code = main(["--version"])
         assert code == 0
         assert "mgstrat" in capsys.readouterr().out
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert project["version"] == __version__
 
 
 class TestManifest:

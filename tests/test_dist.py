@@ -5,8 +5,6 @@ used as an independent second implementation where a cross-library check
 adds value.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +13,9 @@ from scipy import stats as sps
 
 from mgstrat.dist import (
     binomial_cdf,
-    binomial_pmf,
     poisson_cdf,
-    poisson_pmf,
     poisson_pmf_vector,
     poisson_tail_cutoff,
-    sample_binomial,
 )
 
 # Frozen closed-form oracles at lam = 1.14619:
@@ -31,29 +26,34 @@ PMF1_ORACLE = 0.36431128385146183
 CDF1_ORACLE = 0.6821567404088056
 
 
+def pmf_entry(r, lam):
+    """P(X = r), read off as the last entry of the kernel's pmf vector."""
+    return float(poisson_pmf_vector(r, lam)[r])
+
+
 class TestPoissonPmf:
     def test_empty_event_certainty(self):
-        assert poisson_pmf(0, 0.0) == 1.0
+        assert pmf_entry(0, 0.0) == 1.0
 
     def test_zero_mean_positive_count(self):
-        assert poisson_pmf(3, 0.0) == 0.0
+        assert pmf_entry(3, 0.0) == 0.0
 
     def test_closed_form_zero_count(self):
-        assert poisson_pmf(0, LAM_1) == pytest.approx(PMF0_ORACLE, abs=1e-12)
+        assert pmf_entry(0, LAM_1) == pytest.approx(PMF0_ORACLE, abs=1e-12)
 
     def test_closed_form_one_count(self):
-        assert poisson_pmf(1, LAM_1) == pytest.approx(PMF1_ORACLE, abs=1e-12)
+        assert pmf_entry(1, LAM_1) == pytest.approx(PMF1_ORACLE, abs=1e-12)
 
     def test_matches_scipy_on_grid(self):
         for lam in (0.5, 1.14619, 10.16448, 500.0):
             for r in (0, 1, 5, 17, 400, 520):
-                assert poisson_pmf(r, lam) == pytest.approx(
+                assert pmf_entry(r, lam) == pytest.approx(
                     float(sps.poisson.pmf(r, lam)), rel=1e-10, abs=1e-300
                 )
 
     def test_large_mean_no_overflow(self):
         lam = 1e6
-        value = poisson_pmf(10**6, lam)
+        value = pmf_entry(10**6, lam)
         assert 0.0 < value < 1.0
         assert value == pytest.approx(float(sps.poisson.pmf(10**6, lam)), rel=1e-9)
 
@@ -64,15 +64,15 @@ class TestPoissonPmf:
     @settings(max_examples=60, deadline=None)
     def test_recurrence_identity(self, r, lam):
         # pmf(r+1) = pmf(r) * lam / (r+1), the defining ratio.
-        left = poisson_pmf(r + 1, lam)
-        right = poisson_pmf(r, lam) * lam / (r + 1)
+        left = pmf_entry(r + 1, lam)
+        right = pmf_entry(r, lam) * lam / (r + 1)
         assert left == pytest.approx(right, rel=1e-9, abs=1e-300)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            poisson_pmf(-1, 1.0)
+            pmf_entry(-1, 1.0)
         with pytest.raises(ValueError):
-            poisson_pmf(0, -0.5)
+            pmf_entry(0, -0.5)
 
 
 class TestPoissonCdf:
@@ -85,7 +85,7 @@ class TestPoissonCdf:
     def test_telescoping_identity(self):
         r, lam = 3, 5.16229
         gap = poisson_cdf(r + 1, lam) - poisson_cdf(r, lam)
-        assert gap == pytest.approx(poisson_pmf(r + 1, lam), abs=1e-14)
+        assert gap == pytest.approx(float(sps.poisson.pmf(r + 1, lam)), abs=1e-14)
 
     def test_monotone_in_count_and_limit_one(self):
         lam = 7.3
@@ -114,34 +114,35 @@ class TestPoissonCdf:
 class TestBinomial:
     def test_no_successes_when_impossible(self):
         for n in (0, 1, 7, 100):
-            assert binomial_pmf(0, n, 0.0) == 1.0
+            assert binomial_cdf(0, n, 0.0) == 1.0
 
     def test_all_successes_when_certain(self):
-        assert binomial_pmf(5, 5, 1.0) == 1.0
+        assert binomial_cdf(4, 5, 1.0) == 0.0
+        assert binomial_cdf(5, 5, 1.0) == 1.0
 
     def test_exact_rational_case(self):
-        # 3 * (1/2)^3
-        assert binomial_pmf(1, 3, 0.5) == pytest.approx(0.375, abs=1e-15)
+        # (1/2)^3 + 3 * (1/2)^3
+        assert binomial_cdf(1, 3, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_normalization_large_n(self):
-        # log-gamma terms reach ~1e5 here, so each exp() carries a relative
-        # error near 1e-11; the sum inherits it.
         n = 10**4
         for p in (0.003, 0.25, 0.5, 0.97):
-            total = sum(binomial_pmf(r, n, p) for r in range(n + 1))
-            assert total == pytest.approx(1.0, abs=1e-9)
+            values = [binomial_cdf(r, n, p) for r in range(0, n + 1, 97)]
+            assert all(0.0 <= a <= b <= 1.0 for a, b in zip(values, values[1:]))
+            assert binomial_cdf(n, n, p) == 1.0
 
     def test_matches_scipy(self):
+        # successive differences of the cdf against scipy's pmf
         for n, p in ((12, 0.3), (1004, 0.0031468), (10**6, 2.15592e-6)):
+            cdf = [binomial_cdf(r, n, p) for r in range(6)]
             for r in (0, 1, 2, 5):
-                assert binomial_pmf(r, n, p) == pytest.approx(
-                    float(sps.binom.pmf(r, n, p)), rel=1e-9
-                )
+                mass = cdf[r] - (cdf[r - 1] if r else 0.0)
+                assert mass == pytest.approx(float(sps.binom.pmf(r, n, p)), rel=1e-9)
 
     def test_poisson_limit_law(self):
         lam, n = 2.15592, 10**6
         worst = max(
-            abs(binomial_pmf(r, n, lam / n) - poisson_pmf(r, lam))
+            abs(binomial_cdf(r, n, lam / n) - poisson_cdf(r, lam))
             for r in range(poisson_tail_cutoff(lam) + 1)
         )
         assert worst < 1e-3
@@ -162,62 +163,18 @@ class TestBinomial:
     )
     @settings(max_examples=60, deadline=None)
     def test_symmetry_under_complement(self, r, n, p):
-        if r > n:
-            with pytest.raises(ValueError):
-                binomial_pmf(r, n, p)
+        # P(X <= r) = 1 - P(n - X <= n - r - 1), and n - X ~ Binomial(n, 1 - p)
+        if r >= n:
+            assert binomial_cdf(r, n, p) == 1.0
             return
-        assert binomial_pmf(r, n, p) == pytest.approx(
-            binomial_pmf(n - r, n, 1.0 - p), abs=1e-12
+        assert binomial_cdf(r, n, p) == pytest.approx(
+            1.0 - binomial_cdf(n - r - 1, n, 1.0 - p), abs=1e-12
         )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binomial_pmf(4, 3, 0.5)
+            binomial_cdf(1, 3, 1.5)
         with pytest.raises(ValueError):
-            binomial_pmf(1, 3, 1.5)
+            binomial_cdf(-1, 3, 0.5)
         with pytest.raises(ValueError):
             binomial_cdf(1, -2, 0.5)
-
-
-class TestSampler:
-    def test_no_trials(self):
-        rng = np.random.default_rng(123)
-        assert sample_binomial(0, 0.7, rng) == 0
-
-    def test_certain_success(self):
-        rng = np.random.default_rng(123)
-        assert sample_binomial(10, 1.0, rng) == 10
-
-    def test_deterministic_under_seed(self):
-        a = [sample_binomial(50, 0.3, np.random.default_rng(9)) for _ in range(5)]
-        b = [sample_binomial(50, 0.3, np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
-
-    def test_switcher_count_mean(self):
-        # p chosen so that n*p is the solved mean for an imbalance of 3
-        # in a 2001-agent crowd: 1004 trials at 3.15942/1004.
-        n, p = 1004, 3.15942 / 1004
-        rng = np.random.default_rng(2024)
-        draws = np.array([sample_binomial(n, p, rng) for _ in range(10**5)])
-        assert draws.mean() == pytest.approx(3.159, abs=0.05)
-
-    def test_moments_within_four_standard_errors(self):
-        n, p, m = 80, 0.37, 10**5
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_binomial(n, p, rng) for _ in range(m)])
-        mean, var = n * p, n * p * (1 - p)
-        mean_se = math.sqrt(var / m)
-        # variance estimator SE for a binomial sample, normal approximation
-        mu4 = 3 * var**2 + var * (1 - 6 * p * (1 - p))
-        var_se = math.sqrt((mu4 - var**2) / m)
-        assert abs(draws.mean() - mean) < 4 * mean_se
-        assert abs(draws.var(ddof=1) - var) < 4 * var_se
-
-    def test_range(self):
-        rng = np.random.default_rng(11)
-        draws = [sample_binomial(6, 0.5, rng) for _ in range(200)]
-        assert all(0 <= d <= 6 for d in draws)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            sample_binomial(10, -0.1, np.random.default_rng(0))

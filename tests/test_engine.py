@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mgstrat.dist import binomial_pmf
 from mgstrat.engine import (
     MODE_BASELINE,
     RESTAURANT_A,
@@ -338,7 +337,7 @@ class TestRun:
         lo, hi = 930, 1071
         edges = [-0.5] + [k + 0.5 for k in range(lo, hi)] + [2001.5]
         observed, _ = np.histogram(attendance, bins=edges)
-        pmf = np.array([binomial_pmf(k, 2001, 0.5) for k in range(2002)])
+        pmf = sps.binom.pmf(np.arange(2002), 2001, 0.5)
         # first bin spans [-0.5, lo + 0.5) = counts 0..lo, middle bins are the
         # single counts lo+1..hi-1, last bin spans counts >= hi
         expected = np.empty(len(observed))

@@ -91,6 +91,17 @@ class TestSolveLambda:
             solve_lambda(0)
         with pytest.raises(ValueError):
             solve_lambda(3, tolerance=-1e-9)
+        with pytest.raises(ValueError):
+            solve_lambda(3, tolerance=1e-5)
+
+    def test_one_cache_entry_per_root(self):
+        solve_lambda.cache_clear()
+        solve_lambda(17)
+        solve_lambda(17, 1e-10)
+        solve_lambda(17, tolerance=1e-10)
+        LambdaTable(delta_max=17)
+        info = solve_lambda.cache_info()
+        assert info.misses == 17 and info.hits == 3
 
 
 class TestLambdaGap:

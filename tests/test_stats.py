@@ -46,9 +46,7 @@ class TestInefficiency:
 
     def test_population_size_cross_check(self):
         trajectory = make_trajectory(201, np.zeros(10))
-        assert inefficiency_eta(trajectory, n=201) == pytest.approx(1 / 201)
-        with pytest.raises(ValueError):
-            inefficiency_eta(trajectory, n=2001)
+        assert inefficiency_eta(trajectory) == pytest.approx(1 / 201)
 
     def test_burn_in(self):
         trajectory = make_trajectory(5, [100, 0, 0, 0])
