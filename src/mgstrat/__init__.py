@@ -5,13 +5,13 @@ The package splits into small, layered modules:
 - ``dist``    -- Poisson/binomial kernels over scipy's incomplete gamma/beta
 - ``solver``  -- cheat-proof switch-rate root finders
 - ``payoff``  -- expected payoffs and the balanced-split infeasibility scan
-- ``engine``  -- day-by-day crowd simulation
+- ``engine``  -- day-by-day crowd simulation over head counts
 - ``stats``   -- inefficiency, autocorrelations, episode statistics
 - ``kpr``     -- the cyclic strategy for N agents on N ranked restaurants
 - ``cli``     -- ``mgstrat`` command-line front end
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .solver import (  # noqa: F401
     LambdaTable,
@@ -28,15 +28,6 @@ from .payoff import (  # noqa: F401
     infeasibility_scan,
     verify_no_cheat,
 )
-from .engine import (  # noqa: F401
-    PopulationState,
-    StrategyConfig,
-    Trajectory,
-    classify,
-    derive_rng,
-    init_population,
-    run,
-    step,
-)
+from .engine import StrategyConfig, Trajectory, derive_rng, run  # noqa: F401
 from .stats import inefficiency_eta, s_autocorrelation, summarize  # noqa: F401
 from .kpr import KPRRunResult, KPRState, kpr_run  # noqa: F401

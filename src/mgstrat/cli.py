@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, derive_rng, run
+from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, check_record_size, derive_rng, run
 from .kpr import kpr_run
 from .payoff import expected_payoffs
 from .solver import MAX_TOLERANCE, NumericError, solve_lambda
@@ -44,9 +44,14 @@ from .stats import (
     s_autocorrelation,
 )
 
-__all__ = ["RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTDIR_ENV"]
+__all__ = [
+    "RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTDIR_ENV", "MAX_EPSILONS",
+]
 
 OUTDIR_ENV = "MGSTRAT_OUTDIR"
+
+# Most values an epsilons range may expand to; checked before the list is built.
+MAX_EPSILONS = 100_000
 
 
 def _number(name: str, value: Any, kind: type) -> int | float:
@@ -76,7 +81,11 @@ def _epsilon_values(raw: Any) -> list[Any]:
             start, stop, step = (_number("epsilons", p, float) for p in parts)
             if step <= 0:
                 raise ValueError(f"epsilons step must be positive, got {step}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            count = math.floor(min((stop - start) / step, MAX_EPSILONS) + 1e-9) + 1
+            if count > MAX_EPSILONS:
+                raise ValueError(
+                    f"epsilons range {raw!r} expands to more than {MAX_EPSILONS} values"
+                )
             parts = [start + i * step for i in range(max(count, 0))]
         values = parts
     else:
@@ -299,6 +308,8 @@ def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
             raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
         # C(tau) needs the per-agent record, so --stats implies it.
         params["record_choices"] = True
+    if "steps" in params:
+        check_record_size(params["n"], params["steps"], params.get("record_choices", False))
 
 
 def _planned_outputs(subcommand: str, params: dict[str, Any]) -> list[str]:

@@ -7,8 +7,17 @@ by e >= 1 beyond the marginal M + 1, each crowd agent independently flips
 to the other side with probability lam(e) / (M + e + 1), the cheat-proof
 rate.  A marginal split (e = 0) cannot be improved, so after ``wait_t``
 consecutive marginal days the whole population re-randomizes: every agent
-flips with probability reset_prefactor * M**(epsilon - 1), trading a brief
-burst of crowding for long-run fairness.
+flips with probability q = reset_prefactor * M**(epsilon - 1), trading a
+brief burst of crowding for long-run fairness.
+
+Agents on a side act alike, so the head count at A and the marginal-day
+wait form a Markov chain by themselves (the crowd is lumpable), and ``run``
+tracks only these: Binomial(crowd, lam(e) / (M + e + 1)) movers on an
+imbalanced day, Binomial(side, q) off each side on a reset night, the thin
+side drawn first so that relabeling A and B mirrors a run exactly.  The
+random baseline is a reset every night at q = 1/2, an exact uniform redraw.
+Agents exist only for the optional choice record, where a child stream
+picks who moves, so recording never changes the imbalance path.
 """
 
 from __future__ import annotations
@@ -25,13 +34,10 @@ __all__ = [
     "RESTAURANT_B",
     "MODE_STRATEGY",
     "MODE_BASELINE",
+    "MAX_RECORD_BYTES",
     "StrategyConfig",
-    "PopulationState",
     "Trajectory",
-    "classify",
-    "init_population",
-    "will_reset",
-    "step",
+    "check_record_size",
     "run",
     "derive_rng",
 ]
@@ -41,6 +47,9 @@ RESTAURANT_B = 1
 
 MODE_STRATEGY = "strategy"
 MODE_BASELINE = "random-baseline"
+
+# Largest trajectory record ``run`` allocates: 1 GiB.
+MAX_RECORD_BYTES = 2**30
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -68,7 +77,6 @@ class StrategyConfig:
     seed: int = 0
     mode: str = MODE_STRATEGY
     exact_finite_m: bool = False
-    lambda_delta_max: int | None = None
     _table: LambdaTable | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -84,10 +92,6 @@ class StrategyConfig:
             raise ValueError(f"reset prefactor must be positive, got {self.reset_prefactor}")
         if self.mode not in (MODE_STRATEGY, MODE_BASELINE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lambda_delta_max is not None and self.lambda_delta_max < 1:
-            raise ValueError(
-                f"table depth must be a positive integer, got {self.lambda_delta_max}"
-            )
         # Surface a bad reset probability at construction, not mid-run.
         if not (0.0 < self.reset_probability <= 1.0):
             raise ValueError(
@@ -114,88 +118,22 @@ class StrategyConfig:
         if self.exact_finite_m:
             return solve_p_finite(excess, self.m)
         if self._table is None:
-            depth = self.lambda_delta_max or default_delta_max(self.n)
-            self._table = LambdaTable(delta_max=depth)
+            self._table = LambdaTable(delta_max=default_delta_max(self.n))
         # Overshoots past the table depth are transient; the mean falls back
         # to the asymptotic gap inside lookup().
         return self._table.lookup(excess) / (self.m + excess + 1)
 
 
 @dataclass
-class PopulationState:
-    """Choices of every agent on one day, plus the marginal-day wait counter."""
-
-    choices: np.ndarray
-    day: int = 0
-    wait_counter: int = 0
-    attendance_a: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.choices = np.asarray(self.choices, dtype=np.int8)
-        if self.choices.ndim != 1 or self.choices.size % 2 == 0:
-            raise ValueError("choices must be a one-dimensional array of odd length")
-        if int(self.choices.min()) < RESTAURANT_A or int(self.choices.max()) > RESTAURANT_B:
-            raise ValueError("choices must contain only 0 (A) and 1 (B)")
-        self.attendance_a = int((self.choices == RESTAURANT_A).sum())
-
-
-def classify(state: PopulationState) -> tuple[int, int, int]:
-    """(majority side, excess e >= 0, signed imbalance) for one day.
-
-    The signed imbalance is M - attendance_A: nonnegative when A is the
-    smaller crowd.  The excess counts majority heads beyond the marginal
-    M + 1, so a perfectly marginal split has excess 0.
-    """
-    m = (state.choices.size - 1) // 2
-    delta = m - state.attendance_a
-    if delta >= 0:
-        return RESTAURANT_B, delta, delta
-    return RESTAURANT_A, -delta - 1, delta
-
-
-def init_population(config: StrategyConfig, rng: np.random.Generator) -> PopulationState:
-    """Day-0 state: every agent picks a side uniformly at random."""
-    return PopulationState(rng.integers(0, 2, size=config.n, dtype=np.int8))
-
-
-def will_reset(state: PopulationState, config: StrategyConfig) -> bool:
-    """True when tonight is a re-randomization night."""
-    if config.mode != MODE_STRATEGY:
-        return False
-    _, excess, _ = classify(state)
-    return excess == 0 and state.wait_counter >= config.wait_t
-
-
-def step(
-    state: PopulationState, config: StrategyConfig, rng: np.random.Generator
-) -> PopulationState:
-    """Advance one day; returns a fresh state, the input is untouched."""
-    if config.mode == MODE_BASELINE:
-        return PopulationState(
-            rng.integers(0, 2, size=config.n, dtype=np.int8), state.day + 1, 0
-        )
-    majority, excess, _ = classify(state)
-    if excess >= 1:
-        crowd = np.flatnonzero(state.choices == majority)
-        movers = rng.binomial(crowd.size, config.switch_probability(excess))
-        choices = state.choices.copy()
-        if movers:
-            choices[rng.choice(crowd, size=movers, replace=False)] ^= 1
-        return PopulationState(choices, state.day + 1, 0)
-    if not will_reset(state, config):
-        return PopulationState(state.choices.copy(), state.day + 1, state.wait_counter + 1)
-    flips = rng.random(config.n) < config.reset_probability
-    return PopulationState(state.choices ^ flips, state.day + 1, 0)
-
-
-@dataclass
 class Trajectory:
     """Recorded time series of one run.
 
-    ``deltas[t]`` is the signed imbalance on day t; ``minority_side[t]`` is
+    ``deltas[t]`` is the signed imbalance M - attendance_A on day t, so it
+    is nonnegative when A held the smaller crowd; ``minority_side[t]`` is
     +1 when A held the smaller crowd and -1 otherwise; ``reset_days`` lists
     the marginal days whose following night re-randomized the population.
-    ``choice_matrix`` (days x agents) is kept only on request.
+    ``choice_matrix`` (days x agents, 0 for A and 1 for B) is kept only on
+    request.
     """
 
     n: int
@@ -213,6 +151,21 @@ class Trajectory:
         return len(self.deltas)
 
 
+def check_record_size(n: int, steps: int, record_choices: bool) -> None:
+    """Refuse a run whose record would exceed MAX_RECORD_BYTES.
+
+    Each day keeps an int64 imbalance and an int8 side (9 bytes), plus one
+    int8 per agent when choices are recorded.
+    """
+    need = (steps + 1) * (9 + (n if record_choices else 0))
+    if need > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
+            f"needs a {need / 2**30:.3g} GiB record, above the "
+            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit"
+        )
+
+
 def run(
     config: StrategyConfig,
     steps: int,
@@ -228,38 +181,75 @@ def run(
     """
     if steps != int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
+    n, m = config.n, config.m
+    check_record_size(n, steps, record_choices)
     if rng is None:
         rng = derive_rng(config.seed)
     if initial_choices is None:
-        state = init_population(config, rng)
+        attendance = rng.binomial(n, 0.5)
     else:
-        state = PopulationState(np.array(initial_choices, dtype=np.int8, copy=True))
-        if state.choices.size != config.n:
-            raise ValueError(
-                f"initial choices have length {state.choices.size}, expected {config.n}"
-            )
+        choices = np.asarray(initial_choices)
+        if choices.shape != (n,):
+            raise ValueError(f"initial choices have length {choices.size}, expected {n}")
+        if not ((choices == RESTAURANT_A) | (choices == RESTAURANT_B)).all():
+            raise ValueError("choices must contain only 0 (A) and 1 (B)")
+        choices = choices.astype(np.int8)
+        attendance = n - int(np.count_nonzero(choices))
+    who = None
+    if record_choices:
+        # Who moves is drawn from a child stream; ``rng`` alone sets the counts.
+        who = rng.spawn(1)[0]
+        if initial_choices is None:
+            choices = np.full(n, RESTAURANT_B, dtype=np.int8)
+            choices[who.choice(n, attendance, replace=False)] = RESTAURANT_A
 
+    baseline = config.mode == MODE_BASELINE
+    reset_q = 0.5 if baseline else config.reset_probability
     deltas = np.empty(steps + 1, dtype=np.int64)
-    side = np.empty(steps + 1, dtype=np.int8)
-    matrix = np.empty((steps + 1, config.n), dtype=np.int8) if record_choices else None
+    matrix = np.empty((steps + 1, n), dtype=np.int8) if record_choices else None
     reset_days: list[int] = []
+    wait = 0
 
     for t in range(steps + 1):
-        _, _, delta = classify(state)
+        delta = m - attendance
         deltas[t] = delta
-        side[t] = 1 if delta >= 0 else -1
         if matrix is not None:
-            matrix[t] = state.choices
+            matrix[t] = choices
         if t == steps:
             break
-        if will_reset(state, config):
-            reset_days.append(state.day)
-        state = step(state, config, rng)
+        crowd_side = RESTAURANT_B if delta >= 0 else RESTAURANT_A
+        thin_side = 1 - crowd_side
+        excess = delta if delta >= 0 else -delta - 1
+        crowd = m + excess + 1
+        if baseline or (excess == 0 and wait >= config.wait_t):
+            if not baseline:
+                reset_days.append(t)
+            moves = (
+                (thin_side, rng.binomial(n - crowd, reset_q)),
+                (crowd_side, rng.binomial(crowd, reset_q)),
+            )
+            wait = 0
+        elif excess >= 1:
+            moves = ((crowd_side, rng.binomial(crowd, config.switch_probability(excess))),)
+        else:
+            # Nobody moves while waiting, so the wait is 0 on every imbalanced day.
+            wait += 1
+            continue
+        for side, movers in moves:
+            attendance += movers if side == RESTAURANT_B else -movers
+        if who is not None:
+            picks = [
+                who.choice(np.flatnonzero(choices == side), movers, replace=False)
+                for side, movers in moves
+                if movers
+            ]
+            for pick in picks:
+                choices[pick] ^= 1
 
     return Trajectory(
-        n=config.n,
+        n=n,
         deltas=deltas,
-        minority_side=side,
+        minority_side=np.where(deltas >= 0, 1, -1).astype(np.int8),
         reset_days=reset_days,
         choice_matrix=matrix,
     )

@@ -89,9 +89,11 @@ def s_decay_rate(acf: np.ndarray) -> float:
 def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndarray:
     """Mean per-agent choice autocorrelation at lags 0..tau_max.
 
-    ``choice_matrix`` is the (days x agents) record of 0/1 choices; entries
-    are mapped to +/-1, so lag 0 gives exactly 1 and the value at lag tau
-    measures how likely an agent is to sit on the same side tau days apart.
+    ``choice_matrix`` is the (days x agents) record of 0/1 choices; with
+    entries read as +/-1, the value at lag tau is the mean product of an
+    agent's choices tau days apart, so lag 0 gives exactly 1.  It is
+    computed from the integer count of changed entries, (N - 2 changed) / N
+    over the N = (days - tau) * agents pairs, rounded once.
     """
     if choice_matrix is None:
         raise ValueError("choices were not recorded; rerun with record_choices=True")
@@ -103,11 +105,12 @@ def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndar
     days = choice_matrix.shape[0]
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    signs = 1.0 - 2.0 * choice_matrix.astype(np.float32)
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
-        out[tau] = float(np.mean(signs[:-tau] * signs[tau:]))
+        pairs = (days - tau) * choice_matrix.shape[1]
+        changed = int(np.count_nonzero(choice_matrix[:-tau] != choice_matrix[tau:]))
+        out[tau] = (pairs - 2 * changed) / pairs
     return out
 
 

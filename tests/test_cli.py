@@ -8,6 +8,7 @@ import pytest
 
 from mgstrat import __version__
 from mgstrat.cli import (
+    MAX_EPSILONS,
     OUTDIR_ENV,
     RunManifest,
     dispatch,
@@ -95,6 +96,20 @@ class TestParseConfig:
         assert main(["sweep", "--epsilons", "0.1:0.9"]) == 2
         assert "start:stop:step" in capsys.readouterr().err
 
+    def test_epsilons_range_size_capped_before_expansion(self):
+        assert len(parse_config(["sweep", "--epsilons", "0:0.99999:1e-5"]).params[
+            "epsilons"]) == MAX_EPSILONS
+        with pytest.raises(ValueError, match="^epsilons range .* more than"):
+            parse_config(["sweep", "--epsilons", "0:1:1e-5"])
+
+    def test_record_guard_counts_recorded_choices(self, tmp_path):
+        # 10 001 days of 200 001 int8 choices: about 1.9 GiB, refused
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": 200001, "steps": 10000}))
+        parse_config(["simulate", "--config", str(config)])
+        with pytest.raises(ValueError, match="^steps .* recorded choices .* 1 GiB limit"):
+            parse_config(["simulate", "--config", str(config), "--record-choices"])
+
     def test_stats_implies_choice_recording(self):
         manifest = parse_config(["simulate", "--stats"])
         assert manifest.params["record_choices"] is True
@@ -167,6 +182,10 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, subcommand, k
         (["simulate", "--epsilon", "nan"], "epsilon"),
         (["sweep", "--epsilons", "0.1:nan:0.1"], "epsilons"),
         (["sweep", "--steps", "100", "--burn-in", "100"], "burn_in"),
+        (["sweep", "--epsilons", "0:1:5e-324"], "epsilons"),
+        (["sweep", "--steps", "100000000000000"], "steps"),
+        (["simulate", "--steps", "100000000000000"], "steps"),
+        (["simulate", "--n", "200001", "--steps", "100000000000000", "--stats"], "steps"),
     ],
 )
 def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):

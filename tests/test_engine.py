@@ -1,9 +1,11 @@
 """Crowd-dynamics engine tests.
 
 Heavier distributional checks (efficiency ordering, post-reset scaling)
-live in the acceptance suite; here the focus is the exact mechanics of a
-step, the bookkeeping of runs, and statistical sanity of initialization,
-contraction, and the random baseline.
+live in the acceptance suite; here the focus is the exact one-day law of
+the head counts, the mechanics of a day as seen in the choice record, the
+bookkeeping of runs, and statistical sanity of initialization,
+contraction, and the random baseline.  Every test drives the public
+``run``; a one-day run from pinned ``initial_choices`` is one transition.
 """
 
 import math
@@ -15,26 +17,70 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from mgstrat.engine import (
+    MAX_RECORD_BYTES,
     MODE_BASELINE,
     RESTAURANT_A,
     RESTAURANT_B,
-    PopulationState,
     StrategyConfig,
     Trajectory,
-    classify,
+    check_record_size,
     derive_rng,
-    init_population,
     run,
-    step,
-    will_reset,
 )
 from mgstrat.solver import solve_lambda
 
 
-def state_with_attendance(n: int, attendance_a: int, **kwargs) -> PopulationState:
+def start_with_attendance(n: int, attendance_a: int) -> np.ndarray:
     choices = np.ones(n, dtype=np.int8)
     choices[:attendance_a] = RESTAURANT_A
-    return PopulationState(choices, **kwargs)
+    return choices
+
+
+def one_day(config: StrategyConfig, start, rng=None, record=False) -> Trajectory:
+    return run(config, 1, record_choices=record, rng=rng, initial_choices=start)
+
+
+def one_day_law(config: StrategyConfig, attendance: int) -> np.ndarray:
+    """Analytic distribution of tomorrow's attendance at A, by head count.
+
+    The crowd's movers are Binomial(crowd, switch probability); a reset
+    night moves Binomial(side, q) agents off each side; a baseline day
+    leaves every agent on a fair coin, whatever the start.
+    """
+    n, m = config.n, config.m
+    law = np.zeros(n + 1)
+    if config.mode == MODE_BASELINE:
+        return sps.binom.pmf(np.arange(n + 1), n, 0.5)
+    delta = m - attendance
+    excess = delta if delta >= 0 else -delta - 1
+    crowd = m + excess + 1
+    toward = 1 if delta >= 0 else -1  # a crowd mover's step in attendance
+    k = np.arange(crowd + 1)
+    if excess >= 1:
+        pmf = sps.binom.pmf(k, crowd, config.switch_probability(excess))
+        np.add.at(law, attendance + toward * k, pmf)
+    elif config.wait_t > 0:
+        law[attendance] = 1.0
+    else:
+        q = config.reset_probability
+        thin = np.arange(n - crowd + 1)
+        joint = np.outer(sps.binom.pmf(thin, n - crowd, q), sps.binom.pmf(k, crowd, q))
+        np.add.at(law, attendance + toward * (k[None, :] - thin[:, None]), joint)
+    return law
+
+
+def replay_resets(excess: np.ndarray, wait_t: int) -> list[int]:
+    """Reset days implied by the wait rule, replayed from the excess series."""
+    resets, wait = [], 0
+    for t, e in enumerate(excess[:-1]):
+        if e >= 1:
+            wait = 0
+        elif wait >= wait_t:
+            resets.append(t)
+            wait = 0
+        else:
+            wait += 1
+    return resets
 
 
 class TestStrategyConfig:
@@ -65,8 +111,8 @@ class TestStrategyConfig:
         assert config.switch_probability(3) == pytest.approx(expected, rel=1e-12)
 
     def test_switch_probability_beyond_table_uses_asymptote(self):
-        config = StrategyConfig(n=5, lambda_delta_max=2)
-        # excess far past the table depth: the rate falls back to e + 1/6
+        config = StrategyConfig(n=5)
+        # excess far past the default depth 17: the rate falls back to e + 1/6
         assert config.switch_probability(40) == pytest.approx(
             (40 + 1 / 6) / (2 + 40 + 1)
         )
@@ -84,17 +130,21 @@ class TestStrategyConfig:
 
 
 class TestClassify:
+    """Day 0 of a run classifies the pinned start: imbalance, excess, side."""
+
+    @staticmethod
+    def day_zero(n, attendance):
+        trajectory = one_day(StrategyConfig(n=n), start_with_attendance(n, attendance))
+        return trajectory.deltas[0], trajectory.excess()[0], trajectory.minority_side[0]
+
     def test_all_in_majority_a(self):
-        state = state_with_attendance(5, 5)
-        assert classify(state) == (RESTAURANT_A, 2, -3)
+        assert self.day_zero(5, 5) == (-3, 2, -1)
 
     def test_marginal_b_majority(self):
-        state = state_with_attendance(5, 2)
-        assert classify(state) == (RESTAURANT_B, 0, 0)
+        assert self.day_zero(5, 2) == (0, 0, 1)
 
     def test_marginal_a_majority(self):
-        state = state_with_attendance(5, 3)
-        assert classify(state) == (RESTAURANT_A, 0, -1)
+        assert self.day_zero(5, 3) == (-1, 0, -1)
 
     @given(
         m=st.integers(min_value=0, max_value=40),
@@ -104,29 +154,26 @@ class TestClassify:
     def test_classification_consistency(self, m, data):
         n = 2 * m + 1
         attendance = data.draw(st.integers(min_value=0, max_value=n))
-        state = state_with_attendance(n, attendance)
-        majority, excess, delta = classify(state)
+        delta, excess, minority = self.day_zero(n, attendance)
         assert delta == m - attendance
         assert -(m + 1) <= delta <= m
         assert excess >= 0
-        majority_count = attendance if majority == RESTAURANT_A else n - attendance
+        majority_count = n - attendance if minority == 1 else attendance
         assert majority_count == m + excess + 1
         assert (excess == 0) == (abs(attendance - (n - attendance)) == 1)
 
 
 class TestInitPopulation:
+    """Without pinned choices, day 0 is a uniform draw for every agent."""
+
     def test_degenerate_single_agent(self):
-        config = StrategyConfig(n=1)
-        state = init_population(config, derive_rng(0))
-        assert classify(state)[1] == 0
+        trajectory = run(StrategyConfig(n=1), 1, rng=derive_rng(0))
+        assert trajectory.excess()[0] == 0
 
     def test_mean_attendance(self):
         config = StrategyConfig(n=2001)
         values = np.array(
-            [
-                init_population(config, derive_rng(3, i)).attendance_a
-                for i in range(10**4)
-            ],
+            [1000 - run(config, 1, rng=derive_rng(3, i)).deltas[0] for i in range(10**4)],
             dtype=np.float64,
         )
         stderr = math.sqrt(2001 * 0.25 / 10**4)
@@ -135,109 +182,141 @@ class TestInitPopulation:
     def test_attendance_spread_scales_as_root_n(self):
         config = StrategyConfig(n=2001)
         values = np.array(
-            [
-                init_population(config, derive_rng(4, i)).attendance_a
-                for i in range(4000)
-            ],
+            [1000 - run(config, 1, rng=derive_rng(4, i)).deltas[0] for i in range(4000)],
             dtype=np.float64,
         )
         assert values.std() == pytest.approx(math.sqrt(2001) / 2, rel=0.10)
 
 
 class TestStep:
+    """One day of a run from a pinned start, read off the choice record."""
+
     def test_minority_agents_never_flip(self):
         config = StrategyConfig(n=2001, seed=5)
-        state = state_with_attendance(2001, 997)  # imbalance 3, majority B
+        start = start_with_attendance(2001, 997)  # imbalance 3, majority B
+        minority = start == RESTAURANT_A
         for trial in range(50):
-            after = step(state, config, derive_rng(10, trial))
-            minority = state.choices == RESTAURANT_A
-            assert np.array_equal(state.choices[minority], after.choices[minority])
+            matrix = one_day(config, start, derive_rng(10, trial), record=True).choice_matrix
+            assert np.array_equal(matrix[0], start)
+            assert np.array_equal(matrix[1][minority], start[minority])
 
     def test_flips_only_majority_to_minority(self):
         config = StrategyConfig(n=101)
-        state = state_with_attendance(101, 30)  # majority B
-        after = step(state, config, derive_rng(11))
-        changed = np.flatnonzero(state.choices != after.choices)
-        assert (state.choices[changed] == RESTAURANT_B).all()
-        assert (after.choices[changed] == RESTAURANT_A).all()
+        start = start_with_attendance(101, 30)  # majority B
+        after = one_day(config, start, derive_rng(11), record=True).choice_matrix[1]
+        changed = np.flatnonzero(start != after)
+        assert changed.size > 0
+        assert (start[changed] == RESTAURANT_B).all()
+        assert (after[changed] == RESTAURANT_A).all()
 
     def test_expected_switcher_count(self):
         # imbalance 3 in a 2001-agent crowd: 1004 movers at rate
         # solve_lambda(3)/1004, so about 3.159 expected switchers.
         config = StrategyConfig(n=2001)
-        state = state_with_attendance(2001, 997)
+        start = start_with_attendance(2001, 997)
         rng = derive_rng(12)
         trials = 10**4
         total = 0
         for _ in range(trials):
-            after = step(state, config, rng)
-            total += int((after.choices != state.choices).sum())
+            deltas = one_day(config, start, rng).deltas
+            total += int(deltas[0] - deltas[1])
         mean = total / trials
         stderr = math.sqrt(solve_lambda(3) / trials)
         assert abs(mean - 3.159) < 4 * stderr + 1e-3
 
     def test_wait_two_days_then_reset(self):
         config = StrategyConfig(n=5, wait_t=2, seed=0)
-        state = state_with_attendance(5, 2)  # marginal
-        rng = derive_rng(13)
-        assert not will_reset(state, config)
-        day1 = step(state, config, rng)
-        assert np.array_equal(day1.choices, state.choices)
-        assert day1.wait_counter == 1
-        assert not will_reset(day1, config)
-        day2 = step(day1, config, rng)
-        assert np.array_equal(day2.choices, state.choices)
-        assert day2.wait_counter == 2
-        assert will_reset(day2, config)
-        day3 = step(day2, config, rng)
-        assert day3.wait_counter == 0
+        start = start_with_attendance(5, 2)  # marginal
+        trajectory = run(config, 3, record_choices=True, rng=derive_rng(13),
+                         initial_choices=start)
+        matrix = trajectory.choice_matrix
+        assert np.array_equal(matrix[1], start)
+        assert np.array_equal(matrix[2], start)
+        assert trajectory.reset_days == [2]
+        # the counter restarts after each reset: two marginal days in between
+        long = run(config, 2000, rng=derive_rng(13), initial_choices=start)
+        assert (np.diff(long.reset_days) >= 3).all()
 
     def test_imbalanced_day_clears_wait_counter(self):
         config = StrategyConfig(n=5, wait_t=3)
-        state = state_with_attendance(5, 1, wait_counter=2)  # excess 1
-        after = step(state, config, derive_rng(14))
-        assert after.wait_counter == 0
+        start = start_with_attendance(5, 1)  # excess 1
+        imbalanced_then_marginal = 0
+        for trial in range(20):
+            trajectory = run(config, 500, rng=derive_rng(14, trial), initial_choices=start)
+            excess = trajectory.excess()
+            assert trajectory.reset_days == replay_resets(excess, 3)
+            imbalanced_then_marginal += int(((excess[:-1] >= 1) & (excess[1:] == 0)).sum())
+        assert imbalanced_then_marginal > 100
 
     def test_reset_flips_with_configured_probability(self):
         config = StrategyConfig(n=2001, epsilon=0.5, wait_t=0)
-        state = state_with_attendance(2001, 1000)  # marginal
+        start = start_with_attendance(2001, 1000)  # marginal
         rng = derive_rng(15)
         flips = []
         for _ in range(2000):
-            after = step(state, config, rng)
-            flips.append(int((after.choices != state.choices).sum()))
+            after = one_day(config, start, rng, record=True).choice_matrix[1]
+            flips.append(int((after != start).sum()))
         expected = 2001 * config.reset_probability
         stderr = math.sqrt(2001 * config.reset_probability / 2000)
         assert abs(np.mean(flips) - expected) < 4 * stderr
 
     def test_baseline_redraws_everything(self):
         config = StrategyConfig(n=1001, mode=MODE_BASELINE)
-        state = state_with_attendance(1001, 0)
-        after = step(state, config, derive_rng(16))
-        assert after.day == state.day + 1
-        assert after.wait_counter == 0
+        start = start_with_attendance(1001, 0)
+        trajectory = one_day(config, start, derive_rng(16), record=True)
+        assert trajectory.reset_days == []
         # a uniform redraw from all-B start moves about half the agents
-        assert 400 < int((after.choices != state.choices).sum()) < 600
+        assert 400 < int((trajectory.choice_matrix[1] != start).sum()) < 600
 
     def test_determinism(self):
         config = StrategyConfig(n=201)
-        state = state_with_attendance(201, 80)
-        one = step(state, config, derive_rng(17))
-        two = step(state, config, derive_rng(17))
-        assert np.array_equal(one.choices, two.choices)
+        start = start_with_attendance(201, 80)
+        one = one_day(config, start, derive_rng(17), record=True)
+        two = one_day(config, start, derive_rng(17), record=True)
+        assert np.array_equal(one.deltas, two.deltas)
+        assert np.array_equal(one.choice_matrix, two.choice_matrix)
 
     def test_contraction_band_single_step(self):
         # From excess e0 the next-day excess concentrates near sqrt(e0).
         config = StrategyConfig(n=2001)
         for e0 in (25, 100):
-            state = state_with_attendance(2001, 1000 - e0)  # delta = e0
+            start = start_with_attendance(2001, 1000 - e0)  # delta = e0
             rng = derive_rng(18, e0)
             total = 0.0
             for _ in range(10**4):
-                after = step(state, config, rng)
-                total += classify(after)[1]
+                total += one_day(config, start, rng).excess()[1]
             mean_excess = total / 10**4
             assert 0.5 * math.sqrt(e0) <= mean_excess <= 2.0 * math.sqrt(e0)
+
+
+class TestOneDayLaw:
+    """Tomorrow's attendance follows the analytic binomial law exactly."""
+
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @pytest.mark.parametrize(
+        "kind", [{"wait_t": 0}, {"wait_t": 3}, {"mode": MODE_BASELINE}],
+        ids=["strategy-T0", "strategy-T3", "baseline"],
+    )
+    def test_frequencies_match_binomial_law(self, n, kind):
+        config = StrategyConfig(n=n, epsilon=0.7, **kind)
+        for attendance in range(n + 1):
+            start = start_with_attendance(n, attendance)
+            rng = derive_rng(19, n, attendance)
+            after = [
+                config.m - one_day(config, start, rng).deltas[1]
+                for _ in range(self.TRIALS)
+            ]
+            freq = np.bincount(after, minlength=n + 1) / self.TRIALS
+            law = one_day_law(config, attendance)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+            # nothing outside the law's support, and every cell within 5 sigma
+            assert (freq[law == 0] == 0).all(), (attendance, freq, law)
+            sigma = np.sqrt(law * (1 - law) / self.TRIALS)
+            assert (np.abs(freq - law) <= 5 * sigma + 3 / self.TRIALS).all(), (
+                attendance, freq, law,
+            )
 
 
 class TestRun:
@@ -287,6 +366,48 @@ class TestRun:
         a = run(config, 400, rng=derive_rng(101), initial_choices=start)
         b = run(config, 400, rng=derive_rng(101), initial_choices=1 - start)
         assert np.array_equal(b.deltas, -a.deltas - 1)
+
+    def test_relabeling_mirrors_the_choice_record(self):
+        config = StrategyConfig(n=101, epsilon=0.6, wait_t=1)
+        start = derive_rng(102).integers(0, 2, size=101, dtype=np.int8)
+        a = run(config, 300, record_choices=True, rng=derive_rng(103),
+                initial_choices=start)
+        b = run(config, 300, record_choices=True, rng=derive_rng(103),
+                initial_choices=1 - start)
+        assert np.array_equal(b.choice_matrix, 1 - a.choice_matrix)
+        assert b.reset_days == a.reset_days
+
+    @pytest.mark.parametrize(
+        "kind", [{}, {"mode": MODE_BASELINE}, {"wait_t": 4}],
+        ids=["strategy", "baseline", "wait"],
+    )
+    def test_recording_choices_never_changes_the_imbalance_path(self, kind):
+        config = StrategyConfig(n=201, epsilon=0.5, **kind)
+        start = derive_rng(104).integers(0, 2, size=201, dtype=np.int8)
+        for pinned in (None, start):
+            plain = run(config, 2000, rng=derive_rng(105), initial_choices=pinned)
+            recorded = run(config, 2000, record_choices=True, rng=derive_rng(105),
+                           initial_choices=pinned)
+            assert np.array_equal(plain.deltas, recorded.deltas)
+            assert plain.reset_days == recorded.reset_days
+            assert recorded.choice_matrix.dtype == np.int8
+
+    def test_record_size_guard_boundary(self):
+        per_day = 9 + 2001
+        fits = MAX_RECORD_BYTES // per_day - 1
+        check_record_size(2001, fits, True)
+        with pytest.raises(ValueError, match="^steps"):
+            check_record_size(2001, fits + 1, True)
+        check_record_size(2001, MAX_RECORD_BYTES // 9 - 1, False)
+        with pytest.raises(ValueError, match="^steps"):
+            check_record_size(2001, MAX_RECORD_BYTES // 9, False)
+
+    def test_oversized_run_refused_before_allocating(self):
+        # far beyond any address space: only the guard can answer this
+        with pytest.raises(ValueError, match="GiB record"):
+            run(StrategyConfig(n=3), 10**14)
+        with pytest.raises(ValueError, match="with recorded choices"):
+            run(StrategyConfig(n=10**9 + 1), 10**6, record_choices=True)
 
     def test_choice_matrix_consistent_with_deltas(self):
         config = StrategyConfig(n=101, seed=5)
@@ -358,17 +479,20 @@ class TestRun:
 
 
 class TestPopulationState:
+    """``initial_choices`` is checked and counted before day 0."""
+
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):
-            PopulationState(np.zeros(4, dtype=np.int8))
+            run(StrategyConfig(n=5), 1, initial_choices=np.zeros(4, dtype=np.int8))
 
     def test_rejects_non_binary_entries(self):
-        with pytest.raises(ValueError):
-            PopulationState(np.array([0, 1, 2], dtype=np.int8))
+        for bad in ([0, 1, 2], [0, 1, -1], [0, 1, 0.5]):
+            with pytest.raises(ValueError, match="only 0"):
+                run(StrategyConfig(n=3), 1, initial_choices=bad)
 
     def test_attendance_computed(self):
-        state = PopulationState(np.array([0, 0, 1], dtype=np.int8))
-        assert state.attendance_a == 2
+        trajectory = run(StrategyConfig(n=3), 1, initial_choices=[0, 0, 1])
+        assert trajectory.deltas[0] == 1 - 2
 
 
 class TestDeriveRng:

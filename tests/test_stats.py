@@ -1,5 +1,7 @@
 """Observable-estimator tests, mostly on synthetic trajectories."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,16 @@ class TestCAutocorrelation:
         matrix = derive_rng(57).integers(0, 2, size=(300, 21), dtype=np.int8)
         acf = c_autocorrelation(matrix, 20)
         assert (np.abs(acf) <= 1.0 + 1e-12).all()
+
+    def test_matches_integer_count_oracle_bit_for_bit(self):
+        # sticky choices: each agent flips with probability 0.05 per day
+        flips = derive_rng(61).random((3000, 257)) < 0.05
+        matrix = np.bitwise_xor.accumulate(flips, axis=0).astype(np.int8)
+        acf = c_autocorrelation(matrix, 40)
+        for tau in range(41):
+            pairs = (3000 - tau) * 257
+            same = int(np.sum(matrix[: 3000 - tau] == matrix[tau:], dtype=np.int64))
+            assert acf[tau] == float(Fraction(2 * same - pairs, pairs)), tau
 
 
 class TestConvergenceTime:
