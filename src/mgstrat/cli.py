@@ -372,13 +372,12 @@ def _format_value(value: Any) -> str:
 def _write_csv(
     path: Path, manifest: RunManifest, columns: Sequence[str], rows: Iterable[Sequence[Any]]
 ) -> None:
-    lines = [
-        f"# mgstrat {manifest.subcommand} v{manifest.version}",
-        f"# manifest: {manifest.digest()}",
-        ",".join(columns),
-    ]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(f"# mgstrat {manifest.subcommand} v{manifest.version}\n")
+        handle.write(f"# manifest: {manifest.digest()}\n")
+        handle.write(",".join(columns) + "\n")
+        for row in rows:
+            handle.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, document: dict[str, Any]) -> None:
@@ -473,14 +472,14 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
             outdir / "s_autocorr.csv",
             manifest,
             ["lag", "value"],
-            list(enumerate(s_acf)),
+            enumerate(s_acf),
         )
         c_acf = c_autocorrelation(trajectory.choice_matrix, params["tau_max"])
         _write_csv(
             outdir / "c_autocorr.csv",
             manifest,
             ["lag", "value"],
-            list(enumerate(c_acf)),
+            enumerate(c_acf),
         )
         results["c_at_tau_max"] = float(c_acf[-1])
     return results

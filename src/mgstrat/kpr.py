@@ -86,32 +86,29 @@ def resolve_service(
     yesterday (rank 1 when k = n) eats; otherwise one arrival is drawn
     uniformly.  At most one arrival can hold the priority claim, because a
     single restaurant feeds a single agent per day.
+
+    One random permutation of the agents, stable-sorted by (rank,
+    not-claimant), puts each rank's claimant first and otherwise leaves its
+    arrivals in uniformly random order; the first agent of each rank eats.
     """
     n = len(positions)
-    arrivals: list[list[int]] = [[] for _ in range(n + 1)]
-    for agent, rank in enumerate(positions):
-        arrivals[rank].append(agent)
+    claims = prev_served_rank == positions % n + 1
+    claim_counts = np.bincount(positions[claims], minlength=n + 1)
+    if claim_counts.max() > 1:
+        rank = int(np.argmax(claim_counts))
+        raise RuntimeError(
+            f"rank {rank}: several arrivals claim yesterday's rank {rank % n + 1}; "
+            "service history is corrupt"
+        )
+    order = rng.permutation(n)
+    order = order[np.lexsort((~claims[order], positions[order]))]
+    ranks = positions[order]
+    first = np.diff(ranks, prepend=0) != 0
+    winners, winner_ranks = order[first], ranks[first]
     served = np.full(n, NO_AGENT, dtype=np.int64)
     served_rank = np.full(n, UNSERVED, dtype=np.int64)
-    for rank in range(1, n + 1):
-        group = arrivals[rank]
-        if not group:
-            continue
-        upstream = rank + 1 if rank < n else 1
-        claimants = [a for a in group if prev_served_rank[a] == upstream]
-        if len(claimants) > 1:
-            raise RuntimeError(
-                f"rank {rank}: several arrivals claim yesterday's rank {upstream}; "
-                "service history is corrupt"
-            )
-        if claimants:
-            winner = claimants[0]
-        elif len(group) == 1:
-            winner = group[0]
-        else:
-            winner = group[int(rng.integers(len(group)))]
-        served[rank - 1] = winner
-        served_rank[winner] = rank
+    served[winner_ranks - 1] = winners
+    served_rank[winners] = winner_ranks
     return served, served_rank
 
 
@@ -140,19 +137,18 @@ def kpr_init(
 def kpr_step(state: KPRState, rng: np.random.Generator) -> KPRState:
     """Advance one day: move everyone, then resolve service at each rank."""
     n = state.n
-    counts = np.bincount(state.positions, minlength=n + 1)
-    empty_ranks = np.flatnonzero(counts[1:] == 0) + 1
-    new_positions = np.empty(n, dtype=np.int64)
-    for agent in range(n):
-        k = state.last_served_rank[agent]
-        if k == UNSERVED:
-            if empty_ranks.size == 0:
-                # Impossible: with n agents in n restaurants, someone is
-                # unserved only if some restaurant drew a crowd, which
-                # leaves another one empty.
-                raise RuntimeError("unserved agent but no empty restaurant")
-            k = int(empty_ranks[rng.integers(empty_ranks.size)])
-        new_positions[agent] = k - 1 if k > 1 else n
+    k = state.last_served_rank.copy()
+    unserved = np.flatnonzero(k == UNSERVED)
+    if unserved.size:
+        counts = np.bincount(state.positions, minlength=n + 1)
+        empty_ranks = np.flatnonzero(counts[1:] == 0) + 1
+        if empty_ranks.size == 0:
+            # Impossible: with n agents in n restaurants, someone is
+            # unserved only if some restaurant drew a crowd, which
+            # leaves another one empty.
+            raise RuntimeError("unserved agent but no empty restaurant")
+        k[unserved] = empty_ranks[rng.integers(empty_ranks.size, size=unserved.size)]
+    new_positions = np.where(k > 1, k - 1, n)
     served, served_rank = resolve_service(new_positions, state.last_served_rank, rng)
     return KPRState(n, new_positions, served, served_rank, day=state.day + 1)
 

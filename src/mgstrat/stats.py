@@ -86,6 +86,11 @@ def s_decay_rate(acf: np.ndarray) -> float:
     return float(-slope)
 
 
+# Upper bound on the boolean temporary of one block comparison in
+# c_autocorrelation, so its memory stays flat however long the record is.
+COMPARE_BLOCK_BYTES = 4 << 20
+
+
 def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndarray:
     """Mean per-agent choice autocorrelation at lags 0..tau_max.
 
@@ -93,7 +98,8 @@ def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndar
     entries read as +/-1, the value at lag tau is the mean product of an
     agent's choices tau days apart, so lag 0 gives exactly 1.  It is
     computed from the integer count of changed entries, (N - 2 changed) / N
-    over the N = (days - tau) * agents pairs, rounded once.
+    over the N = (days - tau) * agents pairs, rounded once.  The changed
+    entries are counted in row blocks of at most ``COMPARE_BLOCK_BYTES``.
     """
     if choice_matrix is None:
         raise ValueError("choices were not recorded; rerun with record_choices=True")
@@ -105,11 +111,20 @@ def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndar
     days = choice_matrix.shape[0]
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
+    agents = choice_matrix.shape[1]
+    block = max(1, COMPARE_BLOCK_BYTES // agents)
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
-        pairs = (days - tau) * choice_matrix.shape[1]
-        changed = int(np.count_nonzero(choice_matrix[:-tau] != choice_matrix[tau:]))
+        changed = 0
+        for start in range(0, days - tau, block):
+            stop = min(start + block, days - tau)
+            changed += int(
+                np.count_nonzero(
+                    choice_matrix[start:stop] != choice_matrix[start + tau : stop + tau]
+                )
+            )
+        pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs
     return out
 

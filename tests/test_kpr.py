@@ -1,5 +1,7 @@
 """Ranked-restaurant cyclic-strategy tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,31 @@ class TestServiceResolution:
         assert 0.4 < share < 0.6
         assert set(winners) == {0, 1}
 
+    def test_three_way_collision_without_claim_is_uniform(self):
+        # three arrivals at rank 2 of four, none served at rank 3 yesterday
+        rng = derive_rng(95)
+        trials = 3000
+        wins = np.zeros(3, dtype=int)
+        for _ in range(trials):
+            served, served_rank = resolve_service(
+                np.array([2, 2, 2, 4]), np.array([1, UNSERVED, 4, 3]), rng
+            )
+            wins[served[1]] += 1
+            assert served_rank[3] == 4
+        sigma = np.sqrt(trials * (1 / 3) * (2 / 3))
+        assert (np.abs(wins - trials / 3) < 5 * sigma).all(), wins
+
+    @pytest.mark.parametrize("claimant", [0, 1, 2])
+    def test_claimant_wins_at_any_agent_index(self, claimant):
+        prev = np.array([3, 4, UNSERVED, UNSERVED])
+        prev[claimant] = 2
+        for trial in range(100):
+            served, served_rank = resolve_service(
+                np.array([1, 1, 1, 3]), prev, derive_rng(96, claimant, trial)
+            )
+            assert served[0] == claimant
+            assert (served_rank[:3] == UNSERVED).sum() == 2
+
     def test_two_claimants_flag_corrupt_history(self):
         with pytest.raises(RuntimeError):
             resolve_service(
@@ -111,6 +138,21 @@ class TestStepMechanics:
         for agent in losers:
             assert after.positions[agent] in {4, 2}
 
+    def test_unserved_agents_land_uniformly_below_empty_restaurants(self):
+        # four agents pile onto rank 3 of five; the empties are ranks 1, 2
+        # and 4, so each of the three losers lands on rank 5, 1 or 3
+        state = kpr_init(5, derive_rng(97), positions=np.array([3, 3, 3, 3, 5]))
+        losers = np.flatnonzero(state.last_served_rank == UNSERVED)
+        assert losers.size == 3
+        rng = derive_rng(98)
+        trials = 3000
+        landings = np.array([kpr_step(state, rng).positions[losers] for _ in range(trials)])
+        sigma = np.sqrt(trials * (1 / 3) * (2 / 3))
+        for column in landings.T:
+            ranks, counts = np.unique(column, return_counts=True)
+            assert ranks.tolist() == [1, 3, 5]
+            assert (np.abs(counts - trials / 3) < 5 * sigma).all(), counts
+
     def test_permutation_is_absorbing_long_horizon(self):
         rng = derive_rng(84)
         state = kpr_init(6, rng)
@@ -147,6 +189,53 @@ class TestTwoAgentExhaustive:
                 )
                 assert result.convergence_day == expected
                 assert result.utilization[-1] == 1.0
+
+
+def _first_day_support(start):
+    """Every (day-0 served, day-1 positions) pair the rules allow.
+
+    Day 0 has no history, so each occupied rank feeds any one of its
+    arrivals; each unserved agent then picks any empty rank and moves one
+    below it.  Distinct choices give distinct pairs, so the law is uniform
+    over this set.
+    """
+    n = len(start)
+    arrivals = {r: [a for a in range(n) if start[a] == r] for r in range(1, n + 1)}
+    occupied = [r for r in arrivals if arrivals[r]]
+    empty = [r for r in arrivals if not arrivals[r]]
+    support = set()
+    for winners in itertools.product(*(arrivals[r] for r in occupied)):
+        served = [NO_AGENT] * n
+        rank_of = [UNSERVED] * n
+        for rank, agent in zip(occupied, winners):
+            served[rank - 1] = agent
+            rank_of[agent] = rank
+        losers = [a for a in range(n) if rank_of[a] == UNSERVED]
+        for picks in itertools.product(empty, repeat=len(losers)):
+            k = list(rank_of)
+            for agent, rank in zip(losers, picks):
+                k[agent] = rank
+            support.add((tuple(served), tuple(r - 1 if r > 1 else n for r in k)))
+    return support
+
+
+class TestThreeAgentExhaustive:
+    def test_first_day_law_from_every_start(self):
+        for index, start in enumerate(itertools.product((1, 2, 3), repeat=3)):
+            support = _first_day_support(start)
+            trials = 200 * len(support)
+            rng = derive_rng(99, index)
+            seen = {}
+            for _ in range(trials):
+                day0 = kpr_init(3, rng, positions=np.array(start))
+                day1 = kpr_step(day0, rng)
+                outcome = (tuple(day0.served.tolist()), tuple(day1.positions.tolist()))
+                seen[outcome] = seen.get(outcome, 0) + 1
+            assert set(seen) == support, start
+            p = 1 / len(support)
+            sigma = np.sqrt(trials * p * (1 - p))
+            for outcome, count in seen.items():
+                assert abs(count - trials * p) <= 5 * sigma, (start, outcome, count)
 
 
 class TestRun:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mgstrat import stats
 from mgstrat.engine import StrategyConfig, Trajectory, derive_rng, run
 from mgstrat.stats import (
     EpisodeStats,
@@ -156,15 +157,30 @@ class TestCAutocorrelation:
         acf = c_autocorrelation(matrix, 20)
         assert (np.abs(acf) <= 1.0 + 1e-12).all()
 
-    def test_matches_integer_count_oracle_bit_for_bit(self):
+    @staticmethod
+    def _sticky_matrix():
         # sticky choices: each agent flips with probability 0.05 per day
         flips = derive_rng(61).random((3000, 257)) < 0.05
-        matrix = np.bitwise_xor.accumulate(flips, axis=0).astype(np.int8)
-        acf = c_autocorrelation(matrix, 40)
+        return np.bitwise_xor.accumulate(flips, axis=0).astype(np.int8)
+
+    @staticmethod
+    def _assert_matches_oracle(matrix, acf):
         for tau in range(41):
             pairs = (3000 - tau) * 257
             same = int(np.sum(matrix[: 3000 - tau] == matrix[tau:], dtype=np.int64))
             assert acf[tau] == float(Fraction(2 * same - pairs, pairs)), tau
+
+    def test_matches_integer_count_oracle_bit_for_bit(self):
+        matrix = self._sticky_matrix()
+        self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
+
+    @pytest.mark.parametrize("block_bytes", [1, 1000, 257 * 64 + 5])
+    def test_row_blocks_match_oracle_bit_for_bit(self, monkeypatch, block_bytes):
+        # blocks of 1, 3 and 64 rows: every lag spans many blocks, and the
+        # last block of a lag is a partial one
+        monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
+        matrix = self._sticky_matrix()
+        self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
 
 class TestConvergenceTime:
