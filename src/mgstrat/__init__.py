@@ -2,7 +2,7 @@
 
 The package splits into small, layered modules:
 
-- ``dist``    -- Poisson/binomial kernels over scipy's incomplete gamma/beta
+- ``dist``    -- Poisson/binomial/Skellam CDFs over scipy special functions
 - ``solver``  -- cheat-proof switch-rate root finders
 - ``payoff``  -- expected payoffs and the balanced-split infeasibility scan
 - ``engine``  -- day-by-day crowd simulation over head counts
@@ -29,5 +29,10 @@ from .payoff import (  # noqa: F401
     verify_no_cheat,
 )
 from .engine import StrategyConfig, Trajectory, derive_rng, run  # noqa: F401
-from .stats import inefficiency_eta, s_autocorrelation, summarize  # noqa: F401
+from .stats import (  # noqa: F401
+    c_autocorrelation,
+    convergence_time,
+    inefficiency_eta,
+    s_autocorrelation,
+)
 from .kpr import KPRRunResult, KPRState, kpr_run  # noqa: F401

@@ -433,28 +433,25 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     params = manifest.params
     config = _strategy_config(params)
     trajectory = run(config, params["steps"], record_choices=params["record_choices"])
-    reset_marks = set(trajectory.reset_days)
+    deltas, reset = trajectory.deltas, trajectory.reset
     _write_csv(
         outdir / "trajectory.csv",
         manifest,
         ["day", "delta", "minority_side", "reset"],
-        (
-            (t, int(trajectory.deltas[t]), int(trajectory.minority_side[t]), int(t in reset_marks))
-            for t in range(trajectory.days)
-        ),
+        zip(range(trajectory.days), deltas, trajectory.minority_side, reset),
     )
     results: dict[str, Any] = {
         "eta": inefficiency_eta(trajectory, burn_in=params["burn_in"]),
         "days": trajectory.days,
-        "resets": len(trajectory.reset_days),
-        "delta_min": int(trajectory.deltas.min()),
-        "delta_max": int(trajectory.deltas.max()),
+        "resets": int(np.count_nonzero(reset)),
+        "delta_min": int(deltas.min()),
+        "delta_max": int(deltas.max()),
     }
     episodes = episode_lengths(trajectory)
-    if episodes:
+    if episodes.size:
         summary = EpisodeStats.from_lengths(episodes)
         results["episodes"] = {
-            "count": len(episodes),
+            "count": int(episodes.size),
             "mean": summary.mean,
             "median": summary.median,
             "max": summary.max,

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solver import LambdaTable, default_delta_max, solve_p_finite
+from .solver import LambdaTable, default_delta_max
 
 __all__ = [
     "RESTAURANT_A",
@@ -65,9 +65,7 @@ class StrategyConfig:
 
     ``epsilon`` steers the fairness/efficiency trade-off of resets: larger
     epsilon means more agents move on a reset night.  ``wait_t`` delays the
-    reset by that many extra marginal days.  ``exact_finite_m`` swaps the
-    large-crowd switch rate for the finite-crowd root (much slower; only
-    sensible for small n).
+    reset by that many extra marginal days.
     """
 
     n: int
@@ -76,7 +74,6 @@ class StrategyConfig:
     reset_prefactor: float = 0.5
     seed: int = 0
     mode: str = MODE_STRATEGY
-    exact_finite_m: bool = False
     _table: LambdaTable | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -115,8 +112,6 @@ class StrategyConfig:
         """Per-agent flip probability for a crowd overshooting by ``excess``."""
         if excess < 1:
             raise ValueError(f"excess must be at least 1, got {excess}")
-        if self.exact_finite_m:
-            return solve_p_finite(excess, self.m)
         if self._table is None:
             self._table = LambdaTable(delta_max=default_delta_max(self.n))
         # Overshoots past the table depth are transient; the mean falls back
@@ -129,18 +124,26 @@ class Trajectory:
     """Recorded time series of one run.
 
     ``deltas[t]`` is the signed imbalance M - attendance_A on day t, so it
-    is nonnegative when A held the smaller crowd; ``minority_side[t]`` is
-    +1 when A held the smaller crowd and -1 otherwise; ``reset_days`` lists
-    the marginal days whose following night re-randomized the population.
+    is nonnegative when A held the smaller crowd; ``reset[t]`` is true when
+    the night after marginal day t re-randomized the population.
     ``choice_matrix`` (days x agents, 0 for A and 1 for B) is kept only on
-    request.
+    request.  Every other series is derived from these.
     """
 
     n: int
     deltas: np.ndarray
-    minority_side: np.ndarray
-    reset_days: list[int]
+    reset: np.ndarray
     choice_matrix: np.ndarray | None = None
+
+    @property
+    def minority_side(self) -> np.ndarray:
+        """+1 on days A held the smaller crowd, -1 otherwise (int8)."""
+        return np.where(self.deltas >= 0, np.int8(1), np.int8(-1))
+
+    @property
+    def reset_days(self) -> list[int]:
+        """The marginal days whose following night re-randomized the population."""
+        return np.flatnonzero(self.reset).tolist()
 
     def excess(self) -> np.ndarray:
         """Majority head count beyond the marginal M + 1, per day."""
@@ -154,8 +157,8 @@ class Trajectory:
 def check_record_size(n: int, steps: int, record_choices: bool) -> None:
     """Refuse a run whose record would exceed MAX_RECORD_BYTES.
 
-    Each day keeps an int64 imbalance and an int8 side (9 bytes), plus one
-    int8 per agent when choices are recorded.
+    Each day keeps an int64 imbalance and a one-byte reset flag (9 bytes),
+    plus one int8 per agent when choices are recorded.
     """
     need = (steps + 1) * (9 + (n if record_choices else 0))
     if need > MAX_RECORD_BYTES:
@@ -207,7 +210,7 @@ def run(
     reset_q = 0.5 if baseline else config.reset_probability
     deltas = np.empty(steps + 1, dtype=np.int64)
     matrix = np.empty((steps + 1, n), dtype=np.int8) if record_choices else None
-    reset_days: list[int] = []
+    reset = np.zeros(steps + 1, dtype=bool)
     wait = 0
 
     for t in range(steps + 1):
@@ -223,7 +226,7 @@ def run(
         crowd = m + excess + 1
         if baseline or (excess == 0 and wait >= config.wait_t):
             if not baseline:
-                reset_days.append(t)
+                reset[t] = True
             moves = (
                 (thin_side, rng.binomial(n - crowd, reset_q)),
                 (crowd_side, rng.binomial(crowd, reset_q)),
@@ -246,10 +249,4 @@ def run(
             for pick in picks:
                 choices[pick] ^= 1
 
-    return Trajectory(
-        n=n,
-        deltas=deltas,
-        minority_side=np.where(deltas >= 0, 1, -1).astype(np.int8),
-        reset_days=reset_days,
-        choice_matrix=matrix,
-    )
+    return Trajectory(n=n, deltas=deltas, reset=reset, choice_matrix=matrix)

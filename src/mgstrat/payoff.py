@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import poisson_cdf, poisson_pmf_vector, poisson_tail_cutoff
+from .dist import poisson_cdf, skellam_cdf
 from .solver import solve_lambda
 
 __all__ = [
@@ -139,37 +139,30 @@ class CrossProbs:
     ge_plus_1: float
 
 
+def _cross_arrays(
+    lam_first: np.typing.ArrayLike, lam_second: np.typing.ArrayLike
+) -> tuple[np.ndarray, ...]:
+    """The four CrossProbs fields, in order, elementwise over arrays of means."""
+    # first < second - j  <=>  first - second <= -j - 1, and
+    # first >= second + j  <=>  second - first <= -j.
+    probs = (
+        skellam_cdf(-3, lam_first, lam_second),
+        skellam_cdf(0, lam_second, lam_first),
+        skellam_cdf(-2, lam_first, lam_second),
+        skellam_cdf(-1, lam_second, lam_first),
+    )
+    return tuple(np.clip(p, 0.0, 1.0) for p in probs)
+
+
 def delta0_cross_probs(lam_first: float, lam_second: float) -> CrossProbs:
     """Cross probabilities for independent Poisson(lam_first), Poisson(lam_second).
 
-    The double sums collapse to one pass over the second count's support
-    using a cumulative array for the first, so the cost is linear in the
-    tail cutoff rather than quadratic.
+    Each is a value of the Skellam CDF of the count difference, in closed
+    form.
     """
     _check_mean(lam_first, "first mean")
     _check_mean(lam_second, "second mean")
-    top_first = poisson_tail_cutoff(lam_first)
-    top_second = poisson_tail_cutoff(lam_second)
-    pmf_second = poisson_pmf_vector(top_second, lam_second)
-    cdf_first = np.cumsum(poisson_pmf_vector(top_first, lam_first))
-
-    def cdf_at(idx: np.ndarray) -> np.ndarray:
-        # P(first <= idx); negative idx means an empty event.
-        clipped = cdf_first[np.clip(idx, 0, top_first)]
-        return np.where(idx < 0, 0.0, clipped)
-
-    j = np.arange(top_second + 1)
-    lt_minus_2 = float(pmf_second @ cdf_at(j - 3))
-    lt_minus_1 = float(pmf_second @ cdf_at(j - 2))
-    ge = float(pmf_second @ (1.0 - cdf_at(j - 1)))
-    ge_plus_1 = float(pmf_second @ (1.0 - cdf_at(j)))
-    clip = lambda x: min(max(x, 0.0), 1.0)  # noqa: E731
-    return CrossProbs(
-        lt_minus_2=clip(lt_minus_2),
-        ge=clip(ge),
-        lt_minus_1=clip(lt_minus_1),
-        ge_plus_1=clip(ge_plus_1),
-    )
+    return CrossProbs(*(float(p) for p in _cross_arrays(lam_first, lam_second)))
 
 
 def delta0_residuals(lam_first: float, lam_second: float) -> tuple[float, float]:
@@ -218,31 +211,24 @@ def infeasibility_scan(
         raise ValueError("grid must be nonempty")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    best = math.inf
-    best_point = grid[0]
-    orderings = True
-    for lam_first, lam_second in grid:
-        if not (0.0 < lam_first <= 20.0 and 0.0 < lam_second <= 20.0):
-            raise ValueError(
-                f"grid means must lie in (0, 20], got ({lam_first}, {lam_second})"
-            )
-        c = delta0_cross_probs(lam_first, lam_second)
-        if not (c.lt_minus_2 < c.lt_minus_1 and c.ge_plus_1 < c.ge):
-            orderings = False
-        score = max(
-            abs(c.lt_minus_2 - c.ge),
-            abs(c.lt_minus_1 - c.ge_plus_1),
+    means = np.asarray(grid, dtype=np.float64)
+    outside = ~((means > 0.0) & (means <= 20.0)).all(axis=1)
+    if outside.any():
+        lam_first, lam_second = grid[int(np.argmax(outside))]
+        raise ValueError(
+            f"grid means must lie in (0, 20], got ({lam_first}, {lam_second})"
         )
-        if score < best:
-            best = score
-            best_point = (lam_first, lam_second)
+    lt_minus_2, ge, lt_minus_1, ge_plus_1 = _cross_arrays(means[:, 0], means[:, 1])
+    scores = np.maximum(np.abs(lt_minus_2 - ge), np.abs(lt_minus_1 - ge_plus_1))
+    best = int(np.argmin(scores))
+    lam_first, lam_second = grid[best]
     return InfeasibilityReport(
-        min_max_residual=best,
-        worst_point=best_point,
-        orderings_hold=orderings,
+        min_max_residual=float(scores[best]),
+        worst_point=(lam_first, lam_second),
+        orderings_hold=bool(np.all((lt_minus_2 < lt_minus_1) & (ge_plus_1 < ge))),
         points_checked=len(grid),
         tolerance=tol,
-        no_joint_root=best > tol,
+        no_joint_root=bool(scores[best] > tol),
     )
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "c_autocorrelation",
     "EpisodeStats",
     "convergence_time",
-    "StatsSummary",
-    "summarize",
 ]
 
 
@@ -45,8 +43,9 @@ def inefficiency_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
     imbalance is M - attendance_A and n = 2M + 1 is the trajectory's
     population size.
     """
-    deltas = _burned(trajectory.deltas, burn_in, "days").astype(np.float64)
-    return float(4.0 / trajectory.n * np.mean((deltas + 0.5) ** 2))
+    shifted = _burned(trajectory.deltas, burn_in, "days") + 0.5
+    np.square(shifted, out=shifted)
+    return float(4.0 / trajectory.n * np.mean(shifted))
 
 
 def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float]:
@@ -58,17 +57,12 @@ def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float
 
 
 def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
-    """<S(t) S(t+tau)> for tau = 0..tau_max, S being the winning-side sign."""
-    if tau_max != int(tau_max) or tau_max < 1:
-        raise ValueError(f"tau_max must be a positive integer, got {tau_max}")
-    s = trajectory.minority_side.astype(np.float64)
-    if s.size <= tau_max:
-        raise ValueError(f"trajectory of {s.size} days is too short for lag {tau_max}")
-    out = np.empty(tau_max + 1)
-    out[0] = float(np.mean(s * s))
-    for tau in range(1, tau_max + 1):
-        out[tau] = float(np.mean(s[:-tau] * s[tau:]))
-    return out
+    """<S(t) S(t+tau)> for tau = 0..tau_max, S being the winning-side sign.
+
+    This is C(tau) of the one-column record of which side won, so it shares
+    c_autocorrelation's exact integer count.
+    """
+    return c_autocorrelation((trajectory.deltas < 0)[:, None], tau_max)
 
 
 def s_decay_rate(acf: np.ndarray) -> float:
@@ -133,75 +127,42 @@ def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndar
 class EpisodeStats:
     """Lengths of the recovery episodes that follow re-randomization nights."""
 
-    lengths: list[int]
+    lengths: np.ndarray
     mean: float
     median: float
     max: int
 
     @classmethod
-    def from_lengths(cls, lengths: list[int]) -> "EpisodeStats":
-        if not lengths:
+    def from_lengths(cls, lengths: np.typing.ArrayLike) -> "EpisodeStats":
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.size == 0:
             raise ValueError("no completed episodes")
-        arr = np.asarray(lengths, dtype=np.float64)
+        # Integer sums are exact in float64, so the mean and median are too.
         return cls(
-            lengths=list(lengths),
-            mean=float(arr.mean()),
-            median=float(np.median(arr)),
-            max=int(arr.max()),
+            lengths=lengths,
+            mean=float(lengths.mean()),
+            median=float(np.median(lengths)),
+            max=int(lengths.max()),
         )
 
 
-def episode_lengths(trajectory: Trajectory) -> list[int]:
+def episode_lengths(trajectory: Trajectory) -> np.ndarray:
     """Days from each re-randomization night back to the next marginal split.
 
     An episode runs from a recorded reset day to the first later day whose
-    excess is zero.  Episodes still open when the record ends are dropped
-    rather than guessed at.
+    excess is zero (imbalance 0 or -1).  Episodes still open when the record
+    ends are dropped rather than guessed at.
     """
-    excess = trajectory.excess()
-    marginal_days = np.flatnonzero(excess == 0)
-    lengths: list[int] = []
-    for day in trajectory.reset_days:
-        later = marginal_days[np.searchsorted(marginal_days, day + 1):]
-        if later.size:
-            lengths.append(int(later[0] - day))
-    return lengths
+    deltas = trajectory.deltas
+    marginal_days = np.flatnonzero((deltas == 0) | (deltas == -1))
+    reset_days = np.flatnonzero(trajectory.reset)
+    following = np.searchsorted(marginal_days, reset_days, side="right")
+    closed = following < marginal_days.size
+    return marginal_days[following[closed]] - reset_days[closed]
 
 
 def convergence_time(trajectory: Trajectory) -> EpisodeStats:
     """Episode-length statistics (mean/median/max) over all completed episodes."""
-    if not trajectory.reset_days:
+    if not trajectory.reset.any():
         raise ValueError("trajectory contains no re-randomization nights")
     return EpisodeStats.from_lengths(episode_lengths(trajectory))
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    """One-stop bundle of the standard observables for a single run."""
-
-    eta: float
-    delta_hist: dict[int, float]
-    s_autocorr: np.ndarray
-    c_autocorr: np.ndarray | None
-    convergence_days: list[int]
-    steps_used: int
-    burn_in: int
-
-
-def summarize(
-    trajectory: Trajectory, tau_max: int = 10, burn_in: int = 0
-) -> StatsSummary:
-    """Compute every observable the trajectory's recording supports."""
-    return StatsSummary(
-        eta=inefficiency_eta(trajectory, burn_in=burn_in),
-        delta_hist=delta_histogram(trajectory, burn_in=burn_in),
-        s_autocorr=s_autocorrelation(trajectory, tau_max),
-        c_autocorr=(
-            c_autocorrelation(trajectory.choice_matrix, tau_max)
-            if trajectory.choice_matrix is not None
-            else None
-        ),
-        convergence_days=episode_lengths(trajectory),
-        steps_used=trajectory.days - 1,
-        burn_in=burn_in,
-    )

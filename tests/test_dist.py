@@ -11,68 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mgstrat.dist import (
-    binomial_cdf,
-    poisson_cdf,
-    poisson_pmf_vector,
-    poisson_tail_cutoff,
-)
+from mgstrat.dist import binomial_cdf, poisson_cdf, skellam_cdf
 
-# Frozen closed-form oracles at lam = 1.14619:
-#   pmf(0) = e^-lam, pmf(1) = lam e^-lam, cdf(1) = their sum.
+# Frozen closed-form oracle at lam = 1.14619: cdf(1) = (1 + lam) e^-lam.
 LAM_1 = 1.14619
-PMF0_ORACLE = 0.31784545655734375
-PMF1_ORACLE = 0.36431128385146183
 CDF1_ORACLE = 0.6821567404088056
-
-
-def pmf_entry(r, lam):
-    """P(X = r), read off as the last entry of the kernel's pmf vector."""
-    return float(poisson_pmf_vector(r, lam)[r])
-
-
-class TestPoissonPmf:
-    def test_empty_event_certainty(self):
-        assert pmf_entry(0, 0.0) == 1.0
-
-    def test_zero_mean_positive_count(self):
-        assert pmf_entry(3, 0.0) == 0.0
-
-    def test_closed_form_zero_count(self):
-        assert pmf_entry(0, LAM_1) == pytest.approx(PMF0_ORACLE, abs=1e-12)
-
-    def test_closed_form_one_count(self):
-        assert pmf_entry(1, LAM_1) == pytest.approx(PMF1_ORACLE, abs=1e-12)
-
-    def test_matches_scipy_on_grid(self):
-        for lam in (0.5, 1.14619, 10.16448, 500.0):
-            for r in (0, 1, 5, 17, 400, 520):
-                assert pmf_entry(r, lam) == pytest.approx(
-                    float(sps.poisson.pmf(r, lam)), rel=1e-10, abs=1e-300
-                )
-
-    def test_large_mean_no_overflow(self):
-        lam = 1e6
-        value = pmf_entry(10**6, lam)
-        assert 0.0 < value < 1.0
-        assert value == pytest.approx(float(sps.poisson.pmf(10**6, lam)), rel=1e-9)
-
-    @given(
-        r=st.integers(min_value=0, max_value=300),
-        lam=st.floats(min_value=1e-3, max_value=1e3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence_identity(self, r, lam):
-        # pmf(r+1) = pmf(r) * lam / (r+1), the defining ratio.
-        left = pmf_entry(r + 1, lam)
-        right = pmf_entry(r, lam) * lam / (r + 1)
-        assert left == pytest.approx(right, rel=1e-9, abs=1e-300)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            pmf_entry(-1, 1.0)
-        with pytest.raises(ValueError):
-            pmf_entry(0, -0.5)
 
 
 class TestPoissonCdf:
@@ -99,12 +42,6 @@ class TestPoissonCdf:
                 assert poisson_cdf(r, lam) == pytest.approx(
                     float(sps.poisson.cdf(r, lam)), rel=1e-12
                 )
-
-    def test_tail_cutoff_bound(self):
-        # Past the cutoff the missing mass is below 1e-12.
-        for lam in (0.5, 1.14619, 10.16448):
-            cutoff = poisson_tail_cutoff(lam)
-            assert poisson_pmf_vector(cutoff, lam).sum() >= 1.0 - 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -143,7 +80,8 @@ class TestBinomial:
         lam, n = 2.15592, 10**6
         worst = max(
             abs(binomial_cdf(r, n, lam / n) - poisson_cdf(r, lam))
-            for r in range(poisson_tail_cutoff(lam) + 1)
+            # counts 0..40 hold all but 1e-12 of the Poisson(lam) mass
+            for r in range(41)
         )
         assert worst < 1e-3
 
@@ -178,3 +116,39 @@ class TestBinomial:
             binomial_cdf(-1, 3, 0.5)
         with pytest.raises(ValueError):
             binomial_cdf(1, -2, 0.5)
+
+
+def skellam_by_summation(k, lam_first, lam_second):
+    """P(X - Y <= k) as a sum of P(Y = y) P(X <= y + k) over y."""
+    y = np.arange(200)
+    return float(np.sum(sps.poisson.pmf(y, lam_second) * sps.poisson.cdf(y + k, lam_first)))
+
+
+class TestSkellam:
+    def test_matches_direct_summation(self):
+        for lam_first, lam_second in ((1.0, 1.0), (0.3, 2.0), (20.0, 0.05), (0.05, 20.0)):
+            for k in range(-5, 5):
+                assert float(skellam_cdf(k, lam_first, lam_second)) == pytest.approx(
+                    skellam_by_summation(k, lam_first, lam_second), abs=1e-14
+                ), (k, lam_first, lam_second)
+
+    def test_elementwise_over_arrays(self):
+        first = np.array([0.5, 1.0, 7.0])
+        second = np.array([[2.0], [0.1]])
+        values = skellam_cdf(-1, first, second)
+        assert values.shape == (2, 3)
+        for i, j in np.ndindex(values.shape):
+            assert values[i, j] == float(skellam_cdf(-1, first[j], second[i, 0]))
+
+    def test_zero_means(self):
+        assert float(skellam_cdf(-1, 3.0, 0.0)) == 0.0
+        assert float(skellam_cdf(0, 0.0, 3.0)) == 1.0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            skellam_cdf(0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            skellam_cdf(0, [1.0, -0.5], 1.0)
+        with pytest.raises(ValueError):
+            skellam_cdf(0, 1.0, np.inf)
+

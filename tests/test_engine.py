@@ -8,6 +8,7 @@ contraction, and the random baseline.  Every test drives the public
 ``run``; a one-day run from pinned ``initial_choices`` is one transition.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,11 +117,6 @@ class TestStrategyConfig:
         assert config.switch_probability(40) == pytest.approx(
             (40 + 1 / 6) / (2 + 40 + 1)
         )
-
-    def test_exact_finite_crowd_mode(self):
-        config = StrategyConfig(n=5, exact_finite_m=True)
-        # n=5 has crowd parameter 2; imbalance 1 is the solvable cubic case
-        assert config.switch_probability(1) == pytest.approx(0.3472963553, abs=1e-8)
 
     def test_bad_wait_and_mode(self):
         with pytest.raises(ValueError):
@@ -511,7 +507,18 @@ class TestTrajectory:
         trajectory = Trajectory(
             n=5,
             deltas=np.array([2, 0, -1, -3]),
-            minority_side=np.array([1, 1, -1, -1], dtype=np.int8),
-            reset_days=[],
+            reset=np.zeros(4, dtype=bool),
         )
         assert np.array_equal(trajectory.excess(), np.array([2, 0, 0, 2]))
+
+    @pytest.mark.parametrize("record", [False, True], ids=["plain", "choices"])
+    def test_record_holds_exactly_what_the_guard_counts(self, record):
+        trajectory = run(StrategyConfig(n=101, seed=5), 500, record_choices=record)
+        names = {f.name for f in dataclasses.fields(Trajectory)}
+        assert names == {"n", "deltas", "reset", "choice_matrix"}
+        assert set(vars(trajectory)) == names
+        # check_record_size counts 9 bytes per day, plus n with choices
+        assert trajectory.deltas.nbytes + trajectory.reset.nbytes == 9 * 501
+        if record:
+            assert trajectory.choice_matrix.nbytes == 101 * 501
+

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
-from mgstrat.dist import poisson_pmf_vector, poisson_tail_cutoff
 from mgstrat.payoff import (
     delta0_cross_probs,
     delta0_residual_gap_bound,
@@ -132,10 +132,11 @@ class TestPayoffCurve:
 
 def _coincidence_mass(lam_first: float, lam_second: float, shift: int) -> float:
     """P(first = second - shift) by direct truncated summation."""
-    top_f = poisson_tail_cutoff(lam_first)
-    top_s = poisson_tail_cutoff(lam_second)
-    pmf_f = poisson_pmf_vector(top_f, lam_first)
-    pmf_s = poisson_pmf_vector(top_s, lam_second)
+    # past these counts less than 1e-12 of each Poisson mass remains
+    top_f = int(np.ceil(lam_first + 12.0 * np.sqrt(lam_first) + 20.0))
+    top_s = int(np.ceil(lam_second + 12.0 * np.sqrt(lam_second) + 20.0))
+    pmf_f = poisson.pmf(np.arange(top_f + 1), lam_first)
+    pmf_s = poisson.pmf(np.arange(top_s + 1), lam_second)
     total = 0.0
     for j in range(top_s + 1):
         i = j - shift
@@ -161,6 +162,16 @@ class TestCrossProbs:
             assert 0.0 <= value <= 1.0
         assert c.lt_minus_2 < c.lt_minus_1
         assert c.ge_plus_1 < c.ge
+
+    def test_matches_truncated_double_sums(self):
+        for lam_first, lam_second in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.7), (20.0, 0.05)):
+            c = delta0_cross_probs(lam_first, lam_second)
+            first, second = np.ogrid[:80, :80]
+            joint = poisson.pmf(first, lam_first) * poisson.pmf(second, lam_second)
+            assert c.lt_minus_2 == pytest.approx(joint[first < second - 2].sum(), abs=1e-14)
+            assert c.ge == pytest.approx(joint[first >= second].sum(), abs=1e-14)
+            assert c.lt_minus_1 == pytest.approx(joint[first < second - 1].sum(), abs=1e-14)
+            assert c.ge_plus_1 == pytest.approx(joint[first >= second + 1].sum(), abs=1e-14)
 
     def test_monte_carlo_oracle(self):
         c = delta0_cross_probs(1.0, 1.0)
@@ -208,6 +219,17 @@ class TestBalancedSplitInfeasibility:
         assert report.orderings_hold
         assert report.points_checked == 144
         assert report.min_max_residual > 1e-4
+
+    def test_scan_agrees_with_pointwise_cross_probs(self):
+        grid = log_spaced_grid(0.05, 20.0, 7)
+        report = infeasibility_scan(grid, tol=1e-4)
+        scores = [
+            max(abs(c.lt_minus_2 - c.ge), abs(c.lt_minus_1 - c.ge_plus_1))
+            for c in (delta0_cross_probs(a, b) for a, b in grid)
+        ]
+        best = int(np.argmin(scores))
+        assert report.min_max_residual == scores[best]
+        assert report.worst_point == grid[best]
 
     def test_crowd_root_curve_leaves_thin_residual_negative(self):
         # Trace the curve where the crowd-side residual vanishes (it is

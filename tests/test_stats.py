@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from mgstrat import stats
-from mgstrat.engine import StrategyConfig, Trajectory, derive_rng, run
+from mgstrat.engine import (
+    MODE_BASELINE,
+    MODE_STRATEGY,
+    StrategyConfig,
+    Trajectory,
+    derive_rng,
+    run,
+)
 from mgstrat.stats import (
     EpisodeStats,
     c_autocorrelation,
@@ -16,19 +23,25 @@ from mgstrat.stats import (
     inefficiency_eta,
     s_autocorrelation,
     s_decay_rate,
-    summarize,
 )
 
 
 def make_trajectory(n: int, deltas, reset_days=(), choice_matrix=None) -> Trajectory:
     deltas = np.asarray(deltas, dtype=np.int64)
-    return Trajectory(
-        n=n,
-        deltas=deltas,
-        minority_side=np.where(deltas >= 0, 1, -1).astype(np.int8),
-        reset_days=list(reset_days),
-        choice_matrix=choice_matrix,
-    )
+    reset = np.zeros(deltas.size, dtype=bool)
+    reset[list(reset_days)] = True
+    return Trajectory(n=n, deltas=deltas, reset=reset, choice_matrix=choice_matrix)
+
+
+def per_reset_episode_lengths(trajectory: Trajectory) -> list[int]:
+    """Oracle: the next marginal day after each reset, one reset at a time."""
+    marginal_days = np.flatnonzero(trajectory.excess() == 0)
+    lengths = []
+    for day in trajectory.reset_days:
+        later = marginal_days[np.searchsorted(marginal_days, day + 1):]
+        if later.size:
+            lengths.append(int(later[0] - day))
+    return lengths
 
 
 class TestInefficiency:
@@ -114,6 +127,15 @@ class TestSAutocorrelation:
         with pytest.raises(ValueError):
             s_autocorrelation(trajectory, 3)
 
+    @pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
+    def test_real_run_matches_float_mean_bit_for_bit(self, mode):
+        trajectory = run(StrategyConfig(n=201, mode=mode, seed=62), 20_000)
+        s = trajectory.minority_side.astype(np.float64)
+        acf = s_autocorrelation(trajectory, 50)
+        assert acf[0] == 1.0
+        for tau in range(1, 51):
+            assert acf[tau] == float(np.mean(s[:-tau] * s[tau:])), tau
+
 
 class TestDecayRateFit:
     def test_recovers_exact_exponential(self):
@@ -191,14 +213,14 @@ class TestConvergenceTime:
             5, [0, 3, 2, 0, 0, -2, -1], reset_days=[0, 3, 4]
         )
         stats = convergence_time(trajectory)
-        assert stats.lengths == [3, 1, 2]
+        assert stats.lengths.tolist() == [3, 1, 2]
         assert stats.mean == pytest.approx(2.0)
         assert stats.median == pytest.approx(2.0)
         assert stats.max == 3
 
     def test_unfinished_episode_dropped(self):
         trajectory = make_trajectory(5, [0, 4, 3, 2], reset_days=[0])
-        assert episode_lengths(trajectory) == []
+        assert episode_lengths(trajectory).tolist() == []
         with pytest.raises(ValueError):
             convergence_time(trajectory)
 
@@ -211,31 +233,26 @@ class TestConvergenceTime:
         config = StrategyConfig(n=201, epsilon=0.5, seed=58)
         trajectory = run(config, 3000)
         stats = convergence_time(trajectory)
-        assert stats.lengths
+        assert stats.lengths.tolist()
         assert all(length >= 1 for length in stats.lengths)
         assert stats.median <= 8
+
+    @pytest.mark.parametrize("wait_t", [0, 3])
+    def test_matches_per_reset_loop_on_real_runs(self, wait_t):
+        trajectory = run(StrategyConfig(n=201, wait_t=wait_t, seed=63), 20_000)
+        lengths = episode_lengths(trajectory)
+        assert lengths.dtype == np.int64
+        assert lengths.size > 100
+        assert lengths.tolist() == per_reset_episode_lengths(trajectory)
+
+    def test_open_final_episode_matches_per_reset_loop(self):
+        # resets at days 0, 3 and 5; day 5's episode is still open at the end
+        trajectory = make_trajectory(
+            5, [0, 2, -1, 0, 3, -1, 2, 3], reset_days=[0, 3, 5]
+        )
+        assert episode_lengths(trajectory).tolist() == [2, 2]
+        assert per_reset_episode_lengths(trajectory) == [2, 2]
 
     def test_episode_stats_requires_data(self):
         with pytest.raises(ValueError):
             EpisodeStats.from_lengths([])
-
-
-class TestSummarize:
-    def test_bundle_fields(self):
-        config = StrategyConfig(n=201, epsilon=0.5, seed=59)
-        trajectory = run(config, 1500, record_choices=True)
-        summary = summarize(trajectory, tau_max=8)
-        assert summary.steps_used == 1500
-        assert summary.burn_in == 0
-        assert sum(summary.delta_hist.values()) == pytest.approx(1.0, abs=1e-12)
-        assert summary.s_autocorr[0] == 1.0
-        assert summary.c_autocorr is not None
-        assert summary.c_autocorr[0] == 1.0
-        assert summary.convergence_days == episode_lengths(trajectory)
-        assert summary.eta == pytest.approx(inefficiency_eta(trajectory))
-
-    def test_without_choice_record(self):
-        config = StrategyConfig(n=201, epsilon=0.5, seed=60)
-        trajectory = run(config, 800)
-        summary = summarize(trajectory, tau_max=5)
-        assert summary.c_autocorr is None
