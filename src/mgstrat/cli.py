@@ -359,25 +359,27 @@ def parse_config(
     )
 
 
-def _format_value(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+# Rows a CSV block formats at once: one ``tolist`` per column and one
+# format call per row, instead of one call per cell.
+CSV_BLOCK_ROWS = 1 << 16
 
 
 def _write_csv(
-    path: Path, manifest: RunManifest, columns: Sequence[str], rows: Iterable[Sequence[Any]]
+    path: Path, manifest: RunManifest, header: Sequence[str], columns: Sequence[Sequence[Any]]
 ) -> None:
+    """Write equal-length ``columns`` as CSV rows under the manifest comments.
+
+    Each column is written by its numpy kind: floats with 12 significant
+    digits, integers as they are, bools as 0/1.
+    """
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# mgstrat {manifest.subcommand} v{manifest.version}\n")
         handle.write(f"# manifest: {manifest.digest()}\n")
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [np.asarray(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
+            line = ",".join("{:.12g}" if b.dtype.kind == "f" else "{:d}" for b in block)
+            handle.write("".join(map((line + "\n").format, *(b.tolist() for b in block))))
 
 
 def _write_json(path: Path, document: dict[str, Any]) -> None:
@@ -401,7 +403,9 @@ def _run_solve_lambda(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     for delta in range(1, params["delta_max"] + 1):
         lam = solve_lambda(delta, params["tolerance"])
         rows.append((delta, lam, lam - delta))
-    _write_csv(outdir / "lambda_table.csv", manifest, ["delta", "lambda", "gap"], rows)
+    _write_csv(
+        outdir / "lambda_table.csv", manifest, ["delta", "lambda", "gap"], list(zip(*rows))
+    )
     return {
         "rows": len(rows),
         "gap_at_delta_max": rows[-1][2],
@@ -424,7 +428,7 @@ def _run_payoff_table(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         outdir / "payoff_table.csv",
         manifest,
         ["delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch"],
-        rows,
+        list(zip(*rows)),
     )
     return {"rows": len(rows), "max_stay_sum_error": worst_sum_error}
 
@@ -438,7 +442,7 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         outdir / "trajectory.csv",
         manifest,
         ["day", "delta", "minority_side", "reset"],
-        zip(range(trajectory.days), deltas, trajectory.minority_side, reset),
+        (range(trajectory.days), deltas, trajectory.minority_side, reset),
     )
     results: dict[str, Any] = {
         "eta": inefficiency_eta(trajectory, burn_in=params["burn_in"]),
@@ -462,21 +466,21 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
             outdir / "delta_hist.csv",
             manifest,
             ["delta", "frequency"],
-            sorted(hist.items()),
+            list(zip(*sorted(hist.items()))),
         )
         s_acf = s_autocorrelation(trajectory, params["tau_max"])
         _write_csv(
             outdir / "s_autocorr.csv",
             manifest,
             ["lag", "value"],
-            enumerate(s_acf),
+            (range(s_acf.size), s_acf),
         )
-        c_acf = c_autocorrelation(trajectory.choice_matrix, params["tau_max"])
+        c_acf = c_autocorrelation(trajectory, params["tau_max"])
         _write_csv(
             outdir / "c_autocorr.csv",
             manifest,
             ["lag", "value"],
-            enumerate(c_acf),
+            (range(c_acf.size), c_acf),
         )
         results["c_at_tau_max"] = float(c_acf[-1])
     return results
@@ -502,7 +506,10 @@ def _run_sweep(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         rows.append((epsilon, mean, stderr, params["seeds"]))
         means.append(mean)
     _write_csv(
-        outdir / "sweep.csv", manifest, ["epsilon", "eta_mean", "eta_stderr", "seeds"], rows
+        outdir / "sweep.csv",
+        manifest,
+        ["epsilon", "eta_mean", "eta_stderr", "seeds"],
+        list(zip(*rows)),
     )
     increases = sum(1 for a, b in zip(means, means[1:]) if b > a)
     return {
@@ -530,7 +537,7 @@ def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         outdir / "kpr_runs.csv",
         manifest,
         ["seed_index", "convergence_day", "final_utilization"],
-        rows,
+        list(zip(*rows)),
     )
     results: dict[str, Any] = {
         "seeds": params["seeds"],

@@ -17,17 +17,19 @@ imbalanced day, Binomial(side, q) off each side on a reset night, the thin
 side drawn first so that relabeling A and B mirrors a run exactly.  The
 random baseline is a reset every night at q = 1/2, an exact uniform redraw.
 Agents exist only for the optional choice record, where a child stream
-picks who moves, so recording never changes the imbalance path.
+picks who moves, so recording never changes the imbalance path; its cost
+grows with the number of movers, not with n (see ``_fill_choice_rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .solver import LambdaTable, default_delta_max
+from .solver import ASYMPTOTIC_GAP, LambdaTable, default_delta_max
 
 __all__ = [
     "RESTAURANT_A",
@@ -38,6 +40,8 @@ __all__ = [
     "StrategyConfig",
     "Trajectory",
     "check_record_size",
+    "pack_choices",
+    "row_bytes",
     "run",
     "derive_rng",
 ]
@@ -50,6 +54,19 @@ MODE_BASELINE = "random-baseline"
 
 # Largest trajectory record ``run`` allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
+
+# A side that loses more than this fraction of its agents in one night is
+# shuffled whole (~16 ns an agent) rather than swapped mover by mover
+# (~150 ns a mover).
+SHUFFLE_FRACTION = 0.1
+
+# The choice record is rebuilt max(1, IDENTITY_BLOCK // n) nights at a time,
+# so its temporaries stay within a few IDENTITY_BLOCK words however many
+# agents move.
+IDENTITY_BLOCK = 1 << 18
+
+_SHUFFLE_A = -1
+_SHUFFLE_B = -2
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -75,6 +92,9 @@ class StrategyConfig:
     seed: int = 0
     mode: str = MODE_STRATEGY
     _table: LambdaTable | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _probabilities: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -108,15 +128,58 @@ class StrategyConfig:
             return 1.0
         return self.reset_prefactor * self.m ** (self.epsilon - 1.0)
 
+    def _lambda_table(self) -> LambdaTable:
+        if self._table is None:
+            self._table = LambdaTable(delta_max=default_delta_max(self.n))
+        return self._table
+
     def switch_probability(self, excess: int) -> float:
         """Per-agent flip probability for a crowd overshooting by ``excess``."""
         if excess < 1:
             raise ValueError(f"excess must be at least 1, got {excess}")
-        if self._table is None:
-            self._table = LambdaTable(delta_max=default_delta_max(self.n))
         # Overshoots past the table depth are transient; the mean falls back
         # to the asymptotic gap inside lookup().
-        return self._table.lookup(excess) / (self.m + excess + 1)
+        return self._lambda_table().lookup(excess) / (self.m + excess + 1)
+
+    @property
+    def switch_probabilities(self) -> np.ndarray:
+        """``switch_probability(e)`` for every excess e = 0..m, as one array.
+
+        Entry 0 is 0 (a marginal crowd never switches).  Built once per
+        config and read-only: the solved rates up to the table depth, then
+        the ``e + 1/6`` asymptote, with the same float64 operations as
+        ``switch_probability``, so the values are identical.
+        """
+        if self._probabilities is None:
+            table = self._lambda_table()
+            excess = np.arange(self.m + 1)
+            lam = excess + ASYMPTOTIC_GAP
+            depth = min(table.delta_max, self.m)
+            lam[1 : depth + 1] = [table.entries[e] for e in range(1, depth + 1)]
+            probabilities = lam / (self.m + excess + 1)
+            probabilities[0] = 0.0
+            probabilities.flags.writeable = False
+            self._probabilities = probabilities
+        return self._probabilities
+
+
+def row_bytes(n: int) -> int:
+    """Bytes of one packed choice row: n bits, padded to whole 64-bit words."""
+    return 8 * -(-n // 64)
+
+
+def pack_choices(matrix: np.typing.ArrayLike) -> np.ndarray:
+    """Packed rows of a (days x agents) 0/1 choice record.
+
+    Agent i is bit i % 8 of byte i // 8 (little bit order), and each row is
+    zero-padded to ``row_bytes(agents)``, so a row reads as whole uint64
+    words.
+    """
+    matrix = np.asarray(matrix)
+    packed = np.packbits(matrix, axis=-1, bitorder="little")
+    rows = np.zeros(packed.shape[:-1] + (row_bytes(matrix.shape[-1]),), dtype=np.uint8)
+    rows[..., : packed.shape[-1]] = packed
+    return rows
 
 
 @dataclass
@@ -126,15 +189,24 @@ class Trajectory:
     ``deltas[t]`` is the signed imbalance M - attendance_A on day t, so it
     is nonnegative when A held the smaller crowd; ``reset[t]`` is true when
     the night after marginal day t re-randomized the population.
-    ``choice_matrix`` (days x agents, 0 for A and 1 for B) is kept only on
-    request.  Every other series is derived from these.
+    ``choice_rows`` (days x ``row_bytes(n)``, see ``pack_choices``) holds
+    every agent's daily choice as one bit, 0 for A and 1 for B, and is kept
+    only on request.  Every other series is derived from these.
     """
 
     n: int
     deltas: np.ndarray
     reset: np.ndarray
-    choice_matrix: np.ndarray | None = None
+    choice_rows: np.ndarray | None = None
 
+    @property
+    def choice_matrix(self) -> np.ndarray | None:
+        """The choice record unpacked to (days x agents) int8, 0 for A and 1 for B."""
+        if self.choice_rows is None:
+            return None
+        return np.unpackbits(
+            self.choice_rows, axis=1, count=self.n, bitorder="little"
+        ).view(np.int8)
     @property
     def minority_side(self) -> np.ndarray:
         """+1 on days A held the smaller crowd, -1 otherwise (int8)."""
@@ -158,9 +230,9 @@ def check_record_size(n: int, steps: int, record_choices: bool) -> None:
     """Refuse a run whose record would exceed MAX_RECORD_BYTES.
 
     Each day keeps an int64 imbalance and a one-byte reset flag (9 bytes),
-    plus one int8 per agent when choices are recorded.
+    plus a packed row of ``row_bytes(n)`` when choices are recorded.
     """
-    need = (steps + 1) * (9 + (n if record_choices else 0))
+    need = (steps + 1) * (9 + (row_bytes(n) if record_choices else 0))
     if need > MAX_RECORD_BYTES:
         raise ValueError(
             f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
@@ -198,55 +270,156 @@ def run(
             raise ValueError("choices must contain only 0 (A) and 1 (B)")
         choices = choices.astype(np.int8)
         attendance = n - int(np.count_nonzero(choices))
-    who = None
+    rows = thin_log = None
     if record_choices:
         # Who moves is drawn from a child stream; ``rng`` alone sets the counts.
         who = rng.spawn(1)[0]
         if initial_choices is None:
             choices = np.full(n, RESTAURANT_B, dtype=np.int8)
             choices[who.choice(n, attendance, replace=False)] = RESTAURANT_A
+        rows = np.zeros((steps + 1, row_bytes(n)), dtype=np.uint8)
+        rows[0] = pack_choices(choices)
+        # Until _fill_choice_rows rebuilds them, the first word of row t + 1
+        # holds the agents the night after day t moved off the thin side on
+        # a reset; every other move follows from the head counts.
+        thin_log = rows.view(np.uint64)[:, 0]
 
     baseline = config.mode == MODE_BASELINE
     reset_q = 0.5 if baseline else config.reset_probability
+    probabilities = None if baseline else config.switch_probabilities
+    wait_t = config.wait_t
     deltas = np.empty(steps + 1, dtype=np.int64)
-    matrix = np.empty((steps + 1, n), dtype=np.int8) if record_choices else None
     reset = np.zeros(steps + 1, dtype=bool)
     wait = 0
 
-    for t in range(steps + 1):
+    for t in range(steps):
         delta = m - attendance
         deltas[t] = delta
-        if matrix is not None:
-            matrix[t] = choices
-        if t == steps:
-            break
-        crowd_side = RESTAURANT_B if delta >= 0 else RESTAURANT_A
-        thin_side = 1 - crowd_side
         excess = delta if delta >= 0 else -delta - 1
-        crowd = m + excess + 1
-        if baseline or (excess == 0 and wait >= config.wait_t):
+        if baseline or (excess == 0 and wait >= wait_t):
             if not baseline:
                 reset[t] = True
-            moves = (
-                (thin_side, rng.binomial(n - crowd, reset_q)),
-                (crowd_side, rng.binomial(crowd, reset_q)),
-            )
+            thin_movers = rng.binomial(m - excess, reset_q)
+            net = rng.binomial(m + excess + 1, reset_q) - thin_movers
+            if thin_log is not None:
+                thin_log[t + 1] = thin_movers
             wait = 0
-        elif excess >= 1:
-            moves = ((crowd_side, rng.binomial(crowd, config.switch_probability(excess))),)
+        elif excess:
+            net = rng.binomial(m + excess + 1, probabilities[excess])
         else:
             # Nobody moves while waiting, so the wait is 0 on every imbalanced day.
             wait += 1
             continue
-        for side, movers in moves:
-            attendance += movers if side == RESTAURANT_B else -movers
-        if who is not None:
-            picks = [
-                who.choice(np.flatnonzero(choices == side), movers, replace=False)
-                for side, movers in moves
-                if movers
-            ]
-            for pick in picks:
-                choices[pick] ^= 1
+        # ``net`` agents more leave the crowd than the thin side; the crowd
+        # is at B when delta >= 0.
+        attendance += net if delta >= 0 else -net
+    deltas[steps] = m - attendance
 
-    return Trajectory(n=n, deltas=deltas, reset=reset, choice_matrix=matrix)
+    if rows is not None:
+        _fill_choice_rows(rows, deltas, choices, who)
+    return Trajectory(n=n, deltas=deltas, reset=reset, choice_rows=rows)
+
+
+def _fill_choice_rows(
+    rows: np.ndarray, deltas: np.ndarray, choices: np.ndarray, who: np.random.Generator
+) -> None:
+    """Rebuild the choice record ``rows[1:]`` from day 0's ``choices`` and the path.
+
+    ``rows[t + 1]`` enters holding the reset-night thin-side movers that
+    ``run`` logged.  The agents sit in one permutation ``order``: those at A
+    in ``order[:attendance]``, counted from the front, and those at B in
+    ``order[attendance:]``, counted from the back, so relabeling A and B
+    reverses ``order`` and, with the thin side drawn first, mirrors the
+    record exactly.  To move k agents off a side of s, k partial
+    Fisher-Yates swaps (their positions drawn for a block of nights in one
+    ``who.integers`` call) or, past ``SHUFFLE_FRACTION``, one shuffle of the
+    side bring a uniform k-subset to the boundary, which then moves over.
+    The movers' bits make per-night difference rows, and an XOR scan down
+    the days turns those into the record.
+    """
+    n = choices.size
+    m = (n - 1) // 2
+    width = rows.shape[1]
+    words = rows.view(np.uint64)
+    order = np.concatenate(
+        (np.flatnonzero(choices == RESTAURANT_A), np.flatnonzero(choices == RESTAURANT_B)[::-1])
+    )
+    # Scalar swaps through a memoryview cost half as much as numpy indexing.
+    slots = memoryview(order)
+    nights = deltas.size - 1
+    span = max(1, IDENTITY_BLOCK // n)
+    for start in range(0, nights, span):
+        stop = min(start + span, nights)
+        before = deltas[start:stop]
+        attendance = m - before
+        crowd_at_b = before >= 0
+        rise = before - deltas[start + 1 : stop + 1]  # of the head count at A
+        thin = words[start + 1 : stop + 1, 0].astype(np.int64)
+        crowd = thin + np.where(crowd_at_b, rise, -rise)
+        off_a = np.where(crowd_at_b, thin, crowd)
+        off_b = np.where(crowd_at_b, crowd, thin)
+
+        # Every side of every night, in draw order: the thin side, then the
+        # crowd.  Its op is the count of movers to swap over one by one, or
+        # _SHUFFLE_A / _SHUFFLE_B to shuffle that side whole.
+        on_a = np.column_stack((crowd_at_b, ~crowd_at_b)).ravel()
+        movers = np.column_stack((thin, crowd)).ravel()
+        at_a = np.repeat(attendance, 2)
+        size = np.where(on_a, at_a, n - at_a)
+        shuffled = movers > SHUFFLE_FRACTION * size
+        ops = np.where(shuffled, np.where(on_a, _SHUFFLE_A, _SHUFFLE_B), movers)
+        # Swap i of a side fills the position size - 1 - i of the side's own
+        # count from a uniform position below it; A counts from 0 and B from
+        # n - 1 down.
+        swaps = np.where(shuffled, 0, movers)
+        bound = np.repeat(size, swaps) - (
+            np.arange(swaps.sum()) - np.repeat(np.cumsum(swaps) - swaps, swaps)
+        )
+        pick = who.integers(0, bound)
+        side_a = np.repeat(on_a, swaps)
+        pairs = zip(
+            np.where(side_a, pick, n - 1 - pick).tolist(),
+            np.where(side_a, bound - 1, n - bound).tolist(),
+        )
+
+        counts = off_a + off_b
+        active = np.flatnonzero(counts)
+        lo = attendance - off_a
+        hi = attendance + off_b
+        moved = []
+        for att, first, second, low, high, both in zip(
+            attendance[active].tolist(),
+            ops[0::2][active].tolist(),
+            ops[1::2][active].tolist(),
+            lo[active].tolist(),
+            hi[active].tolist(),
+            np.minimum(off_a, off_b)[active].tolist(),
+        ):
+            for op in (first, second):
+                if op > 0:
+                    for i, j in islice(pairs, op):
+                        slots[i], slots[j] = slots[j], slots[i]
+                elif op == _SHUFFLE_A:
+                    who.shuffle(order[:att])
+                elif op == _SHUFFLE_B:
+                    who.shuffle(order[att:][::-1])
+            if both:
+                # [stay at A][off A][off B][stay at B]: trade the first
+                # ``both`` of the A movers for the last ``both`` of the B
+                # movers, so that A's block is again one run from the front.
+                cut = high - both
+                order[low : low + both], order[cut:high] = (
+                    order[cut:high].copy(),
+                    order[low : low + both].copy(),
+                )
+            moved.append(slots[low:high].tobytes())
+
+        # One flag per (night, agent bit) of the block, packed into the
+        # night's difference row.
+        flips = np.zeros((stop - start) * 8 * width, dtype=bool)
+        if moved:
+            agents = np.frombuffer(b"".join(moved), dtype=order.dtype)
+            flips[np.repeat(np.arange(stop - start) * (8 * width), counts) + agents] = True
+        rows[start + 1 : stop + 1] = np.packbits(flips, bitorder="little").reshape(-1, width)
+        block = words[start : stop + 1]
+        np.bitwise_xor.accumulate(block, axis=0, out=block)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory
+from .engine import Trajectory, pack_choices
 
 __all__ = [
     "inefficiency_eta",
@@ -80,33 +80,43 @@ def s_decay_rate(acf: np.ndarray) -> float:
     return float(-slope)
 
 
-# Upper bound on the boolean temporary of one block comparison in
-# c_autocorrelation, so its memory stays flat however long the record is.
+# Upper bound on the rows one block comparison in c_autocorrelation XORs,
+# so its memory stays flat however long the record is.
 COMPARE_BLOCK_BYTES = 4 << 20
 
 
-def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndarray:
+def c_autocorrelation(
+    choices: Trajectory | np.ndarray | None, tau_max: int
+) -> np.ndarray:
     """Mean per-agent choice autocorrelation at lags 0..tau_max.
 
-    ``choice_matrix`` is the (days x agents) record of 0/1 choices; with
-    entries read as +/-1, the value at lag tau is the mean product of an
-    agent's choices tau days apart, so lag 0 gives exactly 1.  It is
-    computed from the integer count of changed entries, (N - 2 changed) / N
-    over the N = (days - tau) * agents pairs, rounded once.  The changed
-    entries are counted in row blocks of at most ``COMPARE_BLOCK_BYTES``.
+    ``choices`` is a trajectory whose packed choice rows are read as they
+    are, or a (days x agents) record of 0/1 choices, which is packed once.
+    With choices read as +/-1, the value at lag tau is the mean product of
+    an agent's choices tau days apart, so lag 0 gives exactly 1.  It is
+    computed from the integer count of changed choices, the set bits of
+    row XOR row-tau, as (N - 2 changed) / N over the N = (days - tau) *
+    agents pairs, rounded once.  Rows are compared in blocks of at most
+    ``COMPARE_BLOCK_BYTES``.
     """
-    if choice_matrix is None:
+    if isinstance(choices, Trajectory):
+        agents, rows = choices.n, choices.choice_rows
+    else:
+        agents, rows = None, choices
+    if rows is None:
         raise ValueError("choices were not recorded; rerun with record_choices=True")
     if tau_max != int(tau_max) or tau_max < 1:
         raise ValueError(f"tau_max must be a positive integer, got {tau_max}")
-    choice_matrix = np.asarray(choice_matrix)
-    if choice_matrix.ndim != 2:
-        raise ValueError("choice matrix must be two-dimensional (days x agents)")
-    days = choice_matrix.shape[0]
+    if agents is None:
+        matrix = np.asarray(rows)
+        if matrix.ndim != 2:
+            raise ValueError("choice matrix must be two-dimensional (days x agents)")
+        agents, rows = matrix.shape[1], pack_choices(matrix)
+    days = rows.shape[0]
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    agents = choice_matrix.shape[1]
-    block = max(1, COMPARE_BLOCK_BYTES // agents)
+    words = rows.view(np.uint64)
+    block = max(1, COMPARE_BLOCK_BYTES // rows.shape[1])
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
@@ -114,9 +124,7 @@ def c_autocorrelation(choice_matrix: np.ndarray | None, tau_max: int) -> np.ndar
         for start in range(0, days - tau, block):
             stop = min(start + block, days - tau)
             changed += int(
-                np.count_nonzero(
-                    choice_matrix[start:stop] != choice_matrix[start + tau : stop + tau]
-                )
+                np.bitwise_count(words[start:stop] ^ words[start + tau : stop + tau]).sum()
             )
         pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs

@@ -1,12 +1,17 @@
 """Command-line front-end tests: parsing, precedence, dispatch, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
-from mgstrat import __version__
+import mgstrat
+from mgstrat import __version__, cli
 from mgstrat.cli import (
     MAX_EPSILONS,
     OUTDIR_ENV,
@@ -15,6 +20,7 @@ from mgstrat.cli import (
     main,
     parse_config,
 )
+from mgstrat.engine import derive_rng
 from mgstrat.solver import NumericError
 
 
@@ -103,9 +109,10 @@ class TestParseConfig:
             parse_config(["sweep", "--epsilons", "0:1:1e-5"])
 
     def test_record_guard_counts_recorded_choices(self, tmp_path):
-        # 10 001 days of 200 001 int8 choices: about 1.9 GiB, refused
+        # 50 001 days of 200 001 packed choices (25 008 bytes a day): about
+        # 1.2 GiB, refused
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"n": 200001, "steps": 10000}))
+        config.write_text(json.dumps({"n": 200001, "steps": 50000}))
         parse_config(["simulate", "--config", str(config)])
         with pytest.raises(ValueError, match="^steps .* recorded choices .* 1 GiB limit"):
             parse_config(["simulate", "--config", str(config), "--record-choices"])
@@ -360,3 +367,55 @@ class TestManifest:
         a = RunManifest("kpr", {"n": 8, "seeds": 2}, 1, "0.1.0", ("x.csv",), None)
         b = RunManifest("kpr", {"seeds": 2, "n": 8}, 1, "0.1.0", ("x.csv",), None)
         assert a.digest() == b.digest()
+
+
+def _format_value(value: Any) -> str:
+    """The former one-cell-at-a-time CSV formatter, kept as the oracle."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("block_rows", [1, 7, cli.CSV_BLOCK_ROWS])
+    def test_blocks_match_the_per_cell_formatter(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        rng = derive_rng(400)
+        rows = 50
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        floats[:7] = [0.0, -0.0, 1 / 3, 1e16, 123456789012.5, np.inf, np.nan]
+        columns = (
+            range(rows),
+            rng.integers(-(10**15), 10**15, rows),
+            rng.integers(-3, 3, rows).astype(np.int8),
+            floats,
+            rng.random(rows) < 0.5,
+            [float(x) for x in rng.random(rows)],
+        )
+        manifest = parse_config(["kpr", "--outdir", str(tmp_path)])
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, manifest, ["a", "b", "c", "d", "e", "f"], columns)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[2] == "a,b,c,d,e,f"
+        assert lines[3:] == [",".join(_format_value(v) for v in row) for row in zip(*columns)]
+
+
+def test_kpr_and_version_never_import_scipy(tmp_path):
+    src = str(Path(mgstrat.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from mgstrat.cli import main\n"
+        "assert main(['--version']) == 0\n"
+        f"assert main(['kpr', '--n', '16', '--seeds', '3', '--outdir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"

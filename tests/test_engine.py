@@ -10,6 +10,9 @@ contraction, and the random baseline.  Every test drives the public
 
 import dataclasses
 import math
+import tracemalloc
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,15 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from mgstrat import engine
 from mgstrat.engine import (
     MAX_RECORD_BYTES,
     MODE_BASELINE,
+    MODE_STRATEGY,
     RESTAURANT_A,
     RESTAURANT_B,
     StrategyConfig,
     Trajectory,
     check_record_size,
     derive_rng,
+    row_bytes,
     run,
 )
 from mgstrat.solver import solve_lambda
@@ -117,6 +123,19 @@ class TestStrategyConfig:
         assert config.switch_probability(40) == pytest.approx(
             (40 + 1 / 6) / (2 + 40 + 1)
         )
+
+    @pytest.mark.parametrize("n", [5, 201, 200_001])
+    def test_switch_probabilities_match_the_scalar_rate(self, n):
+        # Table depths are 17, 53 and 1352, so n = 201 and 200 001 cover
+        # excesses both inside and past the depth; n = 5 has m = 2 < 17.
+        config = StrategyConfig(n=n)
+        table = config.switch_probabilities
+        assert table.dtype == np.float64 and table.shape == (config.m + 1,)
+        assert not table.flags.writeable
+        assert table[0] == 0.0
+        expected = [config.switch_probability(e) for e in range(1, config.m + 1)]
+        assert table[1:].tolist() == expected
+        assert config.switch_probabilities is table
 
     def test_bad_wait_and_mode(self):
         with pytest.raises(ValueError):
@@ -285,6 +304,62 @@ class TestStep:
             assert 0.5 * math.sqrt(e0) <= mean_excess <= 2.0 * math.sqrt(e0)
 
 
+class TestChoiceRecordLaw:
+    """Who moves: a uniform subset of its side, whichever way it is picked."""
+
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.0], ids=["swaps", "shuffles"])
+    @pytest.mark.parametrize("attendance", [1, 2], ids=["imbalanced", "reset"])
+    def test_moved_set_is_uniform_over_the_subsets_of_its_side(
+        self, monkeypatch, fraction, attendance
+    ):
+        # A fraction of 1 never shuffles a side and 0 always does.  From a
+        # pinned start the agents' order is fixed, so any bias by position
+        # shows.  At epsilon 1 a reset night moves each agent with
+        # probability 1/2, so both sides move.
+        monkeypatch.setattr(engine, "SHUFFLE_FRACTION", fraction)
+        config = StrategyConfig(n=5, epsilon=1.0)
+        start = start_with_attendance(5, attendance)
+        rng = derive_rng(300, attendance)
+        seen = defaultdict(Counter)
+        for _ in range(self.TRIALS):
+            after = one_day(config, start, rng, record=True).choice_matrix[1]
+            for side in (RESTAURANT_A, RESTAURANT_B):
+                moved = np.flatnonzero((start == side) & (after != side)).tolist()
+                seen[side, len(moved)][frozenset(moved)] += 1
+        tested = 0
+        for (side, k), counts in seen.items():
+            members = np.flatnonzero(start == side).tolist()
+            subsets = [frozenset(c) for c in combinations(members, k)]
+            assert set(counts) <= set(subsets)
+            total = sum(counts.values())
+            p = 1 / len(subsets)
+            sigma = math.sqrt(p * (1 - p) / total)
+            for subset in subsets:
+                assert abs(counts[subset] / total - p) <= 5 * sigma + 3 / total, (
+                    side, k, counts,
+                )
+            tested += total if len(subsets) > 1 else 0
+        assert tested > self.TRIALS // 2
+
+    @pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
+    def test_recorded_run_holds_the_guarded_bytes_plus_a_fixed_block(self, mode):
+        # The record is rebuilt in blocks of nights, so whatever else a run
+        # allocates stays below a bound that does not grow with its length.
+        config = StrategyConfig(n=2001, seed=8, mode=mode)
+        run(config, 1)  # the rate table is built outside the measurement
+        for steps in (500, 2_000):
+            tracemalloc.start()
+            try:
+                run(config, steps, record_choices=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            guarded = (steps + 1) * (9 + row_bytes(2001))
+            assert peak <= guarded + 16 * engine.IDENTITY_BLOCK, (steps, peak - guarded)
+
+
 class TestOneDayLaw:
     """Tomorrow's attendance follows the analytic binomial law exactly."""
 
@@ -389,7 +464,7 @@ class TestRun:
             assert recorded.choice_matrix.dtype == np.int8
 
     def test_record_size_guard_boundary(self):
-        per_day = 9 + 2001
+        per_day = 9 + 8 * math.ceil(2001 / 64)
         fits = MAX_RECORD_BYTES // per_day - 1
         check_record_size(2001, fits, True)
         with pytest.raises(ValueError, match="^steps"):
@@ -515,10 +590,11 @@ class TestTrajectory:
     def test_record_holds_exactly_what_the_guard_counts(self, record):
         trajectory = run(StrategyConfig(n=101, seed=5), 500, record_choices=record)
         names = {f.name for f in dataclasses.fields(Trajectory)}
-        assert names == {"n", "deltas", "reset", "choice_matrix"}
+        assert names == {"n", "deltas", "reset", "choice_rows"}
         assert set(vars(trajectory)) == names
-        # check_record_size counts 9 bytes per day, plus n with choices
+        # check_record_size counts 9 bytes per day, plus 8 * ceil(n / 64)
+        # for the packed choices
         assert trajectory.deltas.nbytes + trajectory.reset.nbytes == 9 * 501
         if record:
-            assert trajectory.choice_matrix.nbytes == 101 * 501
+            assert trajectory.choice_rows.nbytes == 8 * math.ceil(101 / 64) * 501
 

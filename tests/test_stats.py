@@ -26,11 +26,11 @@ from mgstrat.stats import (
 )
 
 
-def make_trajectory(n: int, deltas, reset_days=(), choice_matrix=None) -> Trajectory:
+def make_trajectory(n: int, deltas, reset_days=()) -> Trajectory:
     deltas = np.asarray(deltas, dtype=np.int64)
     reset = np.zeros(deltas.size, dtype=bool)
     reset[list(reset_days)] = True
-    return Trajectory(n=n, deltas=deltas, reset=reset, choice_matrix=choice_matrix)
+    return Trajectory(n=n, deltas=deltas, reset=reset)
 
 
 def per_reset_episode_lengths(trajectory: Trajectory) -> list[int]:
@@ -196,10 +196,22 @@ class TestCAutocorrelation:
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
-    @pytest.mark.parametrize("block_bytes", [1, 1000, 257 * 64 + 5])
+    def test_packed_record_matches_oracle_bit_for_bit(self):
+        # a trajectory hands over its packed rows; the same choices given as
+        # a 0/1 matrix are packed first and must count the same
+        trajectory = run(StrategyConfig(n=257, epsilon=0.7, seed=64), 2999, record_choices=True)
+        matrix = trajectory.choice_matrix
+        acf = c_autocorrelation(trajectory, 40)
+        self._assert_matches_oracle(matrix, acf)
+        assert acf.tolist() == c_autocorrelation(matrix, 40).tolist()
+        with pytest.raises(ValueError, match="not recorded"):
+            c_autocorrelation(run(StrategyConfig(n=257), 50), 5)
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 40 + 39, 40 * 64 + 5])
     def test_row_blocks_match_oracle_bit_for_bit(self, monkeypatch, block_bytes):
-        # blocks of 1, 3 and 64 rows: every lag spans many blocks, and the
-        # last block of a lag is a partial one
+        # 257 agents pack into 40-byte rows, so blocks of 1, 3 and 64 rows:
+        # every lag spans many blocks, and the last block of a lag is a
+        # partial one
         monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
