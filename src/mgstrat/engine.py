@@ -60,10 +60,12 @@ MAX_RECORD_BYTES = 2**30
 # (~150 ns a mover).
 SHUFFLE_FRACTION = 0.1
 
-# The choice record is rebuilt max(1, IDENTITY_BLOCK // n) nights at a time,
-# so its temporaries stay within a few IDENTITY_BLOCK words however many
-# agents move.
-IDENTITY_BLOCK = 1 << 18
+# The choice record is rebuilt a block of nights at a time.  A block holds
+# at most IDENTITY_BLOCK movers (~40 bytes of temporaries each, ~130 when
+# swapped), IDENTITY_BLOCK // 128 nights and 16 * IDENTITY_BLOCK
+# agent-nights (a flag byte each), but at least one night, so its
+# temporaries stay below ~10 MiB however long the run is.
+IDENTITY_BLOCK = 1 << 16
 
 _SHUFFLE_A = -1
 _SHUFFLE_B = -2
@@ -347,15 +349,19 @@ def _fill_choice_rows(
     # Scalar swaps through a memoryview cost half as much as numpy indexing.
     slots = memoryview(order)
     nights = deltas.size - 1
-    span = max(1, IDENTITY_BLOCK // n)
-    for start in range(0, nights, span):
-        stop = min(start + span, nights)
+    start = 0
+    while start < nights:
+        stop = min(start + max(1, min(IDENTITY_BLOCK // 128, 16 * IDENTITY_BLOCK // n)), nights)
         before = deltas[start:stop]
-        attendance = m - before
         crowd_at_b = before >= 0
         rise = before - deltas[start + 1 : stop + 1]  # of the head count at A
         thin = words[start + 1 : stop + 1, 0].astype(np.int64)
         crowd = thin + np.where(crowd_at_b, rise, -rise)
+        # Cut the block at IDENTITY_BLOCK movers, keeping at least one night.
+        stop = start + max(1, int(np.searchsorted(np.cumsum(thin + crowd), IDENTITY_BLOCK, "right")))
+        before, crowd_at_b = before[: stop - start], crowd_at_b[: stop - start]
+        thin, crowd = thin[: stop - start], crowd[: stop - start]
+        attendance = m - before
         off_a = np.where(crowd_at_b, thin, crowd)
         off_b = np.where(crowd_at_b, crowd, thin)
 
@@ -372,9 +378,7 @@ def _fill_choice_rows(
         # count from a uniform position below it; A counts from 0 and B from
         # n - 1 down.
         swaps = np.where(shuffled, 0, movers)
-        bound = np.repeat(size, swaps) - (
-            np.arange(swaps.sum()) - np.repeat(np.cumsum(swaps) - swaps, swaps)
-        )
+        bound = np.repeat(size + np.cumsum(swaps) - swaps, swaps) - np.arange(swaps.sum())
         pick = who.integers(0, bound)
         side_a = np.repeat(on_a, swaps)
         pairs = zip(
@@ -423,3 +427,4 @@ def _fill_choice_rows(
         rows[start + 1 : stop + 1] = np.packbits(flips, bitorder="little").reshape(-1, width)
         block = words[start : stop + 1]
         np.bitwise_xor.accumulate(block, axis=0, out=block)
+        start = stop
