@@ -358,7 +358,8 @@ def _fill_choice_rows(
         thin = words[start + 1 : stop + 1, 0].astype(np.int64)
         crowd = thin + np.where(crowd_at_b, rise, -rise)
         # Cut the block at IDENTITY_BLOCK movers, keeping at least one night.
-        stop = start + max(1, int(np.searchsorted(np.cumsum(thin + crowd), IDENTITY_BLOCK, "right")))
+        fit = int(np.searchsorted(np.cumsum(thin + crowd), IDENTITY_BLOCK, side="right"))
+        stop = start + max(1, fit)
         before, crowd_at_b = before[: stop - start], crowd_at_b[: stop - start]
         thin, crowd = thin[: stop - start], crowd[: stop - start]
         attendance = m - before

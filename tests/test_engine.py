@@ -344,7 +344,9 @@ class TestChoiceRecordLaw:
         assert tested > self.TRIALS // 2
 
     @pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
-    @pytest.mark.parametrize("n, steps", [(5, (500, 4_000)), (2001, (2_000,))], ids=["n5", "n2001"])
+    @pytest.mark.parametrize(
+        "n, steps", [(5, (500, 4_000)), (2001, (2_000,))], ids=["n5", "n2001"]
+    )
     def test_recorded_run_holds_the_guarded_bytes_plus_a_fixed_block(self, mode, n, steps):
         # The record is rebuilt in bounded blocks of nights, so whatever else
         # a run allocates stays below a bound that does not grow with its
