@@ -399,38 +399,31 @@ def _strategy_config(params: dict[str, Any], epsilon: float | None = None) -> St
 
 def _run_solve_lambda(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     params = manifest.params
-    rows = []
-    for delta in range(1, params["delta_max"] + 1):
-        lam = solve_lambda(delta, params["tolerance"])
-        rows.append((delta, lam, lam - delta))
+    deltas = np.arange(1, params["delta_max"] + 1)
+    lams = solve_lambda(deltas, params["tolerance"])
+    gaps = lams - deltas
     _write_csv(
-        outdir / "lambda_table.csv", manifest, ["delta", "lambda", "gap"], list(zip(*rows))
+        outdir / "lambda_table.csv", manifest, ["delta", "lambda", "gap"], [deltas, lams, gaps]
     )
     return {
-        "rows": len(rows),
-        "gap_at_delta_max": rows[-1][2],
+        "rows": len(deltas),
+        "gap_at_delta_max": float(gaps[-1]),
         "asymptotic_gap": 1.0 / 6.0,
     }
 
 
 def _run_payoff_table(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    params = manifest.params
-    rows = []
-    worst_sum_error = 0.0
-    for delta in range(1, params["delta_max"] + 1):
-        lam = solve_lambda(delta)
-        q = expected_payoffs(delta, lam)
-        worst_sum_error = max(worst_sum_error, abs(q.thin_stay + q.crowd_stay - 1.0))
-        rows.append(
-            (delta, lam, q.thin_stay, q.thin_switch, q.crowd_stay, q.crowd_switch)
-        )
+    deltas = np.arange(1, manifest.params["delta_max"] + 1)
+    lams = solve_lambda(deltas)
+    q = expected_payoffs(deltas, lams)
     _write_csv(
         outdir / "payoff_table.csv",
         manifest,
         ["delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch"],
-        list(zip(*rows)),
+        [deltas, lams, q.thin_stay, q.thin_switch, q.crowd_stay, q.crowd_switch],
     )
-    return {"rows": len(rows), "max_stay_sum_error": worst_sum_error}
+    worst_sum_error = float(np.abs(q.thin_stay + q.crowd_stay - 1.0).max())
+    return {"rows": len(deltas), "max_stay_sum_error": worst_sum_error}
 
 
 def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:

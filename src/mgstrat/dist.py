@@ -3,18 +3,21 @@
 The cumulative distributions are validated wrappers over scipy's
 regularized incomplete gamma and beta functions (``pdtr`` and ``betaincc``)
 and its noncentral chi-square CDF (``chndtr``), so each value costs O(1)
-whatever the count.  scipy is imported on the first call (``_special``), so
-subcommands that never evaluate a CDF (``kpr``, ``--version``) skip its
-start-up cost.
+whatever the count.  Every kernel is elementwise over arrays and names the
+first bad entry in its ``ValueError``; the Poisson and binomial CDFs give a
+float for scalar input.  scipy is imported on the first call
+(``_special``), so subcommands that never evaluate a CDF (``kpr``,
+``--version``) skip its start-up cost.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from types import ModuleType
 
 import numpy as np
+
+from ._checks import float_or_array, integers, means, probabilities
 
 __all__ = [
     "poisson_cdf",
@@ -35,39 +38,25 @@ def _special() -> ModuleType:
     return scipy.special
 
 
-def _check_count(value: int, name: str) -> None:
-    if value != int(value) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+def poisson_cdf(r: np.typing.ArrayLike, lam: np.typing.ArrayLike) -> float | np.ndarray:
+    """P(X <= r) for X ~ Poisson(lam), elementwise; a float for scalar input."""
+    integers(r, "r", 0)
+    return float_or_array(_special().pdtr(r, means(lam)))
 
 
-def _check_mean(lam: float) -> None:
-    if not (lam >= 0.0) or math.isinf(lam):
-        raise ValueError(f"mean must be finite and nonnegative, got {lam}")
-
-
-def _check_probability(p: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-
-
-def poisson_cdf(r: int, lam: float) -> float:
-    """P(X <= r) for X ~ Poisson(lam)."""
-    _check_count(r, "r")
-    _check_mean(lam)
-    return float(_special().pdtr(r, lam))
-
-
-def binomial_cdf(r: int, n: int, p: float) -> float:
-    """P(X <= r) for X ~ Binomial(n, p)."""
-    _check_count(r, "r")
-    _check_count(n, "n")
-    _check_probability(p)
-    if r >= n:
-        return 1.0
-    # 1 - I_p(r + 1, n - r).  scipy's bdtr evaluates I_{1-p}(n - r, r + 1)
-    # instead, and rounding 1 - p costs it ~n*eps of relative accuracy when p
-    # is small (4.5e-10 at n = 1e6, p = 2e-6).
-    return float(_special().betaincc(r + 1, n - r, p))
+def binomial_cdf(
+    r: np.typing.ArrayLike, n: np.typing.ArrayLike, p: np.typing.ArrayLike
+) -> float | np.ndarray:
+    """P(X <= r) for X ~ Binomial(n, p), elementwise; a float for scalar input."""
+    r = integers(r, "r", 0)
+    n = integers(n, "n", 0)
+    p = probabilities(p)
+    below = r < n
+    # 1 - I_p(r + 1, n - r), and 1 wherever r >= n.  scipy's bdtr evaluates
+    # I_{1-p}(n - r, r + 1) instead, and rounding 1 - p costs it ~n*eps of
+    # relative accuracy when p is small (4.5e-10 at n = 1e6, p = 2e-6).
+    tail = _special().betaincc(r + 1, np.where(below, n - r, 1), p)
+    return float_or_array(np.where(below, tail, 1.0))
 
 
 def skellam_cdf(
@@ -82,11 +71,8 @@ def skellam_cdf(
     """
     if k != int(k):
         raise ValueError(f"k must be an integer, got {k}")
-    lam_first = np.asarray(lam_first, dtype=np.float64)
-    lam_second = np.asarray(lam_second, dtype=np.float64)
-    for lam in (lam_first, lam_second):
-        if not np.all((lam >= 0.0) & np.isfinite(lam)):
-            raise ValueError(f"means must be finite and nonnegative, got {lam}")
+    lam_first = means(lam_first)
+    lam_second = means(lam_second)
     chndtr = _special().chndtr
     if k < 0:
         return chndtr(2.0 * lam_second, -2.0 * k, 2.0 * lam_first)

@@ -157,7 +157,7 @@ class StrategyConfig:
             excess = np.arange(self.m + 1)
             lam = excess + ASYMPTOTIC_GAP
             depth = min(table.delta_max, self.m)
-            lam[1 : depth + 1] = [table.entries[e] for e in range(1, depth + 1)]
+            lam[1 : depth + 1] = table.roots[:depth]
             probabilities = lam / (self.m + excess + 1)
             probabilities[0] = 0.0
             probabilities.flags.writeable = False

@@ -18,11 +18,11 @@ strictly negative, so the residuals can never both vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integers, means
 from .dist import poisson_cdf, skellam_cdf
 from .solver import solve_lambda
 
@@ -42,43 +42,38 @@ __all__ = [
 ]
 
 
-def _check_delta(delta: int) -> None:
-    if delta != int(delta) or delta < 1:
-        raise ValueError(f"imbalance must be a positive integer, got {delta}")
-
-
-def _check_mean(lam: float, name: str = "mean") -> None:
-    if not (lam > 0.0) or math.isinf(lam):
-        raise ValueError(f"{name} must be finite and positive, got {lam}")
-
-
 @dataclass(frozen=True)
 class PayoffQuadruple:
     """Next-day winning probabilities for the two sides of an unbalanced split.
 
     ``thin_stay``/``thin_switch`` are for an agent currently on the minority
     side; ``crowd_stay``/``crowd_switch`` for one on the majority side.
+    Each is a float, or an array when the payoffs were taken over arrays.
     """
 
-    thin_stay: float
-    thin_switch: float
-    crowd_stay: float
-    crowd_switch: float
+    thin_stay: float | np.ndarray
+    thin_switch: float | np.ndarray
+    crowd_stay: float | np.ndarray
+    crowd_switch: float | np.ndarray
 
 
-def expected_payoffs(delta: int, lam: float) -> PayoffQuadruple:
+def expected_payoffs(
+    delta: np.typing.ArrayLike, lam: np.typing.ArrayLike
+) -> PayoffQuadruple:
     """Winning probabilities when Poisson(lam) agents defect from the crowd.
 
     A thin-side stayer wins if at most ``delta`` agents arrive; a thin-side
     switcher wins only if so many leave that the sides trade places, i.e.
     at least ``delta + 2`` departures; and symmetrically for the crowd.
+    Elementwise over the broadcast ``delta`` and ``lam``.
     """
-    _check_delta(delta)
-    _check_mean(lam)
+    delta = integers(delta, "imbalance", 1)
+    lam = means(lam, positive=True)
+    thin_stay = poisson_cdf(delta, lam)
     return PayoffQuadruple(
-        thin_stay=poisson_cdf(delta, lam),
+        thin_stay=thin_stay,
         thin_switch=1.0 - poisson_cdf(delta + 1, lam),
-        crowd_stay=1.0 - poisson_cdf(delta, lam),
+        crowd_stay=1.0 - thin_stay,
         crowd_switch=poisson_cdf(delta - 1, lam),
     )
 
@@ -116,12 +111,10 @@ def payoff_curve(delta_max: int) -> list[tuple[int, float, float]]:
     The two stay payoffs sum to one at every imbalance: the thin side wins
     exactly when the crowd does not.
     """
-    _check_delta(delta_max)
-    rows = []
-    for d in range(1, delta_max + 1):
-        q = expected_payoffs(d, solve_lambda(d))
-        rows.append((d, q.thin_stay, q.crowd_stay))
-    return rows
+    integers(delta_max, "imbalance", 1)
+    deltas = np.arange(1, int(delta_max) + 1)
+    q = expected_payoffs(deltas, solve_lambda(deltas))
+    return list(zip(deltas.tolist(), q.thin_stay.tolist(), q.crowd_stay.tolist()))
 
 
 @dataclass(frozen=True)
@@ -160,8 +153,8 @@ def delta0_cross_probs(lam_first: float, lam_second: float) -> CrossProbs:
     Each is a value of the Skellam CDF of the count difference, in closed
     form.
     """
-    _check_mean(lam_first, "first mean")
-    _check_mean(lam_second, "second mean")
+    means(lam_first, "first mean", positive=True)
+    means(lam_second, "second mean", positive=True)
     return CrossProbs(*(float(p) for p in _cross_arrays(lam_first, lam_second)))
 
 

@@ -19,21 +19,26 @@ in ``lam`` (its derivative is -(pmf(d-1) + pmf(d))), so the root is unique.
 It always lies inside [d, d + 1], and for large d approaches d + 1/6 from
 above.
 
-:func:`solve_lambda` finds the root by bisection.  :func:`solve_p_finite`
+:func:`solve_lambda` finds the roots by bisection.  :func:`solve_p_finite`
 solves the analogous balance at finite crowd size, where the defector count
-is Binomial(M + d, p) and the unknown is the per-agent probability p.
-:class:`LambdaTable` precomputes roots up to a chosen d and extends them
-with the ``d + 1/6`` asymptote beyond it.
+is Binomial(M + d, p) and the unknown is the per-agent probability p.  Both
+take arrays and run one bisection over all their entries at once
+(:func:`_bisect`), each entry stepping through exactly the midpoints a
+scalar bisection of its own would.  :class:`LambdaTable` precomputes roots
+up to a chosen d and extends them with the ``d + 1/6`` asymptote beyond it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
+import numpy as np
+
+from ._checks import float_or_array, integers, means
 from .dist import binomial_cdf, poisson_cdf
 
 __all__ = [
@@ -58,124 +63,235 @@ MAX_TOLERANCE = 1e-6
 
 _MAX_BISECTIONS = 200
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
 
 class NumericError(ArithmeticError):
     """A root finder failed to bracket a sign change or to converge."""
 
 
-def _check_delta(delta: int) -> None:
-    if delta != int(delta) or delta < 1:
-        raise ValueError(f"imbalance must be a positive integer, got {delta}")
+def _check_delta(delta: np.typing.ArrayLike) -> np.ndarray:
+    return integers(delta, "imbalance", 1).astype(np.int64)
 
 
-def indifference_residual(lam: float, delta: int) -> float:
+def _bisect(
+    residual: Callable[..., np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    params: tuple[np.ndarray, ...],
+    tolerance: float,
+    solver: str,
+    label: Callable[[int], str],
+) -> np.ndarray:
+    """Roots of a decreasing residual on the brackets [lo, hi], elementwise.
+
+    ``residual(x, *params)`` evaluates the open entries at ``x``; each array
+    in ``params`` holds one column per entry along its last axis, and drops
+    an entry's column when the entry closes.  Each step evaluates every open
+    entry at its midpoint; an entry closes at its first midpoint with
+    |residual| < ``tolerance``, and otherwise keeps the half where the sign
+    changes.  So each entry follows the midpoints a scalar bisection of its
+    own would, bit for bit.  ``label(i)`` names entry i in the error.
+    """
+    roots = np.empty_like(lo)
+    index = np.arange(lo.size)
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(mid, *params)
+        done = np.abs(f_mid) < tolerance
+        if done.any():
+            roots[index[done]] = mid[done]
+            open_ = ~done
+            if not open_.any():
+                return roots
+            index, lo, hi, mid, f_mid = (a[open_] for a in (index, lo, hi, mid, f_mid))
+            params = tuple(a[..., open_] for a in params)
+        above = f_mid > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    raise NumericError(
+        f"{solver}: residual still {f_mid[0]:.3e} after {_MAX_BISECTIONS} "
+        f"bisections for {label(index[0])}"
+    )
+
+
+def _counts(delta: np.ndarray) -> np.ndarray:
+    """d - 1 stacked over d: the two CDF counts of the residual at imbalance d."""
+    return np.stack((delta - 1, delta))
+
+
+def _residual(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1);
+    # one CDF call evaluates both terms.
+    below, upto = poisson_cdf(counts, lam)
+    return below + upto - 1.0
+
+
+def indifference_residual(
+    lam: np.typing.ArrayLike, delta: np.typing.ArrayLike
+) -> float | np.ndarray:
     """Expected-gain balance for a crowded-side agent, as a function of lam.
 
     Positive values mean defecting too rarely (a deviator should leave),
     negative values mean defecting too often (a deviator should stay put).
-    Zero is the cheat-proof point.
+    Zero is the cheat-proof point.  Elementwise over arrays; a float for
+    scalar input.
     """
-    _check_delta(delta)
-    if not (lam > 0.0) or math.isinf(lam):
-        raise ValueError(f"mean must be finite and positive, got {lam}")
-    # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1).
-    return poisson_cdf(delta - 1, lam) + poisson_cdf(delta, lam) - 1.0
+    delta = _check_delta(delta)
+    lam, delta = np.broadcast_arrays(means(lam, positive=True), delta)
+    return float_or_array(_residual(lam, _counts(delta)))
 
 
-def solve_lambda(delta: int, tolerance: float = 1e-10) -> float:
-    """Cheat-proof mean defector count for imbalance ``delta``.
+def _lambda_roots(deltas: np.ndarray, tolerance: float) -> np.ndarray:
+    """Roots of the indifference residual for a 1-d array of imbalances."""
+    counts = _counts(deltas)
+    lo = deltas.astype(np.float64)
+    hi = lo + 1.0
+    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
+    if unbracketed.any():
+        wide = deltas[unbracketed]
+        lo[unbracketed] = 0.5 * wide
+        hi[unbracketed] = wide + 2.0
+        failed = ~(
+            (_residual(lo[unbracketed], counts[:, unbracketed]) > 0.0)
+            & (_residual(hi[unbracketed], counts[:, unbracketed]) < 0.0)
+        )
+        if failed.any():
+            delta = int(wide[failed][0])
+            raise NumericError(
+                f"switch-rate solver: no sign change on [{0.5 * delta}, "
+                f"{float(delta + 2)}] for imbalance {delta}"
+            )
+    return _bisect(
+        _residual,
+        lo,
+        hi,
+        (counts,),
+        tolerance,
+        "switch-rate solver",
+        lambda i: f"imbalance {deltas[i]}",
+    )
 
-    Bisects :func:`indifference_residual` on [delta, delta + 1], widening
-    the bracket once if the sign change is not already inside.  Stops when
-    the residual magnitude drops below ``tolerance``, which must lie in
-    (0, MAX_TOLERANCE].  Roots are cached per (delta, tolerance), however
-    the arguments are passed; ``solve_lambda.cache_clear()`` empties the
-    cache.
+
+class _RootCache:
+    """Solved roots by (imbalance, tolerance).
+
+    Hits and misses are counted per root, as ``functools.lru_cache`` would
+    count one scalar call per imbalance.
     """
-    _check_delta(delta)
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self._roots: dict[float, dict[int, float]] = {}
+        self._hits = self._misses = 0
+
+    def info(self) -> _CacheInfo:
+        size = sum(map(len, self._roots.values()))
+        return _CacheInfo(self._hits, self._misses, None, size)
+
+    def roots(self, deltas: np.ndarray, tolerance: float) -> np.ndarray:
+        keys = deltas.ravel().tolist()
+        cached = self._roots.setdefault(tolerance, {})
+        missing = sorted(set(keys).difference(cached))
+        self._misses += len(missing)
+        self._hits += len(keys) - len(missing)
+        if missing:
+            solved = _lambda_roots(np.array(missing), tolerance)
+            cached.update(zip(missing, solved.tolist()))
+        return np.array([cached[delta] for delta in keys]).reshape(deltas.shape)
+
+
+_ROOTS = _RootCache()
+
+
+def solve_lambda(
+    delta: np.typing.ArrayLike, tolerance: float = 1e-10
+) -> float | np.ndarray:
+    """Cheat-proof mean defector count for each imbalance in ``delta``.
+
+    Elementwise over an integer array of any shape, in any order and with
+    repeats; a float for scalar input.  Bisects
+    :func:`indifference_residual` on [delta, delta + 1], widening the
+    bracket once for an imbalance whose sign change is not already inside.
+    Stops when the residual magnitude drops below ``tolerance``, which must
+    lie in (0, MAX_TOLERANCE].  Roots are cached per (delta, tolerance), and
+    one bisection solves every imbalance the cache lacks;
+    ``solve_lambda.cache_clear()`` empties the cache.
+    """
+    deltas = _check_delta(delta)
     if not (0.0 < tolerance <= MAX_TOLERANCE):
         raise ValueError(
             f"tolerance must lie in (0, {MAX_TOLERANCE:g}], got {tolerance}"
         )
-    return _bisect_root(int(delta), float(tolerance))
+    return float_or_array(_ROOTS.roots(deltas, float(tolerance)))
 
 
-@lru_cache(maxsize=None)
-def _bisect_root(delta: int, tolerance: float) -> float:
-    lo, hi = float(delta), float(delta + 1)
-    f_lo = indifference_residual(lo, delta)
-    f_hi = indifference_residual(hi, delta)
-    if not (f_lo > 0.0 > f_hi):
-        lo, hi = 0.5 * delta, float(delta + 2)
-        f_lo = indifference_residual(lo, delta)
-        f_hi = indifference_residual(hi, delta)
-        if not (f_lo > 0.0 > f_hi):
-            raise NumericError(
-                f"switch-rate solver: no sign change on [{lo}, {hi}] for imbalance {delta}"
-            )
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = indifference_residual(mid, delta)
-        if abs(f_mid) < tolerance:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError(
-        f"switch-rate solver: residual still {f_mid:.3e} after {_MAX_BISECTIONS} "
-        f"bisections for imbalance {delta}"
-    )
+solve_lambda.cache_clear = _ROOTS.clear  # type: ignore[attr-defined]
+solve_lambda.cache_info = _ROOTS.info  # type: ignore[attr-defined]
 
 
-solve_lambda.cache_clear = _bisect_root.cache_clear  # type: ignore[attr-defined]
-solve_lambda.cache_info = _bisect_root.cache_info  # type: ignore[attr-defined]
-
-
-def lambda_gap(delta: int) -> float:
+def lambda_gap(delta: np.typing.ArrayLike) -> float | np.ndarray:
     """solve_lambda(delta) - delta; tends to 1/6 as the imbalance grows."""
     return solve_lambda(delta) - delta
 
 
-def finite_m_balance(p: float, delta: int, m: int) -> float:
-    """Finite-crowd analogue of :func:`indifference_residual`, in p.
-
-    The crowded side holds m + delta agents besides the deviator, each
-    defecting with probability p, so the defector count is
-    Binomial(m + delta, p).  This balance is increasing in p.
-    """
-    _check_delta(delta)
-    if m != int(m) or m < 1:
-        raise ValueError(f"crowd parameter must be a positive integer, got {m}")
-    if delta > m:
+def _check_crowd(
+    delta: np.typing.ArrayLike, m: np.typing.ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    delta = _check_delta(delta)
+    m = integers(m, "crowd parameter", 1).astype(np.int64)
+    over = delta > m
+    if over.any():
+        delta, m = (a[over].flat[0] for a in np.broadcast_arrays(delta, m))
         raise ValueError(f"imbalance {delta} exceeds crowd parameter {m}")
+    return delta, m
+
+
+def _balance(p: np.ndarray, delta: np.ndarray, m: np.ndarray) -> np.ndarray:
     n = m + delta
     return (1.0 - binomial_cdf(delta, n, p)) - binomial_cdf(delta - 1, n, p)
 
 
-@lru_cache(maxsize=None)
-def solve_p_finite(delta: int, m: int, tolerance: float = 1e-12) -> float:
+def finite_m_balance(
+    p: np.typing.ArrayLike, delta: np.typing.ArrayLike, m: np.typing.ArrayLike
+) -> float | np.ndarray:
+    """Finite-crowd analogue of :func:`indifference_residual`, in p.
+
+    The crowded side holds m + delta agents besides the deviator, each
+    defecting with probability p, so the defector count is
+    Binomial(m + delta, p).  This balance is increasing in p.  Elementwise
+    over arrays; a float for scalar input.
+    """
+    return _balance(p, *_check_crowd(delta, m))
+
+
+def solve_p_finite(
+    delta: np.typing.ArrayLike, m: np.typing.ArrayLike, tolerance: float = 1e-12
+) -> float | np.ndarray:
     """Cheat-proof per-agent defection probability at finite crowd size.
 
     Bisects :func:`finite_m_balance` on (0, 1); its value runs from -1 at
-    p=0 to +1 at p=1 and is monotone, so the root is unique.
+    p=0 to +1 at p=1 and is monotone, so the root is unique.  Elementwise
+    over the broadcast ``delta`` and ``m``; a float for scalar input.
     """
     if not (tolerance > 0.0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = finite_m_balance(mid, delta, m)
-        if abs(f_mid) < tolerance:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError(
-        f"finite-crowd solver: residual still {f_mid:.3e} after {_MAX_BISECTIONS} "
-        f"bisections for imbalance {delta}, crowd parameter {m}"
+    deltas, ms = np.broadcast_arrays(*_check_crowd(delta, m))
+    shape = deltas.shape
+    deltas, ms = deltas.ravel(), ms.ravel()
+    roots = _bisect(
+        # Negated, so the residual decreases as _bisect expects.
+        lambda p, delta, m: -_balance(p, delta, m),
+        np.zeros(deltas.size),
+        np.ones(deltas.size),
+        (deltas, ms),
+        tolerance,
+        "finite-crowd solver",
+        lambda i: f"imbalance {deltas[i]}, crowd parameter {ms[i]}",
     )
+    return float_or_array(roots.reshape(shape))
 
 
 def default_delta_max(n: int) -> int:
@@ -192,10 +308,13 @@ class LambdaTable:
     ``lookup`` returns the exact root for imbalances up to ``delta_max``
     and ``delta + 1/6`` beyond it, where the table's own entries confirm
     the approximation error is already far below simulation noise.
+    ``roots[d - 1]`` holds the root for imbalance d as a read-only array,
+    and ``entries`` maps d to the same value.
     """
 
     delta_max: int
     tolerance: float = 1e-10
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
     entries: Mapping[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,13 +322,15 @@ class LambdaTable:
             raise ValueError(
                 f"table depth must be a positive integer, got {self.delta_max}"
             )
-        table = {
-            d: solve_lambda(d, self.tolerance) for d in range(1, self.delta_max + 1)
-        }
-        object.__setattr__(self, "entries", MappingProxyType(table))
+        roots = solve_lambda(np.arange(1, int(self.delta_max) + 1), self.tolerance)
+        roots.flags.writeable = False
+        object.__setattr__(self, "roots", roots)
+        entries = dict(enumerate(roots.tolist(), start=1))
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def lookup(self, delta: int) -> float:
-        _check_delta(delta)
+        if delta != int(delta) or delta < 1:
+            raise ValueError(f"imbalance must be a positive integer, got {delta}")
         if delta <= self.delta_max:
             return self.entries[delta]
         return delta + ASYMPTOTIC_GAP

@@ -9,6 +9,8 @@ from typing import Any
 
 import numpy as np
 import pytest
+from scipy.special import pdtr
+from test_solver import scalar_lambda_root
 
 import mgstrat
 from mgstrat import __version__, cli
@@ -402,6 +404,36 @@ class TestCsvBlocks:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[2] == "a,b,c,d,e,f"
         assert lines[3:] == [",".join(_format_value(v) for v in row) for row in zip(*columns)]
+
+
+class TestRateTables:
+    """Data rows built from the scalar oracle roots and the per-cell formatter."""
+
+    def test_solve_lambda_rows(self, tmp_path):
+        assert main(["solve-lambda", "--delta-max", "3000", "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "lambda_table.csv").read_text(encoding="utf-8").splitlines()
+        expected = []
+        for delta in range(1, 3001):
+            lam = scalar_lambda_root(delta)
+            expected.append(",".join(map(_format_value, (delta, lam, lam - delta))))
+        assert lines[3:] == expected
+
+    def test_payoff_table_rows(self, tmp_path):
+        assert main(["payoff-table", "--delta-max", "1000", "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "payoff_table.csv").read_text(encoding="utf-8").splitlines()
+        expected = []
+        for delta in range(1, 1001):
+            lam = scalar_lambda_root(delta)
+            cells = (
+                delta,
+                lam,
+                float(pdtr(delta, lam)),
+                1.0 - float(pdtr(delta + 1, lam)),
+                1.0 - float(pdtr(delta, lam)),
+                float(pdtr(delta - 1, lam)),
+            )
+            expected.append(",".join(map(_format_value, cells)))
+        assert lines[3:] == expected
 
 
 def test_kpr_and_version_never_import_scipy(tmp_path):

@@ -47,6 +47,26 @@ class TestPoissonCdf:
         with pytest.raises(ValueError):
             poisson_cdf(2, -1.0)
 
+    def test_elementwise_over_arrays(self):
+        r = np.array([[0, 3, 10], [2, 2, 40]])
+        lam = np.array([0.5, 2.15592, 50.16623])
+        values = poisson_cdf(r, lam)
+        assert values.shape == (2, 3)
+        for i, j in np.ndindex(values.shape):
+            assert values[i, j] == poisson_cdf(int(r[i, j]), float(lam[j]))
+        assert type(poisson_cdf(3, 2.0)) is float
+        assert type(poisson_cdf(np.array(3), np.float64(2.0))) is float
+
+    def test_bad_entry_is_named(self):
+        with pytest.raises(ValueError, match="got 2.5"):
+            poisson_cdf([1, 2.5], 1.0)
+        with pytest.raises(ValueError, match="got -1"):
+            poisson_cdf(np.array([1, -1]), 1.0)
+        with pytest.raises(ValueError, match="got nan"):
+            poisson_cdf(2, [1.0, np.nan])
+        with pytest.raises(ValueError, match="got inf"):
+            poisson_cdf([np.inf, 1.0], 1.0)
+
 
 class TestBinomial:
     def test_no_successes_when_impossible(self):
@@ -109,9 +129,19 @@ class TestBinomial:
             1.0 - binomial_cdf(n - r - 1, n, 1.0 - p), abs=1e-12
         )
 
+    def test_elementwise_over_arrays(self):
+        r = np.array([0, 3, 5, 7, 12])
+        n = np.array([[5], [12]])
+        values = binomial_cdf(r, n, 0.3)
+        assert values.shape == (2, 5)
+        for i, j in np.ndindex(values.shape):
+            assert values[i, j] == binomial_cdf(int(r[j]), int(n[i, 0]), 0.3)
+        assert values[0, 2:].tolist() == [1.0, 1.0, 1.0]  # r >= n
+        assert type(binomial_cdf(1, 3, 0.5)) is float
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_cdf(1, 3, 1.5)
+        with pytest.raises(ValueError, match="got 1.5"):
+            binomial_cdf(1, 3, [0.5, 1.5])
         with pytest.raises(ValueError):
             binomial_cdf(-1, 3, 0.5)
         with pytest.raises(ValueError):

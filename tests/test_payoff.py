@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtr
 from scipy.stats import poisson
 
 from mgstrat.payoff import (
@@ -87,6 +88,32 @@ class TestExpectedPayoffs:
             expected_payoffs(0, 1.0)
         with pytest.raises(ValueError):
             expected_payoffs(2, -1.0)
+
+    def test_arrays_match_the_scalar_quadruples(self):
+        deltas = np.arange(1, 301)
+        lams = np.concatenate([solve_lambda(deltas[:200]), np.geomspace(1e-6, 400.0, 100)])
+        q = expected_payoffs(deltas, lams)
+        for i, (delta, lam) in enumerate(zip(deltas.tolist(), lams.tolist())):
+            scalar = expected_payoffs(delta, lam)
+            # the former scalar formulas, straight from scipy's pdtr
+            former = (
+                float(pdtr(delta, lam)),
+                1.0 - float(pdtr(delta + 1, lam)),
+                1.0 - float(pdtr(delta, lam)),
+                float(pdtr(delta - 1, lam)),
+            )
+            assert (q.thin_stay[i], q.thin_switch[i], q.crowd_stay[i], q.crowd_switch[i]) == (
+                scalar.thin_stay, scalar.thin_switch, scalar.crowd_stay, scalar.crowd_switch
+            ) == former
+        assert type(expected_payoffs(3, 3.2).crowd_switch) is float
+
+    def test_bad_entry_is_named(self):
+        with pytest.raises(ValueError, match="got 0"):
+            expected_payoffs(np.array([1, 0]), 1.0)
+        with pytest.raises(ValueError, match="got 1.5"):
+            expected_payoffs([1, 1.5], 1.0)
+        with pytest.raises(ValueError, match="got nan"):
+            expected_payoffs([1, 2], [1.0, np.nan])
 
 
 class TestVerifyNoCheat:

@@ -4,13 +4,20 @@ Fourteen frozen (imbalance, mean) reference pairs are pinned to five
 decimal places; everything else is checked against structural properties
 (monotone residual, bracketing, asymptote) or independent oracles (dense
 scans, polynomial root extraction, the finite-crowd/large-crowd limit).
+The former one-root-at-a-time bisection loops are kept here as oracles:
+the array solvers must return their roots bit for bit.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
+from scipy.special import betaincc, pdtr
 
+from mgstrat import solver
 from mgstrat.solver import (
     ASYMPTOTIC_GAP,
+    MAX_TOLERANCE,
     LambdaTable,
     NumericError,
     default_delta_max,
@@ -20,6 +27,53 @@ from mgstrat.solver import (
     solve_lambda,
     solve_p_finite,
 )
+
+
+@cache
+def scalar_lambda_root(delta: int, tolerance: float = 1e-10) -> float:
+    """The former scalar bisection of the indifference residual, kept as the oracle."""
+
+    def residual(lam: float) -> float:
+        return float(pdtr(delta - 1, lam)) + float(pdtr(delta, lam)) - 1.0
+
+    lo, hi = float(delta), float(delta + 1)
+    if not (residual(lo) > 0.0 > residual(hi)):
+        lo, hi = 0.5 * delta, float(delta + 2)
+        assert residual(lo) > 0.0 > residual(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(mid)
+        if abs(f_mid) < tolerance:
+            return mid
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"no convergence for imbalance {delta}")
+
+
+def scalar_p_finite_root(delta: int, m: int, tolerance: float = 1e-12) -> float:
+    """The former scalar finite-crowd bisection, kept as the oracle."""
+    n = m + delta
+
+    def balance(p: float) -> float:
+        # binomial_cdf(r, n, p) = betaincc(r + 1, n - r, p) for r < n
+        return (1.0 - float(betaincc(delta + 1, n - delta, p))) - float(
+            betaincc(delta, n - delta + 1, p)
+        )
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = balance(mid)
+        if abs(f_mid) < tolerance:
+            return mid
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"no convergence for imbalance {delta}, crowd parameter {m}")
+
 
 # Frozen reference roots, five decimal places.
 REFERENCE_ROOTS = {
@@ -104,6 +158,70 @@ class TestSolveLambda:
         assert info.misses == 17 and info.hits == 3
 
 
+class TestArrayBisection:
+    @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
+    def test_matches_the_scalar_bisection_bit_for_bit(self, tolerance):
+        solve_lambda.cache_clear()
+        deltas = np.arange(1, 3001)
+        roots = solve_lambda(deltas, tolerance)
+        assert roots.dtype == np.float64 and roots.shape == (3000,)
+        assert roots.tolist() == [scalar_lambda_root(d, tolerance) for d in range(1, 3001)]
+
+    def test_unsorted_repeated_and_zero_dimensional_input(self):
+        deltas = np.array([[7, 3, 7], [2999, 1, 3]])
+        for _ in range(2):  # cold, then from the cache
+            solve_lambda.cache_clear()
+            roots = solve_lambda(deltas)
+            assert roots.shape == (2, 3)
+            assert roots.tolist() == [[scalar_lambda_root(d) for d in row] for row in deltas.tolist()]
+        for delta in (np.array(5), np.int64(5), 5, 5.0):
+            root = solve_lambda(delta)
+            assert type(root) is float and root == scalar_lambda_root(5)
+
+    def test_cache_counts_each_root(self):
+        solve_lambda.cache_clear()
+        solve_lambda([7, 3, 7])
+        solve_lambda(np.array([3, 4]), MAX_TOLERANCE)
+        info = solve_lambda.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+        solve_lambda.cache_clear()
+        info = solve_lambda.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_residual_elementwise(self):
+        lam = np.array([1.0, 2.5, 7.2])
+        values = indifference_residual(lam, np.array([1, 2, 7]))
+        assert values.tolist() == [
+            indifference_residual(float(x), d) for x, d in zip(lam, (1, 2, 7))
+        ]
+        assert type(indifference_residual(1.0, 1)) is float
+
+    def test_bad_entry_is_named(self):
+        with pytest.raises(ValueError, match="got 0"):
+            solve_lambda(np.array([3, 0, 5]))
+        with pytest.raises(ValueError, match="got 2.5"):
+            solve_lambda([1, 2.5])
+        with pytest.raises(ValueError, match="got nan"):
+            indifference_residual([1.0, np.nan], 3)
+
+    def test_unconverged_root_names_its_imbalance(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
+        solve_lambda.cache_clear()
+        with pytest.raises(NumericError, match="after 3 bisections for imbalance 4$"):
+            solve_lambda(np.array([4, 5]))
+        solve_lambda.cache_clear()
+
+    def test_missing_sign_change_names_its_imbalance(self, monkeypatch):
+        def flat_cdf(r, lam):
+            return np.zeros(np.broadcast(r, lam).shape)
+
+        monkeypatch.setattr(solver, "poisson_cdf", flat_cdf)
+        solve_lambda.cache_clear()
+        with pytest.raises(NumericError, match=r"no sign change on \[1.0, 4.0\] for imbalance 2"):
+            solve_lambda(np.array([2, 3]))
+        solve_lambda.cache_clear()
+
+
 class TestLambdaGap:
     def test_reference_gaps(self):
         assert lambda_gap(1) == pytest.approx(0.14619, abs=1e-5)
@@ -155,6 +273,22 @@ class TestSolvePFinite:
                 p = solve_p_finite(delta, m, 1e-12)
                 errors.append(abs(p * (m + delta + 1) - limit))
             assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    def test_matches_the_scalar_bisection_bit_for_bit(self):
+        deltas = np.array([1, 2, 3, 5, 10, 40])
+        ms = np.array([40, 100, 2001, 10**4, 10**6])
+        roots = solve_p_finite(deltas[:, None], ms[None, :])
+        assert roots.shape == (6, 5)
+        expected = [[scalar_p_finite_root(d, m) for m in ms.tolist()] for d in deltas.tolist()]
+        assert roots.tolist() == expected
+        assert solve_p_finite(3, 2001, 1e-9) == scalar_p_finite_root(3, 2001, 1e-9)
+        assert type(solve_p_finite(3, 2001)) is float
+
+    def test_bad_entry_is_named(self):
+        with pytest.raises(ValueError, match="imbalance 5 exceeds crowd parameter 3"):
+            solve_p_finite([1, 5], 3)
+        with pytest.raises(ValueError, match="got 0"):
+            finite_m_balance(0.5, 1, [4, 0])
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
