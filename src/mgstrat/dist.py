@@ -52,7 +52,8 @@ def binomial_cdf(
     n = integers(n, "n", 0)
     p = probabilities(p)
     below = r < n
-    # 1 - I_p(r + 1, n - r), and 1 wherever r >= n.  scipy's bdtr evaluates
+    # 1 - I_p(r + 1, n - r), and 1 wherever r >= n (b = 1 only keeps those
+    # masked-out evaluations valid).  scipy's bdtr evaluates
     # I_{1-p}(n - r, r + 1) instead, and rounding 1 - p costs it ~n*eps of
     # relative accuracy when p is small (4.5e-10 at n = 1e6, p = 2e-6).
     tail = _special().betaincc(r + 1, np.where(below, n - r, 1), p)

@@ -146,19 +146,19 @@ def indifference_residual(
 def _lambda_roots(deltas: np.ndarray, tolerance: float) -> np.ndarray:
     """Roots of the indifference residual for a 1-d array of imbalances."""
     counts = _counts(deltas)
+
+    def unbracketed(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        # The former scalar test: not residual(lo) > 0 > residual(hi).
+        return ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
+
     lo = deltas.astype(np.float64)
     hi = lo + 1.0
-    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
-    if unbracketed.any():
-        wide = deltas[unbracketed]
-        lo[unbracketed] = 0.5 * wide
-        hi[unbracketed] = wide + 2.0
-        failed = ~(
-            (_residual(lo[unbracketed], counts[:, unbracketed]) > 0.0)
-            & (_residual(hi[unbracketed], counts[:, unbracketed]) < 0.0)
-        )
-        if failed.any():
-            delta = int(wide[failed][0])
+    wide = unbracketed(lo, hi, counts)
+    if wide.any():
+        lo[wide], hi[wide] = 0.5 * deltas[wide], deltas[wide] + 2.0
+        failed = deltas[wide][unbracketed(lo[wide], hi[wide], counts[:, wide])]
+        if failed.size:
+            delta = int(failed[0])
             raise NumericError(
                 f"switch-rate solver: no sign change on [{0.5 * delta}, "
                 f"{float(delta + 2)}] for imbalance {delta}"

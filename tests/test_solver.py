@@ -173,7 +173,8 @@ class TestArrayBisection:
             solve_lambda.cache_clear()
             roots = solve_lambda(deltas)
             assert roots.shape == (2, 3)
-            assert roots.tolist() == [[scalar_lambda_root(d) for d in row] for row in deltas.tolist()]
+            expected = [[scalar_lambda_root(d) for d in row] for row in deltas.tolist()]
+            assert roots.tolist() == expected
         for delta in (np.array(5), np.int64(5), 5, 5.0):
             root = solve_lambda(delta)
             assert type(root) is float and root == scalar_lambda_root(5)
