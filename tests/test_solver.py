@@ -169,8 +169,8 @@ class TestArrayBisection:
 
     def test_unsorted_repeated_and_zero_dimensional_input(self):
         deltas = np.array([[7, 3, 7], [2999, 1, 3]])
+        solve_lambda.cache_clear()
         for _ in range(2):  # cold, then from the cache
-            solve_lambda.cache_clear()
             roots = solve_lambda(deltas)
             assert roots.shape == (2, 3)
             expected = [[scalar_lambda_root(d) for d in row] for row in deltas.tolist()]
