@@ -7,13 +7,29 @@ result back as a float when the input was scalar.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+# Up to this many entries, testing the listed values in Python beats numpy's
+# fixed cost of ~1 us a call.  The bisection checks one- and two-entry
+# arrays at every step once a single root is left open.
+_FEW = 8
 
-def _all(ok: np.ndarray, array: np.ndarray) -> bool:
-    # count_nonzero costs a third of ok.all() on the 0-d and one-entry
-    # arrays the bisection passes at every step.
-    return np.count_nonzero(ok) == array.size
+
+def _first_bad(
+    array: np.ndarray, ok: Callable[[np.ndarray], np.ndarray]
+) -> float | int | None:
+    """The first entry that fails ``ok``, or None when every entry passes.
+
+    ``ok`` must accept both an array and a Python number.
+    """
+    if array.size <= _FEW:
+        if all(map(ok, array.ravel().tolist())):
+            return None
+    elif np.count_nonzero(ok(array)) == array.size:
+        return None
+    return array[~ok(array)].flat[0]
 
 
 def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray:
@@ -21,13 +37,14 @@ def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray
     array = np.asarray(values)
     if array.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be an integer, got {values!r}")
-    ok = array >= minimum
     if array.dtype.kind == "f":
-        ok &= (array == np.floor(array)) & np.isfinite(array)
-    if not _all(ok, array):
-        raise ValueError(
-            f"{name} must be an integer of at least {minimum}, got {array[~ok].flat[0]}"
+        bad = _first_bad(
+            array, lambda x: (x >= minimum) & (x < np.inf) & (x == np.floor(x))
         )
+    else:
+        bad = _first_bad(array, lambda x: x >= minimum)
+    if bad is not None:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {bad}")
     return array
 
 
@@ -36,19 +53,22 @@ def means(
 ) -> np.ndarray:
     """Finite float64 entries, nonnegative or (with ``positive``) above zero."""
     array = np.asarray(values, dtype=np.float64)
-    ok = ((array > 0.0) if positive else (array >= 0.0)) & np.isfinite(array)
-    if not _all(ok, array):
+    if positive:
+        bad = _first_bad(array, lambda x: (x > 0.0) & (x < np.inf))
+    else:
+        bad = _first_bad(array, lambda x: (x >= 0.0) & (x < np.inf))
+    if bad is not None:
         sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {sign}, got {array[~ok].flat[0]}")
+        raise ValueError(f"{name} must be finite and {sign}, got {bad}")
     return array
 
 
 def probabilities(values: np.typing.ArrayLike) -> np.ndarray:
     """Float64 entries in [0, 1]."""
     array = np.asarray(values, dtype=np.float64)
-    ok = (array >= 0.0) & (array <= 1.0)
-    if not _all(ok, array):
-        raise ValueError(f"probability must lie in [0, 1], got {array[~ok].flat[0]}")
+    bad = _first_bad(array, lambda x: (x >= 0.0) & (x <= 1.0))
+    if bad is not None:
+        raise ValueError(f"probability must lie in [0, 1], got {bad}")
     return array
 
 

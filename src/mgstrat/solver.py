@@ -95,24 +95,43 @@ def _bisect(
     """
     roots = np.empty_like(lo)
     index = np.arange(lo.size)
-    for _ in range(_MAX_BISECTIONS):
+    steps = 0
+    while index.size > 1 and steps < _MAX_BISECTIONS:
+        steps += 1
         mid = 0.5 * (lo + hi)
         f_mid = residual(mid, *params)
         done = np.abs(f_mid) < tolerance
-        # count_nonzero: a third of the cost of .any() on one-entry arrays
+        # count_nonzero: a third of the cost of .any() on small arrays
         if np.count_nonzero(done):
             roots[index[done]] = mid[done]
             open_ = ~done
-            if not np.count_nonzero(open_):
-                return roots
             index, lo, hi, mid, f_mid = (a[open_] for a in (index, lo, hi, mid, f_mid))
             params = tuple(a[..., open_] for a in params)
         above = f_mid > 0.0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
+    if index.size == 1:
+        # The last open entry -- the only one of a scalar solve -- steps on
+        # in Python floats, which round as float64 arrays do; the numpy
+        # calls of an array step would cost ~1 us each.
+        lo, hi = float(lo[0]), float(hi[0])
+        params = tuple(a[..., 0] for a in params)
+        while steps < _MAX_BISECTIONS:
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            f_mid = float(residual(mid, *params))
+            if abs(f_mid) < tolerance:
+                roots[index[0]] = mid
+                return roots
+            if f_mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    if not index.size:
+        return roots
     raise NumericError(
-        f"{solver}: residual still {f_mid[0]:.3e} after {_MAX_BISECTIONS} "
-        f"bisections for {label(index[0])}"
+        f"{solver}: residual still {np.ravel(f_mid)[0]:.3e} after "
+        f"{_MAX_BISECTIONS} bisections for {label(index[0])}"
     )
 
 
@@ -124,8 +143,8 @@ def _counts(delta: np.ndarray) -> np.ndarray:
 def _residual(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1);
     # one CDF call evaluates both terms.
-    below, upto = poisson_cdf(counts, lam)
-    return below + upto - 1.0
+    cdf = poisson_cdf(counts, lam)
+    return cdf[0] + cdf[1] - 1.0
 
 
 def indifference_residual(
@@ -330,8 +349,7 @@ class LambdaTable:
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def lookup(self, delta: int) -> float:
-        if delta != int(delta) or delta < 1:
-            raise ValueError(f"imbalance must be a positive integer, got {delta}")
+        delta = int(_check_delta(delta))
         if delta <= self.delta_max:
             return self.entries[delta]
         return delta + ASYMPTOTIC_GAP

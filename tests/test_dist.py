@@ -67,6 +67,21 @@ class TestPoissonCdf:
         with pytest.raises(ValueError, match="got inf"):
             poisson_cdf([np.inf, 1.0], 1.0)
 
+    def test_bad_entry_is_named_in_long_arrays(self):
+        # Short and long arrays are checked by different code; both name the entry.
+        r = np.arange(20)
+        r[15] = -3
+        with pytest.raises(ValueError, match="got -3"):
+            poisson_cdf(r, 1.0)
+        lam = np.linspace(0.0, 5.0, 20)
+        lam[11] = np.inf
+        with pytest.raises(ValueError, match="got inf"):
+            poisson_cdf(2, lam)
+        with pytest.raises(ValueError, match="got 4.5"):
+            poisson_cdf(np.r_[np.arange(12.0), 4.5], 1.0)
+        lam[11] = 2.0
+        assert poisson_cdf(np.arange(20.0), lam).tolist() == poisson_cdf(np.arange(20), lam).tolist()
+
 
 class TestBinomial:
     def test_no_successes_when_impossible(self):
@@ -139,9 +154,15 @@ class TestBinomial:
         assert values[0, 2:].tolist() == [1.0, 1.0, 1.0]  # r >= n
         assert type(binomial_cdf(1, 3, 0.5)) is float
 
-    def test_domain_errors(self):
+    def test_bad_entry_is_named(self):
         with pytest.raises(ValueError, match="got 1.5"):
             binomial_cdf(1, 3, [0.5, 1.5])
+        with pytest.raises(ValueError, match="got -2"):
+            binomial_cdf(1, [3, -2], 0.5)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            binomial_cdf(1, 3, 1.5)
         with pytest.raises(ValueError):
             binomial_cdf(-1, 3, 0.5)
         with pytest.raises(ValueError):

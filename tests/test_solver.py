@@ -212,6 +212,24 @@ class TestArrayBisection:
             solve_lambda(np.array([4, 5]))
         solve_lambda.cache_clear()
 
+    @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
+    def test_lone_root_matches_the_scalar_bisection(self, tolerance):
+        # A single open entry finishes in Python floats; the roots must not move.
+        for delta in (1, 2, 10, 137, 1000, 3000):
+            solve_lambda.cache_clear()
+            assert solve_lambda(delta, tolerance) == scalar_lambda_root(delta, tolerance)
+
+    def test_unconverged_lone_root_names_its_imbalance(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
+        solve_lambda.cache_clear()
+        with pytest.raises(NumericError, match="after 3 bisections for imbalance 6$"):
+            solve_lambda(6)
+        solve_lambda.cache_clear()
+
+    def test_empty_input_gives_no_roots(self):
+        for roots in (solve_lambda(np.array([], int)), solve_p_finite(np.array([], int), 5)):
+            assert roots.dtype == np.float64 and roots.shape == (0,)
+
     def test_missing_sign_change_names_its_imbalance(self, monkeypatch):
         def flat_cdf(r, lam):
             return np.zeros(np.broadcast(r, lam).shape)
