@@ -34,7 +34,7 @@ from . import __version__
 from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, check_record_size, derive_rng, run
 from .kpr import kpr_run
 from .payoff import expected_payoffs
-from .solver import MAX_TOLERANCE, NumericError, solve_lambda
+from .solver import ASYMPTOTIC_GAP, MAX_TOLERANCE, NumericError, solve_lambda
 from .stats import (
     EpisodeStats,
     c_autocorrelation,
@@ -46,12 +46,17 @@ from .stats import (
 
 __all__ = [
     "RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTDIR_ENV", "MAX_EPSILONS",
+    "MAX_DELTA_MAX",
 ]
 
 OUTDIR_ENV = "MGSTRAT_OUTDIR"
 
 # Most values an epsilons range may expand to; checked before the list is built.
 MAX_EPSILONS = 100_000
+
+# Largest imbalance solve-lambda and payoff-table tabulate: 10**6 rows take
+# 8-10 s and 0.2 GB on 2 vCPUs; a larger value could exhaust memory.
+MAX_DELTA_MAX = 10**6
 
 
 def _number(name: str, value: Any, kind: type) -> int | float:
@@ -160,12 +165,12 @@ _BURN_IN = Param("burn_in", int, 0, "leading days left out of the statistics", l
 # Every parameter of every subcommand, with the subcommand's help line.
 _SUBCOMMANDS: dict[str, tuple[str, tuple[Param, ...]]] = {
     "solve-lambda": ("tabulate cheat-proof switch-rate means", (
-        Param("delta_max", int, 10, "largest imbalance tabulated", lo=1),
+        Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
         Param("tolerance", float, 1e-10, "bisection stops once |residual| is below this",
               lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
     )),
     "payoff-table": ("stay/switch winning probabilities at the solved rate", (
-        Param("delta_max", int, 50, "largest imbalance tabulated", lo=1),
+        Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
     )),
     "simulate": ("run the two-restaurant crowd simulation", (
         _N,
@@ -408,7 +413,7 @@ def _run_solve_lambda(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     return {
         "rows": len(deltas),
         "gap_at_delta_max": float(gaps[-1]),
-        "asymptotic_gap": 1.0 / 6.0,
+        "asymptotic_gap": ASYMPTOTIC_GAP,
     }
 
 

@@ -23,13 +23,14 @@ grows with the number of movers, not with n (see ``_fill_choice_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .solver import ASYMPTOTIC_GAP, LambdaTable, default_delta_max
+from .solver import LambdaTable, default_delta_max
 
 __all__ = [
     "RESTAURANT_A",
@@ -44,6 +45,7 @@ __all__ = [
     "row_bytes",
     "run",
     "derive_rng",
+    "switch_probabilities",
 ]
 
 RESTAURANT_A = 0
@@ -93,12 +95,6 @@ class StrategyConfig:
     reset_prefactor: float = 0.5
     seed: int = 0
     mode: str = MODE_STRATEGY
-    _table: LambdaTable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _probabilities: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n != int(self.n) or self.n < 1 or self.n % 2 == 0:
@@ -130,39 +126,23 @@ class StrategyConfig:
             return 1.0
         return self.reset_prefactor * self.m ** (self.epsilon - 1.0)
 
-    def _lambda_table(self) -> LambdaTable:
-        if self._table is None:
-            self._table = LambdaTable(delta_max=default_delta_max(self.n))
-        return self._table
 
-    def switch_probability(self, excess: int) -> float:
-        """Per-agent flip probability for a crowd overshooting by ``excess``."""
-        if excess < 1:
-            raise ValueError(f"excess must be at least 1, got {excess}")
-        # Overshoots past the table depth are transient; the mean falls back
-        # to the asymptotic gap inside lookup().
-        return self._lambda_table().lookup(excess) / (self.m + excess + 1)
+@lru_cache(maxsize=4)
+def switch_probabilities(n: int) -> np.ndarray:
+    """Per-agent flip probability for each excess e = 0..m of a crowd of n.
 
-    @property
-    def switch_probabilities(self) -> np.ndarray:
-        """``switch_probability(e)`` for every excess e = 0..m, as one array.
-
-        Entry 0 is 0 (a marginal crowd never switches).  Built once per
-        config and read-only: the solved rates up to the table depth, then
-        the ``e + 1/6`` asymptote, with the same float64 operations as
-        ``switch_probability``, so the values are identical.
-        """
-        if self._probabilities is None:
-            table = self._lambda_table()
-            excess = np.arange(self.m + 1)
-            lam = excess + ASYMPTOTIC_GAP
-            depth = min(table.delta_max, self.m)
-            lam[1 : depth + 1] = table.roots[:depth]
-            probabilities = lam / (self.m + excess + 1)
-            probabilities[0] = 0.0
-            probabilities.flags.writeable = False
-            self._probabilities = probabilities
-        return self._probabilities
+    Entry e >= 1 is lam(e) / (m + e + 1), with lam from a ``LambdaTable`` of
+    the default depth for n; entry 0 is 0, since a marginal crowd never
+    switches.  Read-only, and cached for the last few n: one array at
+    n = 2 * 10**6 takes 8 MB.
+    """
+    m = (int(n) - 1) // 2
+    excess = np.arange(1, m + 1)
+    rates = LambdaTable(default_delta_max(n)).lookup(excess)
+    rates /= m + excess + 1
+    probabilities = np.concatenate(([0.0], rates))
+    probabilities.flags.writeable = False
+    return probabilities
 
 
 def row_bytes(n: int) -> int:
@@ -288,7 +268,7 @@ def run(
 
     baseline = config.mode == MODE_BASELINE
     reset_q = 0.5 if baseline else config.reset_probability
-    probabilities = None if baseline else config.switch_probabilities
+    probabilities = None if baseline else switch_probabilities(n)
     wait_t = config.wait_t
     deltas = np.empty(steps + 1, dtype=np.int64)
     reset = np.zeros(steps + 1, dtype=bool)

@@ -92,7 +92,13 @@ class CheatCheck:
 
 
 def verify_no_cheat(delta: int, lam: float, tol: float = 1e-8) -> CheatCheck:
-    """Check that ``lam`` makes deviation unprofitable on both sides."""
+    """Check that ``lam`` makes deviation unprofitable on both sides.
+
+    Takes one imbalance and one mean; arrays are refused, naming the argument.
+    """
+    for name, value in (("delta", delta), ("lam", lam)):
+        if np.ndim(value):
+            raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     q = expected_payoffs(delta, lam)

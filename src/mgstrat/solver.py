@@ -31,10 +31,8 @@ up to a chosen d and extends them with the ``d + 1/6`` asymptote beyond it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -63,15 +61,13 @@ MAX_TOLERANCE = 1e-6
 
 _MAX_BISECTIONS = 200
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
 
 class NumericError(ArithmeticError):
     """A root finder failed to bracket a sign change or to converge."""
 
 
 def _check_delta(delta: np.typing.ArrayLike) -> np.ndarray:
-    return integers(delta, "imbalance", 1).astype(np.int64)
+    return integers(delta, "imbalance", 1).astype(np.int64, copy=False)
 
 
 def _bisect(
@@ -193,39 +189,6 @@ def _lambda_roots(deltas: np.ndarray, tolerance: float) -> np.ndarray:
     )
 
 
-class _RootCache:
-    """Solved roots by (imbalance, tolerance).
-
-    Hits and misses are counted per root, as ``functools.lru_cache`` would
-    count one scalar call per imbalance.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self._roots: dict[float, dict[int, float]] = {}
-        self._hits = self._misses = 0
-
-    def info(self) -> _CacheInfo:
-        size = sum(map(len, self._roots.values()))
-        return _CacheInfo(self._hits, self._misses, None, size)
-
-    def roots(self, deltas: np.ndarray, tolerance: float) -> np.ndarray:
-        keys = deltas.ravel().tolist()
-        cached = self._roots.setdefault(tolerance, {})
-        missing = sorted(set(keys).difference(cached))
-        self._misses += len(missing)
-        self._hits += len(keys) - len(missing)
-        if missing:
-            solved = _lambda_roots(np.array(missing), tolerance)
-            cached.update(zip(missing, solved.tolist()))
-        return np.array([cached[delta] for delta in keys]).reshape(deltas.shape)
-
-
-_ROOTS = _RootCache()
-
-
 def solve_lambda(
     delta: np.typing.ArrayLike, tolerance: float = 1e-10
 ) -> float | np.ndarray:
@@ -236,20 +199,14 @@ def solve_lambda(
     :func:`indifference_residual` on [delta, delta + 1], widening the
     bracket once for an imbalance whose sign change is not already inside.
     Stops when the residual magnitude drops below ``tolerance``, which must
-    lie in (0, MAX_TOLERANCE].  Roots are cached per (delta, tolerance), and
-    one bisection solves every imbalance the cache lacks;
-    ``solve_lambda.cache_clear()`` empties the cache.
+    lie in (0, MAX_TOLERANCE].  One bisection solves every entry.
     """
     deltas = _check_delta(delta)
     if not (0.0 < tolerance <= MAX_TOLERANCE):
         raise ValueError(
             f"tolerance must lie in (0, {MAX_TOLERANCE:g}], got {tolerance}"
         )
-    return float_or_array(_ROOTS.roots(deltas, float(tolerance)))
-
-
-solve_lambda.cache_clear = _ROOTS.clear  # type: ignore[attr-defined]
-solve_lambda.cache_info = _ROOTS.info  # type: ignore[attr-defined]
+    return float_or_array(_lambda_roots(deltas.ravel(), float(tolerance)).reshape(deltas.shape))
 
 
 def lambda_gap(delta: np.typing.ArrayLike) -> float | np.ndarray:
@@ -316,8 +273,7 @@ def solve_p_finite(
 
 def default_delta_max(n: int) -> int:
     """Table depth that comfortably covers the imbalances a crowd of n visits."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"population size must be a positive integer, got {n}")
+    n = int(integers(n, "population size", 1))
     return int(math.ceil(3.0 * math.sqrt(n))) + 10
 
 
@@ -325,31 +281,26 @@ def default_delta_max(n: int) -> int:
 class LambdaTable:
     """Precomputed cheat-proof means with an asymptotic fallback.
 
-    ``lookup`` returns the exact root for imbalances up to ``delta_max``
-    and ``delta + 1/6`` beyond it, where the table's own entries confirm
-    the approximation error is already far below simulation noise.
-    ``roots[d - 1]`` holds the root for imbalance d as a read-only array,
-    and ``entries`` maps d to the same value.
+    ``roots[d - 1]`` holds the root for imbalance d, as a read-only array.
+    ``lookup`` gives these roots up to ``delta_max`` and ``d + 1/6`` beyond
+    it, where the table's own entries confirm the approximation error is
+    already far below simulation noise.
     """
 
     delta_max: int
     tolerance: float = 1e-10
     roots: np.ndarray = field(init=False, repr=False, compare=False)
-    entries: Mapping[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.delta_max != int(self.delta_max) or self.delta_max < 1:
-            raise ValueError(
-                f"table depth must be a positive integer, got {self.delta_max}"
-            )
-        roots = solve_lambda(np.arange(1, int(self.delta_max) + 1), self.tolerance)
+        depth = int(integers(self.delta_max, "table depth", 1))
+        roots = solve_lambda(np.arange(1, depth + 1), self.tolerance)
         roots.flags.writeable = False
         object.__setattr__(self, "roots", roots)
-        entries = dict(enumerate(roots.tolist(), start=1))
-        object.__setattr__(self, "entries", MappingProxyType(entries))
 
-    def lookup(self, delta: int) -> float:
-        delta = int(_check_delta(delta))
-        if delta <= self.delta_max:
-            return self.entries[delta]
-        return delta + ASYMPTOTIC_GAP
+    def lookup(self, delta: np.typing.ArrayLike) -> float | np.ndarray:
+        """The mean for each imbalance in ``delta``; a float for scalar input."""
+        delta = _check_delta(delta)
+        inside = delta <= self.roots.size
+        lam = np.asarray(delta + ASYMPTOTIC_GAP)
+        lam[inside] = self.roots[delta[inside] - 1]
+        return float_or_array(lam)

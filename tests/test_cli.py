@@ -168,6 +168,8 @@ BAD_CONFIG_VALUES = [
     ("simulate", "stats", "null"),
     ("kpr", "max_steps", "2.5"),
     ("simulate", "reset_prefactor", "1e400"),
+    ("solve-lambda", "delta_max", "1000000000000000"),
+    ("payoff-table", "delta_max", "1000000000000000"),
 ]
 
 
@@ -195,6 +197,8 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, subcommand, k
         (["sweep", "--steps", "100000000000000"], "steps"),
         (["simulate", "--steps", "100000000000000"], "steps"),
         (["simulate", "--n", "200001", "--steps", "100000000000000", "--stats"], "steps"),
+        (["solve-lambda", "--delta-max", "1000000000000000"], "delta_max"),
+        (["payoff-table", "--delta-max", "1000000000000000"], "delta_max"),
     ],
 )
 def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):

@@ -33,8 +33,9 @@ from mgstrat.engine import (
     derive_rng,
     row_bytes,
     run,
+    switch_probabilities,
 )
-from mgstrat.solver import solve_lambda
+from mgstrat.solver import ASYMPTOTIC_GAP, default_delta_max, solve_lambda
 
 
 def start_with_attendance(n: int, attendance_a: int) -> np.ndarray:
@@ -64,7 +65,7 @@ def one_day_law(config: StrategyConfig, attendance: int) -> np.ndarray:
     toward = 1 if delta >= 0 else -1  # a crowd mover's step in attendance
     k = np.arange(crowd + 1)
     if excess >= 1:
-        pmf = sps.binom.pmf(k, crowd, config.switch_probability(excess))
+        pmf = sps.binom.pmf(k, crowd, switch_probabilities(n)[excess])
         np.add.at(law, attendance + toward * k, pmf)
     elif config.wait_t > 0:
         law[attendance] = 1.0
@@ -113,29 +114,31 @@ class TestStrategyConfig:
         assert StrategyConfig(n=1, epsilon=0.5).reset_probability == 1.0
 
     def test_switch_probability_uses_solved_rate(self):
-        config = StrategyConfig(n=2001)
         expected = solve_lambda(3) / (1000 + 3 + 1)
-        assert config.switch_probability(3) == pytest.approx(expected, rel=1e-12)
+        assert switch_probabilities(2001)[3] == pytest.approx(expected, rel=1e-12)
 
     def test_switch_probability_beyond_table_uses_asymptote(self):
-        config = StrategyConfig(n=5)
-        # excess far past the default depth 17: the rate falls back to e + 1/6
-        assert config.switch_probability(40) == pytest.approx(
-            (40 + 1 / 6) / (2 + 40 + 1)
+        # n = 201 has m = 100 and default depth 53, so a run can reach
+        # excess 80, where the rate falls back to e + 1/6
+        assert switch_probabilities(201)[80] == pytest.approx(
+            (80 + ASYMPTOTIC_GAP) / (100 + 80 + 1)
         )
 
     @pytest.mark.parametrize("n", [5, 201, 200_001])
     def test_switch_probabilities_match_the_scalar_rate(self, n):
         # Table depths are 17, 53 and 1352, so n = 201 and 200 001 cover
         # excesses both inside and past the depth; n = 5 has m = 2 < 17.
-        config = StrategyConfig(n=n)
-        table = config.switch_probabilities
-        assert table.dtype == np.float64 and table.shape == (config.m + 1,)
+        m, depth = (n - 1) // 2, default_delta_max(n)
+        table = switch_probabilities(n)
+        assert table.dtype == np.float64 and table.shape == (m + 1,)
         assert not table.flags.writeable
         assert table[0] == 0.0
-        expected = [config.switch_probability(e) for e in range(1, config.m + 1)]
+        expected = [
+            (solve_lambda(e) if e <= depth else e + ASYMPTOTIC_GAP) / (m + e + 1)
+            for e in range(1, m + 1)
+        ]
         assert table[1:].tolist() == expected
-        assert config.switch_probabilities is table
+        assert switch_probabilities(n) is table
 
     def test_bad_wait_and_mode(self):
         with pytest.raises(ValueError):

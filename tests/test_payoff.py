@@ -137,6 +137,12 @@ class TestVerifyNoCheat:
         with pytest.raises(ValueError):
             verify_no_cheat(1, 1.0, tol=0.0)
 
+    def test_array_argument_is_named(self):
+        with pytest.raises(ValueError, match="^delta must be a scalar"):
+            verify_no_cheat(np.array([1, 2]), np.array([1.14619, 2.15592]))
+        with pytest.raises(ValueError, match="^lam must be a scalar"):
+            verify_no_cheat(1, [1.14619])
+
 
 class TestPayoffCurve:
     def test_first_row(self):

@@ -148,20 +148,10 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(3, tolerance=1e-5)
 
-    def test_one_cache_entry_per_root(self):
-        solve_lambda.cache_clear()
-        solve_lambda(17)
-        solve_lambda(17, 1e-10)
-        solve_lambda(17, tolerance=1e-10)
-        LambdaTable(delta_max=17)
-        info = solve_lambda.cache_info()
-        assert info.misses == 17 and info.hits == 3
-
 
 class TestArrayBisection:
     @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
     def test_matches_the_scalar_bisection_bit_for_bit(self, tolerance):
-        solve_lambda.cache_clear()
         deltas = np.arange(1, 3001)
         roots = solve_lambda(deltas, tolerance)
         assert roots.dtype == np.float64 and roots.shape == (3000,)
@@ -169,8 +159,7 @@ class TestArrayBisection:
 
     def test_unsorted_repeated_and_zero_dimensional_input(self):
         deltas = np.array([[7, 3, 7], [2999, 1, 3]])
-        solve_lambda.cache_clear()
-        for _ in range(2):  # cold, then from the cache
+        for _ in range(2):  # a repeat solve gives the same roots
             roots = solve_lambda(deltas)
             assert roots.shape == (2, 3)
             expected = [[scalar_lambda_root(d) for d in row] for row in deltas.tolist()]
@@ -178,16 +167,6 @@ class TestArrayBisection:
         for delta in (np.array(5), np.int64(5), 5, 5.0):
             root = solve_lambda(delta)
             assert type(root) is float and root == scalar_lambda_root(5)
-
-    def test_cache_counts_each_root(self):
-        solve_lambda.cache_clear()
-        solve_lambda([7, 3, 7])
-        solve_lambda(np.array([3, 4]), MAX_TOLERANCE)
-        info = solve_lambda.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
-        solve_lambda.cache_clear()
-        info = solve_lambda.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_residual_elementwise(self):
         lam = np.array([1.0, 2.5, 7.2])
@@ -207,24 +186,19 @@ class TestArrayBisection:
 
     def test_unconverged_root_names_its_imbalance(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
-        solve_lambda.cache_clear()
         with pytest.raises(NumericError, match="after 3 bisections for imbalance 4$"):
             solve_lambda(np.array([4, 5]))
-        solve_lambda.cache_clear()
 
     @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
     def test_lone_root_matches_the_scalar_bisection(self, tolerance):
         # A single open entry finishes in Python floats; the roots must not move.
         for delta in (1, 2, 10, 137, 1000, 3000):
-            solve_lambda.cache_clear()
             assert solve_lambda(delta, tolerance) == scalar_lambda_root(delta, tolerance)
 
     def test_unconverged_lone_root_names_its_imbalance(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
-        solve_lambda.cache_clear()
         with pytest.raises(NumericError, match="after 3 bisections for imbalance 6$"):
             solve_lambda(6)
-        solve_lambda.cache_clear()
 
     def test_empty_input_gives_no_roots(self):
         for roots in (solve_lambda(np.array([], int)), solve_p_finite(np.array([], int), 5)):
@@ -235,10 +209,8 @@ class TestArrayBisection:
             return np.zeros(np.broadcast(r, lam).shape)
 
         monkeypatch.setattr(solver, "poisson_cdf", flat_cdf)
-        solve_lambda.cache_clear()
         with pytest.raises(NumericError, match=r"no sign change on \[1.0, 4.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
-        solve_lambda.cache_clear()
 
 
 class TestLambdaGap:
@@ -321,7 +293,7 @@ class TestSolvePFinite:
 class TestLambdaTable:
     def test_entries_satisfy_residual_bound(self):
         table = LambdaTable(delta_max=40, tolerance=1e-10)
-        for delta, lam in table.entries.items():
+        for delta, lam in enumerate(table.roots.tolist(), start=1):
             assert abs(indifference_residual(lam, delta)) < table.tolerance
 
     def test_lookup_exact_below_and_asymptote_above(self):
@@ -330,9 +302,21 @@ class TestLambdaTable:
         assert table.lookup(13) == 13 + ASYMPTOTIC_GAP
         assert table.lookup(500) == 500 + ASYMPTOTIC_GAP
 
+    def test_lookup_elementwise(self):
+        table = LambdaTable(delta_max=12)
+        deltas = np.array([1, 12, 13, 500])
+        values = table.lookup(deltas)
+        assert values.dtype == np.float64 and values.shape == (4,)
+        assert values.tolist() == [table.lookup(d) for d in deltas.tolist()] == [
+            solve_lambda(1), solve_lambda(12), 13 + ASYMPTOTIC_GAP, 500 + ASYMPTOTIC_GAP
+        ]
+        assert type(table.lookup(np.int64(12))) is float
+        with pytest.raises(ValueError, match="got 0"):
+            table.lookup(np.array([3, 0, 13]))
+
     def test_gap_above_zero_and_increasing(self):
         table = LambdaTable(delta_max=30)
-        gaps = [table.entries[d] - d for d in range(1, 31)]
+        gaps = [table.roots[d - 1] - d for d in range(1, 31)]
         assert all(g > 0 for g in gaps)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
