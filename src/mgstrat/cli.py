@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +57,11 @@ MAX_EPSILONS = 100_000
 # Largest imbalance solve-lambda and payoff-table tabulate: 10**6 rows take
 # 8-10 s and 0.2 GB on 2 vCPUs; a larger value could exhaust memory.
 MAX_DELTA_MAX = 10**6
+
+# Most agents kpr takes: it keeps about 114 bytes of arrays per agent
+# (493 MB peak at n = 4 * 10**6), so these stay below the engine's 1 GiB
+# MAX_RECORD_BYTES.
+_KPR_MAX_N = 8 * 10**6
 
 
 def _number(name: str, value: Any, kind: type) -> int | float:
@@ -162,50 +167,6 @@ _PREFACTOR = Param(
 )
 _BURN_IN = Param("burn_in", int, 0, "leading days left out of the statistics", lo=0)
 
-# Every parameter of every subcommand, with the subcommand's help line.
-_SUBCOMMANDS: dict[str, tuple[str, tuple[Param, ...]]] = {
-    "solve-lambda": ("tabulate cheat-proof switch-rate means", (
-        Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
-        Param("tolerance", float, 1e-10, "bisection stops once |residual| is below this",
-              lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
-    )),
-    "payoff-table": ("stay/switch winning probabilities at the solved rate", (
-        Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
-    )),
-    "simulate": ("run the two-restaurant crowd simulation", (
-        _N,
-        Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
-        _STEPS,
-        _SEED,
-        _WAIT_T,
-        _PREFACTOR,
-        Param("mode", str, MODE_STRATEGY, "strategy, or a uniform redraw every day",
-              choices=(MODE_STRATEGY, "baseline", MODE_BASELINE)),
-        Param("record_choices", bool, False, "keep every agent's daily choice"),
-        Param("stats", bool, False, "also write the derived statistics; turns on "
-              "choice recording"),
-        _BURN_IN,
-        Param("tau_max", int, 100, "largest autocorrelation lag", lo=1),
-    )),
-    "sweep": ("inefficiency versus epsilon over many seeds", (
-        _N,
-        Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
-              lo=0.0, hi=1.0),
-        Param("seeds", int, 20, "runs per epsilon", lo=1),
-        _STEPS,
-        _SEED,
-        _WAIT_T,
-        _PREFACTOR,
-        _BURN_IN,
-    )),
-    "kpr": ("ranked-restaurant cyclic-strategy convergence", (
-        Param("n", int, 64, "agents and restaurants", lo=1),
-        Param("seeds", int, 200, "independent runs", lo=1),
-        Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
-        _SEED,
-    )),
-}
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -223,28 +184,23 @@ class RunManifest:
     outputs: tuple[str, ...]
     outdir: Path
 
-    def canonical(self) -> str:
-        payload = {
+    def _payload(self) -> dict[str, Any]:
+        return {
             "subcommand": self.subcommand,
             "params": self.params,
             "seed": self.seed,
             "version": self.version,
             "outputs": list(self.outputs),
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def canonical(self) -> str:
+        return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
     def document(self) -> dict[str, Any]:
-        return {
-            "manifest_hash": self.digest(),
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
+        return {"manifest_hash": self.digest(), **self._payload()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,15 +212,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"mgstrat {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for subcommand, (help_line, table) in _SUBCOMMANDS.items():
-        p = sub.add_parser(subcommand, help=help_line)
+    for subcommand, entry in _SUBCOMMANDS.items():
+        p = sub.add_parser(subcommand, help=entry.help)
         p.add_argument("--config", type=Path, help="JSON file of key/value settings")
         p.add_argument(
             "--outdir",
             type=Path,
             help=f"output directory (default: ${OUTDIR_ENV} or ./out)",
         )
-        for param in table:
+        for param in entry.params:
             flag = "--" + param.name.replace("_", "-")
             if param.kind is bool:
                 p.add_argument(flag, dest=param.name, action="store_const", const=True,
@@ -317,19 +273,6 @@ def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
         check_record_size(params["n"], params["steps"], params.get("record_choices", False))
 
 
-def _planned_outputs(subcommand: str, params: dict[str, Any]) -> list[str]:
-    data = {
-        "solve-lambda": ["lambda_table.csv"],
-        "payoff-table": ["payoff_table.csv"],
-        "simulate": ["trajectory.csv"],
-        "sweep": ["sweep.csv"],
-        "kpr": ["kpr_runs.csv"],
-    }[subcommand]
-    if subcommand == "simulate" and params["stats"]:
-        data += ["delta_hist.csv", "s_autocorr.csv", "c_autocorr.csv"]
-    return data + ["manifest.json", "summary.json"]
-
-
 def parse_config(
     argv: Sequence[str] | None = None, config_file: str | Path | None = None
 ) -> RunManifest:
@@ -342,16 +285,16 @@ def parse_config(
     """
     namespace = _build_parser().parse_args(argv)
     subcommand = namespace.subcommand
-    table = _SUBCOMMANDS[subcommand][1]
-    raw = {param.name: param.default for param in table}
+    entry = _SUBCOMMANDS[subcommand]
+    raw = {param.name: param.default for param in entry.params}
     config_path = namespace.config or (Path(config_file) if config_file else None)
     if config_path is not None:
         raw.update(_load_config_file(config_path, raw))
-    for param in table:
+    for param in entry.params:
         flag_value = getattr(namespace, param.name)
         if flag_value is not None:
             raw[param.name] = flag_value
-    params = {param.name: param.coerce(raw[param.name]) for param in table}
+    params = {param.name: param.coerce(raw[param.name]) for param in entry.params}
     _apply_cross_key_rules(subcommand, params)
     outdir = namespace.outdir or Path(os.environ.get(OUTDIR_ENV) or "out")
     return RunManifest(
@@ -359,7 +302,8 @@ def parse_config(
         params=params,
         seed=params.get("seed"),
         version=__version__,
-        outputs=tuple(_planned_outputs(subcommand, params)),
+        outputs=(*(name for name, flag in entry.data.items() if flag is None or params[flag]),
+                 "manifest.json", "summary.json"),
         outdir=Path(outdir),
     )
 
@@ -549,12 +493,66 @@ def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     return results
 
 
-_RUNNERS: dict[str, Callable[[RunManifest, Path], dict[str, Any]]] = {
-    "solve-lambda": _run_solve_lambda,
-    "payoff-table": _run_payoff_table,
-    "simulate": _run_simulate,
-    "sweep": _run_sweep,
-    "kpr": _run_kpr,
+class _Subcommand(NamedTuple):
+    """Everything one subcommand declares.
+
+    ``data`` maps each data file, in output order, to the bool parameter
+    that turns it on, or to None for a file always written.
+    """
+
+    help: str
+    params: tuple[Param, ...]
+    data: dict[str, str | None]
+    runner: Callable[[RunManifest, Path], dict[str, Any]]
+
+
+_SUBCOMMANDS = {
+    "solve-lambda": _Subcommand("tabulate cheat-proof switch-rate means", (
+        Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
+        Param("tolerance", float, 1e-10, "bisection stops once |residual| is below this",
+              lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
+    ), {"lambda_table.csv": None}, _run_solve_lambda),
+    "payoff-table": _Subcommand("stay/switch winning probabilities at the solved rate", (
+        Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
+    ), {"payoff_table.csv": None}, _run_payoff_table),
+    "simulate": _Subcommand("run the two-restaurant crowd simulation", (
+        _N,
+        Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
+        _STEPS,
+        _SEED,
+        _WAIT_T,
+        _PREFACTOR,
+        Param("mode", str, MODE_STRATEGY, "strategy, or a uniform redraw every day",
+              choices=(MODE_STRATEGY, "baseline", MODE_BASELINE)),
+        Param("record_choices", bool, False, "keep every agent's daily choice in memory "
+              "for --stats (no file holds it); counts toward the 1 GiB record limit"),
+        Param("stats", bool, False, "also write the derived statistics; turns on "
+              "choice recording"),
+        _BURN_IN,
+        Param("tau_max", int, 100, "largest autocorrelation lag", lo=1),
+    ), {
+        "trajectory.csv": None,
+        "delta_hist.csv": "stats",
+        "s_autocorr.csv": "stats",
+        "c_autocorr.csv": "stats",
+    }, _run_simulate),
+    "sweep": _Subcommand("inefficiency versus epsilon over many seeds", (
+        _N,
+        Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
+              lo=0.0, hi=1.0),
+        Param("seeds", int, 20, "runs per epsilon", lo=1),
+        _STEPS,
+        _SEED,
+        _WAIT_T,
+        _PREFACTOR,
+        _BURN_IN,
+    ), {"sweep.csv": None}, _run_sweep),
+    "kpr": _Subcommand("ranked-restaurant cyclic-strategy convergence", (
+        Param("n", int, 64, "agents and restaurants", lo=1, hi=_KPR_MAX_N),
+        Param("seeds", int, 200, "independent runs", lo=1),
+        Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
+        _SEED,
+    ), {"kpr_runs.csv": None}, _run_kpr),
 }
 
 
@@ -562,7 +560,7 @@ def dispatch(manifest: RunManifest) -> int:
     """Run the manifest's subcommand and write all of its outputs."""
     outdir = manifest.outdir
     outdir.mkdir(parents=True, exist_ok=True)
-    results = _RUNNERS[manifest.subcommand](manifest, outdir)
+    results = _SUBCOMMANDS[manifest.subcommand].runner(manifest, outdir)
     _write_json(outdir / "manifest.json", manifest.document())
     _write_json(
         outdir / "summary.json",
@@ -579,15 +577,9 @@ def dispatch(manifest: RunManifest) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        manifest = parse_config(argv)
+        return dispatch(parse_config(argv))
     except SystemExit as exc:  # argparse has already printed its message
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return dispatch(manifest)
+        return exc.code if isinstance(exc.code, int) else 2
     except NumericError as exc:
         print(f"numeric failure in {exc.__class__.__module__}: {exc}", file=sys.stderr)
         return 3

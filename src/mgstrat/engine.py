@@ -57,6 +57,11 @@ MODE_BASELINE = "random-baseline"
 # Largest trajectory record ``run`` allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
 
+# Bytes per agent that bound the arrays a run builds from n alone: one day
+# at n = 2 * 10**7 peaks at 293 MB (477 MB with the choice record), against
+# 54 MB at n = 201, so about 12 (21) bytes per agent.
+_AGENT_BYTES = 24
+
 # A side that loses more than this fraction of its agents in one night is
 # shuffled whole (~16 ns an agent) rather than swapped mover by mover
 # (~150 ns a mover).
@@ -75,9 +80,7 @@ _SHUFFLE_B = -2
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (master seed, run indices...)."""
-    if key:
-        return np.random.default_rng([int(seed), *(int(k) for k in key)])
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng([int(seed), *(int(k) for k in key)])
 
 
 @dataclass
@@ -209,16 +212,23 @@ class Trajectory:
 
 
 def check_record_size(n: int, steps: int, record_choices: bool) -> None:
-    """Refuse a run whose record would exceed MAX_RECORD_BYTES.
+    """Refuse a run whose record or per-agent arrays would exceed MAX_RECORD_BYTES.
 
     Each day keeps an int64 imbalance and a one-byte reset flag (9 bytes),
-    plus a packed row of ``row_bytes(n)`` when choices are recorded.
+    plus a packed row of ``row_bytes(n)`` when choices are recorded.  The
+    switch probabilities, the agents' order and their temporaries take at
+    most ``_AGENT_BYTES`` per agent.
     """
     need = (steps + 1) * (9 + (row_bytes(n) if record_choices else 0))
     if need > MAX_RECORD_BYTES:
         raise ValueError(
             f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
             f"needs a {need / 2**30:.3g} GiB record, above the "
+            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit"
+        )
+    if n * _AGENT_BYTES > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"n {n} needs {n * _AGENT_BYTES / 2**30:.3g} GiB of per-agent arrays, above the "
             f"{MAX_RECORD_BYTES / 2**30:g} GiB limit"
         )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integers, means
+from ._checks import float_or_array, integers, means
 from .dist import poisson_cdf, skellam_cdf
 from .solver import solve_lambda
 
@@ -129,19 +129,26 @@ class CrossProbs:
 
     ``first`` counts arrivals onto the smaller side, ``second`` departures
     from it.  The four fields are P(first < second - 2), P(first >= second),
-    P(first < second - 1), and P(first >= second + 1).
+    P(first < second - 1), and P(first >= second + 1).  Each is a float, or
+    an array when the probabilities were taken over arrays.
     """
 
-    lt_minus_2: float
-    ge: float
-    lt_minus_1: float
-    ge_plus_1: float
+    lt_minus_2: float | np.ndarray
+    ge: float | np.ndarray
+    lt_minus_1: float | np.ndarray
+    ge_plus_1: float | np.ndarray
 
 
-def _cross_arrays(
+def delta0_cross_probs(
     lam_first: np.typing.ArrayLike, lam_second: np.typing.ArrayLike
-) -> tuple[np.ndarray, ...]:
-    """The four CrossProbs fields, in order, elementwise over arrays of means."""
+) -> CrossProbs:
+    """Cross probabilities for independent Poisson(lam_first), Poisson(lam_second).
+
+    Each is a value of the Skellam CDF of the count difference, in closed
+    form.  Elementwise over the broadcast means; floats for scalar input.
+    """
+    lam_first = means(lam_first, "first mean", positive=True)
+    lam_second = means(lam_second, "second mean", positive=True)
     # first < second - j  <=>  first - second <= -j - 1, and
     # first >= second + j  <=>  second - first <= -j.
     probs = (
@@ -150,18 +157,7 @@ def _cross_arrays(
         skellam_cdf(-2, lam_first, lam_second),
         skellam_cdf(-1, lam_second, lam_first),
     )
-    return tuple(np.clip(p, 0.0, 1.0) for p in probs)
-
-
-def delta0_cross_probs(lam_first: float, lam_second: float) -> CrossProbs:
-    """Cross probabilities for independent Poisson(lam_first), Poisson(lam_second).
-
-    Each is a value of the Skellam CDF of the count difference, in closed
-    form.
-    """
-    means(lam_first, "first mean", positive=True)
-    means(lam_second, "second mean", positive=True)
-    return CrossProbs(*(float(p) for p in _cross_arrays(lam_first, lam_second)))
+    return CrossProbs(*(float_or_array(np.clip(p, 0.0, 1.0)) for p in probs))
 
 
 def delta0_residuals(lam_first: float, lam_second: float) -> tuple[float, float]:
@@ -217,14 +213,14 @@ def infeasibility_scan(
         raise ValueError(
             f"grid means must lie in (0, 20], got ({lam_first}, {lam_second})"
         )
-    lt_minus_2, ge, lt_minus_1, ge_plus_1 = _cross_arrays(means[:, 0], means[:, 1])
-    scores = np.maximum(np.abs(lt_minus_2 - ge), np.abs(lt_minus_1 - ge_plus_1))
+    c = delta0_cross_probs(means[:, 0], means[:, 1])
+    scores = np.maximum(np.abs(c.lt_minus_2 - c.ge), np.abs(c.lt_minus_1 - c.ge_plus_1))
     best = int(np.argmin(scores))
     lam_first, lam_second = grid[best]
     return InfeasibilityReport(
         min_max_residual=float(scores[best]),
         worst_point=(lam_first, lam_second),
-        orderings_hold=bool(np.all((lt_minus_2 < lt_minus_1) & (ge_plus_1 < ge))),
+        orderings_hold=bool(np.all((c.lt_minus_2 < c.lt_minus_1) & (c.ge_plus_1 < c.ge))),
         points_checked=len(grid),
         tolerance=tol,
         no_joint_root=bool(scores[best] > tol),

@@ -161,23 +161,15 @@ def indifference_residual(
 def _lambda_roots(deltas: np.ndarray, tolerance: float) -> np.ndarray:
     """Roots of the indifference residual for a 1-d array of imbalances."""
     counts = _counts(deltas)
-
-    def unbracketed(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        # The former scalar test: not residual(lo) > 0 > residual(hi).
-        return ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
-
     lo = deltas.astype(np.float64)
     hi = lo + 1.0
-    wide = unbracketed(lo, hi, counts)
-    if wide.any():
-        lo[wide], hi[wide] = 0.5 * deltas[wide], deltas[wide] + 2.0
-        failed = deltas[wide][unbracketed(lo[wide], hi[wide], counts[:, wide])]
-        if failed.size:
-            delta = int(failed[0])
-            raise NumericError(
-                f"switch-rate solver: no sign change on [{0.5 * delta}, "
-                f"{float(delta + 2)}] for imbalance {delta}"
-            )
+    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
+    if unbracketed.any():
+        delta = int(deltas[unbracketed][0])
+        raise NumericError(
+            f"switch-rate solver: no sign change on [{float(delta)}, "
+            f"{float(delta + 1)}] for imbalance {delta}"
+        )
     return _bisect(
         _residual,
         lo,
@@ -196,10 +188,9 @@ def solve_lambda(
 
     Elementwise over an integer array of any shape, in any order and with
     repeats; a float for scalar input.  Bisects
-    :func:`indifference_residual` on [delta, delta + 1], widening the
-    bracket once for an imbalance whose sign change is not already inside.
-    Stops when the residual magnitude drops below ``tolerance``, which must
-    lie in (0, MAX_TOLERANCE].  One bisection solves every entry.
+    :func:`indifference_residual` on [delta, delta + 1] and stops when the
+    residual magnitude drops below ``tolerance``, which must lie in
+    (0, MAX_TOLERANCE].  One bisection solves every entry.
     """
     deltas = _check_delta(delta)
     if not (0.0 < tolerance <= MAX_TOLERANCE):

@@ -209,6 +209,41 @@ def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
     assert not (tmp_path / "out").exists()
 
 
+# 24 bytes per agent must stay within 1 GiB: 2**30 // 24 = 44 739 242, so
+# 44 739 241 is the largest odd n simulate and sweep take; kpr takes 8 * 10**6.
+POPULATION_BOUNDS = [("simulate", 44739241, 2), ("sweep", 44739241, 2), ("kpr", 8 * 10**6, 1)]
+
+
+class TestPopulationBound:
+    """An n whose arrays would pass 1 GiB is refused while parsing, before any allocation."""
+
+    @pytest.fixture(autouse=True)
+    def never_dispatch(self, monkeypatch):
+        def allocate(manifest):
+            raise AssertionError(f"dispatched n = {manifest.params['n']}")
+
+        monkeypatch.setattr(cli, "dispatch", allocate)
+
+    @pytest.mark.parametrize("subcommand,bound,step", POPULATION_BOUNDS)
+    def test_one_past_the_bound_exits_2_naming_n(self, tmp_path, capsys, subcommand, bound, step):
+        assert parse_config([subcommand, "--n", str(bound)]).params["n"] == bound
+        code = main([subcommand, "--n", str(bound + step), "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: n "), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
+    def test_huge_config_population_exits_2_naming_n(self, tmp_path, capsys, subcommand):
+        config = tmp_path / "run.json"
+        config.write_text('{"n": 1000000000000000000000001}')
+        code = main([subcommand, "--config", str(config), "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: n 1000000000000000000000001 "), err
+        assert not (tmp_path / "out").exists()
+
+
 def test_integral_config_number_is_an_integer(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n": 201.0, "epsilon": 1}))
@@ -261,6 +296,23 @@ class TestDispatch:
                 document = json.loads(path.read_text())
                 assert next(iter(document)) == "manifest_hash"
                 assert document["manifest_hash"] == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-lambda", "--delta-max", "3"],
+            ["payoff-table", "--delta-max", "3"],
+            ["simulate", "--n", "11", "--steps", "20"],
+            ["simulate", "--n", "11", "--steps", "20", "--stats", "--tau-max", "5"],
+            ["sweep", "--n", "11", "--steps", "20", "--seeds", "2", "--epsilons", "0.2,0.4"],
+            ["kpr", "--n", "4", "--seeds", "2", "--max-steps", "50"],
+        ],
+        ids=["solve-lambda", "payoff-table", "simulate", "simulate-stats", "sweep", "kpr"],
+    )
+    def test_writes_exactly_the_planned_files(self, tmp_path, argv):
+        manifest = parse_config(argv + ["--outdir", str(tmp_path)])
+        assert dispatch(manifest) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest.outputs)
 
     def test_simulate_row_count_and_summary(self, tmp_path):
         code = main(

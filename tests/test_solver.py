@@ -15,6 +15,7 @@ import pytest
 from scipy.special import betaincc, pdtr
 
 from mgstrat import solver
+from mgstrat.cli import MAX_DELTA_MAX
 from mgstrat.solver import (
     ASYMPTOTIC_GAP,
     MAX_TOLERANCE,
@@ -140,6 +141,13 @@ class TestSolveLambda:
             root = solve_lambda(delta)
             assert delta < root < delta + 1
 
+    def test_unit_bracket_holds_over_the_cli_range(self):
+        # The solver's only bracket is [delta, delta + 1]; the sign change
+        # must lie inside it for every imbalance the CLI accepts.
+        deltas = np.arange(1, MAX_DELTA_MAX + 1)
+        at_lo, at_hi = indifference_residual(np.stack((deltas, deltas + 1.0)), deltas)
+        assert (at_lo > 0.0).all() and (at_hi < 0.0).all()
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             solve_lambda(0)
@@ -209,7 +217,7 @@ class TestArrayBisection:
             return np.zeros(np.broadcast(r, lam).shape)
 
         monkeypatch.setattr(solver, "poisson_cdf", flat_cdf)
-        with pytest.raises(NumericError, match=r"no sign change on \[1.0, 4.0\] for imbalance 2"):
+        with pytest.raises(NumericError, match=r"no sign change on \[2.0, 3.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
 
 
