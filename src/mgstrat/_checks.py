@@ -1,4 +1,4 @@
-"""Elementwise argument checks shared by ``dist``, ``solver`` and ``payoff``.
+"""Elementwise argument checks shared by ``dist``, ``solver``, ``payoff`` and ``kpr``.
 
 Each check takes a scalar or an array, raises ``ValueError`` naming the first
 bad entry, and returns the entries as an array.  ``float_or_array`` gives the

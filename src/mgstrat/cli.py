@@ -58,9 +58,9 @@ MAX_EPSILONS = 100_000
 # 8-10 s and 0.2 GB on 2 vCPUs; a larger value could exhaust memory.
 MAX_DELTA_MAX = 10**6
 
-# Most agents kpr takes: it keeps about 114 bytes of arrays per agent
-# (493 MB peak at n = 4 * 10**6), so these stay below the engine's 1 GiB
-# MAX_RECORD_BYTES.
+# Most agents kpr takes: it keeps about 72 bytes of arrays per agent
+# (peak RSS 108 MB at n = 10**6, 325 MB at 4 * 10**6, 562 MB at this cap),
+# so these stay below the engine's 1 GiB MAX_RECORD_BYTES.
 _KPR_MAX_N = 8 * 10**6
 
 

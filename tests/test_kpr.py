@@ -1,10 +1,16 @@
-"""Ranked-restaurant cyclic-strategy tests."""
+"""Ranked-restaurant cyclic-strategy tests.
+
+The former service rule, a stable sort of one random permutation, is kept
+here as the oracle: the scatter-min service must feed the same agents and
+draw the same random numbers.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from mgstrat import kpr
 from mgstrat.engine import derive_rng
 from mgstrat.kpr import (
     NO_AGENT,
@@ -15,6 +21,48 @@ from mgstrat.kpr import (
     kpr_step,
     resolve_service,
 )
+
+
+def sorted_service(positions, prev_served_rank, rng):
+    """The former service rule, kept as the oracle.
+
+    One random permutation of the agents, stable-sorted by (rank,
+    not-claimant); the first agent of each rank eats.
+    """
+    n = len(positions)
+    claims = prev_served_rank == positions % n + 1
+    order = rng.permutation(n)
+    order = order[np.lexsort((~claims[order], positions[order]))]
+    ranks = positions[order]
+    first = np.diff(ranks, prepend=0) != 0
+    served = np.full(n, NO_AGENT, dtype=np.int64)
+    served_rank = np.full(n, UNSERVED, dtype=np.int64)
+    served[ranks[first] - 1] = order[first]
+    served_rank[order[first]] = ranks[first]
+    return served, served_rank
+
+
+def random_history(n, rng):
+    """Random positions with at most one claimant per rank, one at rank n.
+
+    Each rank gets a claimant among its arrivals with probability 1/2.
+    Agent 0 sits at rank n and was fed at rank 1, so its claim wraps.
+    Everyone else was fed at a random rank other than the one above, or
+    not at all.
+    """
+    positions = rng.integers(1, n + 1, size=n)
+    positions[0] = n
+    above = positions % n + 1
+    prev = rng.integers(UNSERVED, n + 1, size=n)
+    prev[prev == above] = UNSERVED
+    for rank in range(1, n + 1):
+        arrivals = np.flatnonzero(positions == rank)
+        if rank == n:
+            prev[0] = above[0]
+        elif arrivals.size and rng.random() < 0.5:
+            claimant = rng.choice(arrivals)
+            prev[claimant] = above[claimant]
+    return positions, prev
 
 
 class TestSingleAgent:
@@ -113,6 +161,18 @@ class TestServiceResolution:
         assert served[1] == NO_AGENT
         assert served[2] == NO_AGENT
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1024])
+    def test_scatter_min_feeds_the_sorted_winners(self, n):
+        history = derive_rng(100, n)
+        for trial in range(60):
+            positions, prev = random_history(n, history)
+            ours, oracle = derive_rng(101, n, trial), derive_rng(101, n, trial)
+            served, served_rank = resolve_service(positions, prev, ours)
+            expected_served, expected_rank = sorted_service(positions, prev, oracle)
+            assert np.array_equal(served, expected_served)
+            assert np.array_equal(served_rank, expected_rank)
+            assert ours.random() == oracle.random()
+
 
 class TestStepMechanics:
     def test_cyclic_state_rotates_exactly(self):
@@ -165,6 +225,16 @@ class TestStepMechanics:
             state = kpr_step(state, rng)
             assert state.is_cyclic()
             assert state.utilization == 1.0
+
+    def test_corrupt_states_are_flagged(self):
+        # two agents fed at rank 2 both move to rank 1 and both claim it
+        twice_fed = KPRState(3, [2, 2, 3], [NO_AGENT, 0, 2], [2, 2, 3])
+        with pytest.raises(RuntimeError, match="several arrivals claim"):
+            kpr_step(twice_fed, derive_rng(110))
+        # an unfed agent while every rank fed someone
+        nowhere_to_go = KPRState(2, [1, 2], [0, 1], [UNSERVED, 2])
+        with pytest.raises(RuntimeError, match="no empty restaurant"):
+            kpr_step(nowhere_to_go, derive_rng(111))
 
     def test_serve_counts_bounded(self):
         rng = derive_rng(85)
@@ -282,8 +352,85 @@ class TestRun:
         assert all(b > a for a, b in zip(means, means[1:]))
         assert means[-1] / means[0] < 3.0  # far from linear growth (8x)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 257])
+    def test_run_is_init_plus_steps(self, n):
+        stopped_early = False
+        for seed in range(6):
+            start = None if seed % 2 else np.ones(n, dtype=np.int64)
+            max_steps = 2 if seed >= 4 else 10**4
+            ours, stepped = derive_rng(102, n, seed), derive_rng(102, n, seed)
+            result = kpr_run(n, max_steps, ours, positions=start)
+            state = kpr_init(n, stepped, positions=start)
+            utilization = [state.utilization]
+            while not state.is_cyclic() and state.day < max_steps:
+                state = kpr_step(state, stepped)
+                utilization.append(state.utilization)
+            expected_day = state.day if state.is_cyclic() else None
+            stopped_early |= expected_day is None
+            assert result.convergence_day == expected_day
+            assert np.array_equal(result.utilization, np.array(utilization))
+            final = result.final_state
+            assert final.day == state.day
+            assert np.array_equal(final.positions, state.positions)
+            assert np.array_equal(final.served, state.served)
+            assert np.array_equal(final.last_served_rank, state.last_served_rank)
+            assert ours.random() == stepped.random()
+        assert stopped_early or n < 16
+
+    def test_inputs_are_checked_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return integers(*args)
+
+        integers = kpr.integers
+        monkeypatch.setattr(kpr, "integers", counted)
+        result = kpr_run(64, 10**4, derive_rng(103), positions=np.ones(64))
+        assert len(result.utilization) > 3
+        # n and max_steps, the given positions, then the final state's n
+        # and positions
+        assert calls == ["n", "max_steps", "positions", "n", "positions"]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             kpr_run(0, 5, derive_rng(93))
         with pytest.raises(ValueError):
             kpr_init(3, derive_rng(94), positions=np.array([1, 2, 9]))
+
+
+class TestInputChecks:
+    def test_fractional_positions_are_refused(self):
+        with pytest.raises(ValueError, match="positions .* got 1.7"):
+            kpr_init(3, derive_rng(104), positions=[1.7, 2.2, 3.9])
+
+    def test_first_bad_position_is_named(self):
+        with pytest.raises(ValueError, match="got 2.5"):
+            kpr_run(3, 5, derive_rng(105), positions=[1, 2.5, 0])
+        with pytest.raises(ValueError, match="got 5"):
+            kpr_init(3, derive_rng(105), positions=[1, 5, 4])
+
+    def test_infinite_step_budget_is_refused(self):
+        with pytest.raises(ValueError, match="max_steps .* got inf"):
+            kpr_run(4, float("inf"), derive_rng(106))
+
+    def test_string_agent_count_is_named_as_such(self):
+        with pytest.raises(ValueError, match="n must be an integer, got '4'"):
+            kpr_run("4", 3, derive_rng(107))
+
+    def test_integral_floats_pass(self):
+        state = kpr_init(3.0, derive_rng(108))
+        expected = kpr_init(3, derive_rng(108))
+        assert state.n == 3 and isinstance(state.n, int)
+        assert np.array_equal(state.served, expected.served)
+        result = kpr_run(5.0, 40.0, derive_rng(109), positions=[1.0, 1.0, 2.0, 3.0, 5.0])
+        expected = kpr_run(5, 40, derive_rng(109), positions=[1, 1, 2, 3, 5])
+        assert result.convergence_day == expected.convergence_day
+        assert np.array_equal(result.final_state.positions, expected.final_state.positions)
+
+    @pytest.mark.parametrize("field", ["served", "last_served_rank"])
+    def test_state_checks_service_shapes(self, field):
+        arrays = {"served": [0, 1, 2], "last_served_rank": [1, 2, 3]}
+        arrays[field] = arrays[field][:2]
+        with pytest.raises(ValueError, match=f"{field} must have shape"):
+            KPRState(3, [1, 2, 3], **arrays)
