@@ -46,7 +46,7 @@ from .stats import (
 
 __all__ = [
     "RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTDIR_ENV", "MAX_EPSILONS",
-    "MAX_DELTA_MAX",
+    "MAX_DELTA_MAX", "MAX_SEEDS",
 ]
 
 OUTDIR_ENV = "MGSTRAT_OUTDIR"
@@ -58,8 +58,13 @@ MAX_EPSILONS = 100_000
 # 8-10 s and 0.2 GB on 2 vCPUs; a larger value could exhaust memory.
 MAX_DELTA_MAX = 10**6
 
-# Most agents kpr takes: it keeps about 72 bytes of arrays per agent
-# (peak RSS 108 MB at n = 10**6, 325 MB at 4 * 10**6, 562 MB at this cap),
+# Most runs sweep (per epsilon) and kpr take: sweep keeps 8 bytes per seed
+# and kpr about 230 (its rows and CSV columns, by tracemalloc), so 10**6
+# seeds stay near 0.25 GB.
+MAX_SEEDS = 10**6
+
+# Most agents kpr takes: it keeps about 49 bytes of arrays per agent
+# (peak RSS 82 MB at n = 10**6, 222 MB at 4 * 10**6, 410 MB at this cap),
 # so these stay below the engine's 1 GiB MAX_RECORD_BYTES.
 _KPR_MAX_N = 8 * 10**6
 
@@ -540,7 +545,7 @@ _SUBCOMMANDS = {
         _N,
         Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
               lo=0.0, hi=1.0),
-        Param("seeds", int, 20, "runs per epsilon", lo=1),
+        Param("seeds", int, 20, "runs per epsilon", lo=1, hi=MAX_SEEDS),
         _STEPS,
         _SEED,
         _WAIT_T,
@@ -549,7 +554,7 @@ _SUBCOMMANDS = {
     ), {"sweep.csv": None}, _run_sweep),
     "kpr": _Subcommand("ranked-restaurant cyclic-strategy convergence", (
         Param("n", int, 64, "agents and restaurants", lo=1, hi=_KPR_MAX_N),
-        Param("seeds", int, 200, "independent runs", lo=1),
+        Param("seeds", int, 200, "independent runs", lo=1, hi=MAX_SEEDS),
         Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
         _SEED,
     ), {"kpr_runs.csv": None}, _run_kpr),

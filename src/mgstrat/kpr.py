@@ -12,7 +12,22 @@ Daily rules:
   favors yesterday's rank-1 diner); failing that, service is uniform among
   the arrivals.
 
-Once the positions form a permutation the motion is a pure rotation --
+The priority never decides anything.  Stepping one rank down is a
+bijection, so two agents fed at different ranks arrive at different ranks;
+and an unserved agent arrives one below an empty rank, which no fed agent
+comes from.  So every claimant eats alone, and only arrivals without a
+claim ever collide.
+
+That leaves a chain on the unfed agents.  Each occupied rank feeds exactly
+one agent, so there are as many empty ranks as unfed agents, say u.  In the
+frame that rotates one rank down per day, fed agents stand still: an agent
+in slot s is at rank ``(s - t) mod n + 1`` on day t.  The empty ranks are
+the u slots no fed agent holds, and tomorrow the u unfed agents land on
+them uniformly at random, one eater per slot that anyone hit.  Day 0 is the
+same landing of all n agents on all n slots.  The unfed count u' is u minus
+the slots hit, and the convergence day is the first day u reaches 0.
+
+Then the positions form a permutation and the motion is a pure rotation --
 everyone is served every day and cycles through all ranks -- so that state
 is absorbing and maximally fair.  From random starts it is reached quickly,
 with a mean convergence time growing roughly logarithmically in n.
@@ -30,7 +45,6 @@ __all__ = [
     "UNSERVED",
     "NO_AGENT",
     "KPRState",
-    "resolve_service",
     "kpr_init",
     "kpr_step",
     "KPRRunResult",
@@ -66,10 +80,11 @@ class KPRState:
     ``positions[agent]`` is the rank (1..n) attended today.
     ``served[rank - 1]`` is the agent fed at that rank, or ``NO_AGENT``.
     ``last_served_rank[agent]`` is the rank the agent was fed at, or
-    ``UNSERVED``; the next day's movement and tie-breaks read it as
-    "yesterday's" service.  ``kpr_step`` takes the ranks that fed nobody
-    as the empty ones, so ``served`` must be the service at ``positions``,
-    as ``kpr_init`` and ``kpr_step`` make it.
+    ``UNSERVED``; the next day's movement reads it as "yesterday's"
+    service.  ``served`` and ``last_served_rank`` must be the service at
+    ``positions``: each fed agent sits at its served rank and is the one
+    ``served`` names there, and every occupied rank fed exactly one of its
+    arrivals.  ValueError otherwise.
     """
 
     n: int
@@ -87,6 +102,18 @@ class KPRState:
             shape = getattr(self, name).shape
             if shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {shape}")
+        fed = self.last_served_rank != UNSERVED
+        occupied = np.bincount(self.positions, minlength=n + 1)[1:] > 0
+        if not (
+            np.array_equal(self.last_served_rank[fed], self.positions[fed])
+            and np.array_equal(self.served != NO_AGENT, occupied)
+            and np.count_nonzero(fed) == np.count_nonzero(occupied)
+            and np.array_equal(self.served[self.positions[fed] - 1], np.flatnonzero(fed))
+        ):
+            raise ValueError(
+                "served and last_served_rank must be the service at positions: one "
+                "agent fed at each occupied rank, at the rank it is recorded as fed"
+            )
 
     @property
     def utilization(self) -> float:
@@ -98,112 +125,55 @@ class KPRState:
         return bool(np.bincount(self.positions, minlength=self.n + 1)[1:].all())
 
 
-def _winners(
-    positions: np.ndarray, claims: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """The agents fed at ``positions``, ascending.
-
-    Each agent's key is its place in one random permutation, and a
-    claimant's is -1.  The smallest key at each rank eats.
-    """
-    n = positions.size
-    key = np.empty(n, dtype=np.int64)
-    key[rng.permutation(n)] = np.arange(n)
-    np.putmask(key, claims, -1)
-    best = np.full(n + 1, n, dtype=np.int64)
-    np.minimum.at(best, positions, key)
-    winners = np.flatnonzero(key == best[positions])
-    if winners.size > np.count_nonzero(best < n):
-        # Claimants all hold key -1, so two at one rank both match its minimum.
-        rank = int(np.argmax(np.bincount(positions[winners]) > 1))
-        raise RuntimeError(
-            f"rank {rank}: several arrivals claim yesterday's rank {rank % n + 1}; "
-            "service history is corrupt"
-        )
-    return winners
-
-
-def _serve(
-    positions: np.ndarray, claims: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(served, served_rank, number fed) at ``positions``, given who claims."""
-    n = positions.size
-    winners = _winners(positions, claims, rng)
-    winner_ranks = positions[winners]
-    served = np.full(n, NO_AGENT, dtype=np.int64)
-    served[winner_ranks - 1] = winners
-    served_rank = np.full(n, UNSERVED, dtype=np.int64)
-    served_rank[winners] = winner_ranks
-    return served, served_rank, winners.size
-
-
-def resolve_service(
-    positions: np.ndarray, prev_served_rank: np.ndarray, rng: np.random.Generator
+def _land(
+    slot: np.ndarray,
+    movers: np.ndarray,
+    free: np.ndarray,
+    rng: np.random.Generator,
+    picks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decide who eats: (served-by-restaurant, served-rank-by-agent).
+    """Land the unfed ``movers`` on as many ``free`` slots: (still unfed, still free).
 
-    At a restaurant of rank k, an arrival that was served at rank k + 1
-    yesterday (rank 1 when k = n) eats; otherwise one arrival is drawn
-    uniformly.  At most one arrival can hold the priority claim, because a
-    single restaurant feeds a single agent per day.
-
-    Each agent is keyed by its place in one random permutation of the
-    agents, and each claimant by -1; one scatter-min takes every rank's
-    smallest key, and the agent holding it eats.  That is O(n), and it
-    feeds the agent a stable sort of the permutation by (rank,
-    not-claimant) would put first.
+    Each mover draws one of the free slots (``picks`` replaces the draw)
+    and takes its key from one random permutation; the smallest key at
+    each slot eats.  ``slot`` is updated in place, and both returned
+    lists keep the order of the given ones.
     """
-    claims = prev_served_rank == positions % len(positions) + 1
-    served, served_rank, _ = _serve(positions, claims, rng)
-    return served, served_rank
+    u = free.size
+    if picks is None:
+        picks = rng.integers(u, size=u)
+    key = rng.permutation(u)
+    best = np.full(u, u, dtype=np.int64)
+    np.minimum.at(best, picks, key)
+    slot[movers] = free[picks]
+    return movers[key != best[picks]], free[best == u]
 
 
-def _start(
+def _first_day(
     n: int, rng: np.random.Generator, positions: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Day 0: (positions, served, served_rank, number fed)."""
-    if positions is None:
-        positions = rng.integers(1, n + 1, size=n)
-    else:
-        positions = _ranks(positions, n)
-    return positions, *_serve(positions, np.zeros(n, dtype=bool), rng)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Day 0, every agent landing on every slot: (slot, unfed, free).
 
-
-def _move(
-    served: np.ndarray, served_rank: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Tomorrow's positions after a day with this service."""
-    n = served.size
-    positions = served_rank.copy()
-    unserved = np.flatnonzero(positions == UNSERVED)
-    if unserved.size:
-        # Each occupied rank feeds exactly one arrival, so the ranks that
-        # fed nobody are the empty ones.
-        empty_ranks = np.flatnonzero(served == NO_AGENT) + 1
-        if empty_ranks.size == 0:
-            # Impossible: with n agents in n restaurants, someone is
-            # unserved only if some restaurant drew a crowd, which
-            # leaves another one empty.
-            raise RuntimeError("unserved agent but no empty restaurant")
-        positions[unserved] = empty_ranks[
-            rng.integers(empty_ranks.size, size=unserved.size)
-        ]
-    positions -= 1
-    positions[positions == 0] = n
-    return positions
-
-
-def _day(
-    served: np.ndarray, served_rank: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The next day: (positions, served, served_rank, number fed).
-
-    Each step is its own function, so no step's temporaries outlive it.
+    A function of its own, so that day 0's n-sized temporaries end with it.
     """
-    positions = _move(served, served_rank, rng)
-    # Every agent fed yesterday moved to the rank just below, so holds the
-    # claim there; nobody else does.
-    return positions, *_serve(positions, served_rank != UNSERVED, rng)
+    everyone = np.arange(n)
+    slot = np.empty(n, dtype=np.int64)
+    picks = None if positions is None else _ranks(positions, n) - 1
+    return slot, *_land(slot, everyone, everyone, rng, picks)
+
+
+def _state(n: int, slot: np.ndarray, unfed: np.ndarray, day: int) -> KPRState:
+    """The state of ``day``, turning ``slot`` into ranks in place."""
+    positions = slot
+    positions -= day
+    positions %= n
+    positions += 1
+    last_served_rank = positions.copy()
+    last_served_rank[unfed] = UNSERVED
+    fed = last_served_rank != UNSERVED
+    served = np.full(n, NO_AGENT, dtype=np.int64)
+    served[positions[fed] - 1] = np.flatnonzero(fed)
+    return KPRState(n, positions, served, last_served_rank, day=day)
 
 
 def kpr_init(
@@ -211,18 +181,19 @@ def kpr_init(
 ) -> KPRState:
     """Day-0 state: i.i.d. uniform choices (or the given ones), then service.
 
-    Day 0 has no service history, so no arrival holds a priority claim and
-    every collision is settled uniformly.
+    Day 0 has no service history, so every collision is settled uniformly.
     """
-    n = _count(n, "n", 1)
-    positions, served, served_rank, _ = _start(n, rng, positions)
-    return KPRState(n, positions, served, served_rank, day=0)
+    return kpr_run(n, 0, rng, positions).final_state
 
 
 def kpr_step(state: KPRState, rng: np.random.Generator) -> KPRState:
-    """Advance one day: move everyone, then resolve service at each rank."""
-    positions, served, served_rank, _ = _day(state.served, state.last_served_rank, rng)
-    return KPRState(state.n, positions, served, served_rank, day=state.day + 1)
+    """Advance one day: the unfed land on the empty ranks, the fed step down."""
+    n, day = state.n, state.day
+    slot = (state.positions - 1 + day) % n
+    movers = np.flatnonzero(state.last_served_rank == UNSERVED)
+    free = np.flatnonzero(np.roll(state.served == NO_AGENT, day))
+    unfed, _ = _land(slot, movers, free, rng)
+    return _state(n, slot, unfed, day + 1)
 
 
 @dataclass(frozen=True)
@@ -245,19 +216,20 @@ def kpr_run(
     Stops at the first cyclic day or after ``max_steps`` days, whichever
     comes first, and reports the utilization (fraction fed) of every day
     seen, day 0 included.  The positions form a permutation exactly when
-    all n agents are fed.
+    all n agents are fed.  A day costs O(unfed agents); the final state is
+    built once, at the end.
     """
     n = _count(n, "n", 1)
     max_steps = _count(max_steps, "max_steps", 0)
-    positions, served, served_rank, fed = _start(n, rng, positions)
-    utilization = [fed / n]
+    slot, unfed, free = _first_day(n, rng, positions)
+    utilization = [(n - unfed.size) / n]
     day = 0
-    while fed < n and day < max_steps:
-        positions, served, served_rank, fed = _day(served, served_rank, rng)
+    while unfed.size and day < max_steps:
+        unfed, free = _land(slot, unfed, free, rng)
         day += 1
-        utilization.append(fed / n)
+        utilization.append((n - unfed.size) / n)
     return KPRRunResult(
-        convergence_day=day if fed == n else None,
+        convergence_day=None if unfed.size else day,
         utilization=np.asarray(utilization),
-        final_state=KPRState(n, positions, served, served_rank, day=day),
+        final_state=_state(n, slot, unfed, day),
     )

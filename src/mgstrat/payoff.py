@@ -10,10 +10,10 @@ staying strictly better -- which is what makes the strategy stable.
 The balanced split (M against M + 1) is different: there the defector
 counts on the two sides would have to silence two indifference conditions
 at once, and no pair of means does. :func:`infeasibility_scan` demonstrates
-this on a grid by showing the two residuals are never simultaneously small,
-and :func:`delta0_residual_gap_bound` gives the pointwise reason: their
-difference is minus a sum of two coincidence probabilities, which is
-strictly negative, so the residuals can never both vanish.
+this on a grid by showing the two residuals are never simultaneously small.
+The pointwise reason: the thin residual minus the crowd one is minus a sum
+of two coincidence probabilities, P(first = second - 2) + P(first = second),
+which is strictly negative, so the residuals can never both vanish.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "payoff_curve",
     "CrossProbs",
     "delta0_cross_probs",
-    "delta0_residuals",
-    "delta0_residual_gap_bound",
     "InfeasibilityReport",
     "infeasibility_scan",
     "log_spaced_grid",
@@ -158,27 +156,6 @@ def delta0_cross_probs(
         skellam_cdf(-1, lam_second, lam_first),
     )
     return CrossProbs(*(float_or_array(np.clip(p, 0.0, 1.0)) for p in probs))
-
-
-def delta0_residuals(lam_first: float, lam_second: float) -> tuple[float, float]:
-    """The two indifference residuals of the balanced split.
-
-    First element: the thin side's stay-vs-switch balance; second: the
-    crowd's.  Cheat-proofness would need both to vanish at once.
-    """
-    c = delta0_cross_probs(lam_first, lam_second)
-    return (c.lt_minus_2 - c.ge, c.lt_minus_1 - c.ge_plus_1)
-
-
-def delta0_residual_gap_bound(lam_first: float, lam_second: float) -> float:
-    """Difference of the two balanced-split residuals (thin minus crowd).
-
-    It equals -(P(first = second - 2) + P(first = second)), a strictly
-    negative quantity, so the two residuals are never equal -- let alone
-    simultaneously zero.
-    """
-    first_r, second_r = delta0_residuals(lam_first, lam_second)
-    return first_r - second_r
 
 
 @dataclass(frozen=True)

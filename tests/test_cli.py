@@ -214,15 +214,17 @@ def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
 POPULATION_BOUNDS = [("simulate", 44739241, 2), ("sweep", 44739241, 2), ("kpr", 8 * 10**6, 1)]
 
 
+@pytest.fixture
+def never_dispatch(monkeypatch):
+    def allocate(manifest):
+        raise AssertionError(f"dispatched {manifest.params}")
+
+    monkeypatch.setattr(cli, "dispatch", allocate)
+
+
+@pytest.mark.usefixtures("never_dispatch")
 class TestPopulationBound:
     """An n whose arrays would pass 1 GiB is refused while parsing, before any allocation."""
-
-    @pytest.fixture(autouse=True)
-    def never_dispatch(self, monkeypatch):
-        def allocate(manifest):
-            raise AssertionError(f"dispatched n = {manifest.params['n']}")
-
-        monkeypatch.setattr(cli, "dispatch", allocate)
 
     @pytest.mark.parametrize("subcommand,bound,step", POPULATION_BOUNDS)
     def test_one_past_the_bound_exits_2_naming_n(self, tmp_path, capsys, subcommand, bound, step):
@@ -241,6 +243,32 @@ class TestPopulationBound:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: n 1000000000000000000000001 "), err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.usefixtures("never_dispatch")
+class TestSeedsBound:
+    """A seeds count past 10**6 is refused while parsing, before any run."""
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "kpr"])
+    def test_the_cap_itself_parses(self, subcommand):
+        assert parse_config([subcommand, "--seeds", str(10**6)]).params["seeds"] == 10**6
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seeds", [10**6 + 1, 10**12, 10**20])
+    @pytest.mark.parametrize("subcommand", ["sweep", "kpr"])
+    def test_past_the_cap_exits_2_naming_seeds(self, tmp_path, capsys, subcommand, seeds, source):
+        argv = [subcommand, "--outdir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seeds", str(seeds)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(f'{{"seeds": {seeds}}}')
+            argv += ["--config", str(config)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: seeds must lie in [1, 1e+06], got {seeds}"), err
         assert not (tmp_path / "out").exists()
 
 

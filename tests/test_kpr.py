@@ -1,14 +1,18 @@
 """Ranked-restaurant cyclic-strategy tests.
 
-The former service rule, a stable sort of one random permutation, is kept
-here as the oracle: the scatter-min service must feed the same agents and
-draw the same random numbers.
+The exact law of the convergence day is the oracle for the simulated one.
+In the frame that rotates with the fed agents, each day throws the u unfed
+agents into the u free slots, and u' is u minus the slots hit; day 0
+throws n agents into n slots.  ``convergence_law`` runs that chain on the
+occupancy distribution, so it shares no code with ``kpr``.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from mgstrat import kpr
 from mgstrat.engine import derive_rng
@@ -19,50 +23,40 @@ from mgstrat.kpr import (
     kpr_init,
     kpr_run,
     kpr_step,
-    resolve_service,
 )
 
 
-def sorted_service(positions, prev_served_rank, rng):
-    """The former service rule, kept as the oracle.
+@functools.lru_cache(maxsize=None)
+def occupancy(u):
+    """P(k of u bins occupied), k = 0..u, after throwing u balls into them."""
+    k = np.arange(u + 1)
+    p = np.zeros(u + 1)
+    p[0] = 1.0
+    for _ in range(u):
+        p = p * k / u + np.concatenate(([0.0], p[:-1] * (u - k[:-1]) / u))
+    return p
 
-    One random permutation of the agents, stable-sorted by (rank,
-    not-claimant); the first agent of each rank eats.
+
+@functools.lru_cache(maxsize=None)
+def convergence_law(n, floor=1e-17):
+    """(pmf of the convergence day, total mass dropped) for n agents.
+
+    Unfed counts whose mass falls below ``floor`` are dropped.
     """
-    n = len(positions)
-    claims = prev_served_rank == positions % n + 1
-    order = rng.permutation(n)
-    order = order[np.lexsort((~claims[order], positions[order]))]
-    ranks = positions[order]
-    first = np.diff(ranks, prepend=0) != 0
-    served = np.full(n, NO_AGENT, dtype=np.int64)
-    served_rank = np.full(n, UNSERVED, dtype=np.int64)
-    served[ranks[first] - 1] = order[first]
-    served_rank[order[first]] = ranks[first]
-    return served, served_rank
-
-
-def random_history(n, rng):
-    """Random positions with at most one claimant per rank, one at rank n.
-
-    Each rank gets a claimant among its arrivals with probability 1/2.
-    Agent 0 sits at rank n and was fed at rank 1, so its claim wraps.
-    Everyone else was fed at a random rank other than the one above, or
-    not at all.
-    """
-    positions = rng.integers(1, n + 1, size=n)
-    positions[0] = n
-    above = positions % n + 1
-    prev = rng.integers(UNSERVED, n + 1, size=n)
-    prev[prev == above] = UNSERVED
-    for rank in range(1, n + 1):
-        arrivals = np.flatnonzero(positions == rank)
-        if rank == n:
-            prev[0] = above[0]
-        elif arrivals.size and rng.random() < 0.5:
-            claimant = rng.choice(arrivals)
-            prev[claimant] = above[claimant]
-    return positions, prev
+    mass = occupancy(n)[::-1].copy()  # day 0: u = n - occupied
+    pmf, dropped = [], 0.0
+    while True:
+        pmf.append(mass[0])
+        mass[0] = 0.0
+        small = mass < floor
+        dropped += mass[small].sum()
+        mass[small] = 0.0
+        if not mass.any():
+            return np.array(pmf), dropped
+        after = np.zeros_like(mass)
+        for u in np.flatnonzero(mass):
+            after[: u + 1] += mass[u] * occupancy(u)[::-1]
+        mass = after
 
 
 class TestSingleAgent:
@@ -79,44 +73,56 @@ class TestSingleAgent:
 
 class TestServiceResolution:
     def test_lone_arrival_is_served(self):
-        positions = np.array([1, 2, 3])
-        prev = np.array([UNSERVED, UNSERVED, UNSERVED])
-        served, served_rank = resolve_service(positions, prev, derive_rng(72))
-        assert np.array_equal(served, np.array([0, 1, 2]))
-        assert np.array_equal(served_rank, np.array([1, 2, 3]))
+        state = kpr_init(3, derive_rng(72), positions=np.array([1, 2, 3]))
+        assert np.array_equal(state.served, np.array([0, 1, 2]))
+        assert np.array_equal(state.last_served_rank, np.array([1, 2, 3]))
 
     def test_priority_claimant_always_wins(self):
-        # agent 0 was served at rank 2 yesterday, so at rank 1 today it
-        # holds the priority claim against agent 1
+        # agent 0 is fed alone at rank 2, so at rank 1 tomorrow it holds
+        # the claim, and it eats there
         for trial in range(50):
-            served, served_rank = resolve_service(
-                np.array([1, 1, 3]),
-                np.array([2, UNSERVED, UNSERVED]),
-                derive_rng(73, trial),
-            )
-            assert served[0] == 0
-            assert served_rank[0] == 1
-            assert served_rank[1] == UNSERVED
+            rng = derive_rng(73, trial)
+            after = kpr_step(kpr_init(3, rng, positions=np.array([2, 1, 1])), rng)
+            assert after.served[0] == 0
+            assert after.last_served_rank[0] == 1
 
     def test_priority_wraps_at_top_rank(self):
-        # at rank n the claim belongs to yesterday's rank-1 diner
+        # agents 0 and 1 collide at rank 1; whoever eats wraps to rank 3
+        # and is fed there, while agent 2 steps from rank 3 to rank 2
         for trial in range(50):
-            served, served_rank = resolve_service(
-                np.array([3, 3, 1]),
-                np.array([1, UNSERVED, UNSERVED]),
-                derive_rng(74, trial),
-            )
-            assert served_rank[0] == 3
+            rng = derive_rng(74, trial)
+            state = kpr_init(3, rng, positions=np.array([1, 1, 3]))
+            winner = state.served[0]
+            after = kpr_step(state, rng)
+            assert after.last_served_rank[winner] == 3
+            assert after.served[2] == winner
+            assert after.last_served_rank[2] == 2
+
+    def test_fed_agents_always_step_down_and_eat(self):
+        rng = derive_rng(79)
+        state = kpr_init(9, rng)
+        for _ in range(30):
+            fed = np.flatnonzero(state.last_served_rank != UNSERVED)
+            after = kpr_step(state, rng)
+            below = (state.last_served_rank[fed] - 2) % 9 + 1
+            assert np.array_equal(after.positions[fed], below)
+            assert np.array_equal(after.last_served_rank[fed], below)
+            state = after
+
+    @pytest.mark.parametrize("claimant", [0, 1, 2])
+    def test_claimant_wins_at_any_agent_index(self, claimant):
+        # the claimant is fed alone at rank 2, then at rank 1
+        positions = np.array([1, 1, 1, 3])
+        positions[claimant] = 2
+        for trial in range(100):
+            rng = derive_rng(96, claimant, trial)
+            after = kpr_step(kpr_init(4, rng, positions=positions), rng)
+            assert after.served[0] == claimant
+            assert after.last_served_rank[claimant] == 1
 
     def test_collision_without_priority_is_uniform(self):
         winners = [
-            int(
-                resolve_service(
-                    np.array([2, 2, 3]),
-                    np.array([UNSERVED] * 3),
-                    derive_rng(75, trial),
-                )[0][1]
-            )
+            int(kpr_init(3, derive_rng(75, trial), positions=np.array([2, 2, 3])).served[1])
             for trial in range(400)
         ]
         share = winners.count(0) / len(winners)
@@ -124,54 +130,53 @@ class TestServiceResolution:
         assert set(winners) == {0, 1}
 
     def test_three_way_collision_without_claim_is_uniform(self):
-        # three arrivals at rank 2 of four, none served at rank 3 yesterday
+        # three arrivals at rank 2 of four
         rng = derive_rng(95)
         trials = 3000
         wins = np.zeros(3, dtype=int)
         for _ in range(trials):
-            served, served_rank = resolve_service(
-                np.array([2, 2, 2, 4]), np.array([1, UNSERVED, 4, 3]), rng
-            )
-            wins[served[1]] += 1
-            assert served_rank[3] == 4
+            state = kpr_init(4, rng, positions=np.array([2, 2, 2, 4]))
+            wins[state.served[1]] += 1
+            assert state.last_served_rank[3] == 4
         sigma = np.sqrt(trials * (1 / 3) * (2 / 3))
         assert (np.abs(wins - trials / 3) < 5 * sigma).all(), wins
 
-    @pytest.mark.parametrize("claimant", [0, 1, 2])
-    def test_claimant_wins_at_any_agent_index(self, claimant):
-        prev = np.array([3, 4, UNSERVED, UNSERVED])
-        prev[claimant] = 2
-        for trial in range(100):
-            served, served_rank = resolve_service(
-                np.array([1, 1, 1, 3]), prev, derive_rng(96, claimant, trial)
-            )
-            assert served[0] == claimant
-            assert (served_rank[:3] == UNSERVED).sum() == 2
-
-    def test_two_claimants_flag_corrupt_history(self):
-        with pytest.raises(RuntimeError):
-            resolve_service(
-                np.array([1, 1, 3]), np.array([2, 2, UNSERVED]), derive_rng(76)
-            )
-
     def test_empty_restaurant_serves_nobody(self):
-        served, _ = resolve_service(
-            np.array([1, 1, 1]), np.array([UNSERVED] * 3), derive_rng(77)
-        )
-        assert served[1] == NO_AGENT
-        assert served[2] == NO_AGENT
+        state = kpr_init(3, derive_rng(77), positions=np.array([1, 1, 1]))
+        assert state.served[1] == NO_AGENT
+        assert state.served[2] == NO_AGENT
+        after = kpr_step(state, derive_rng(78))
+        empty = np.bincount(after.positions, minlength=4)[1:] == 0
+        assert (after.served[empty] == NO_AGENT).all()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1024])
-    def test_scatter_min_feeds_the_sorted_winners(self, n):
-        history = derive_rng(100, n)
-        for trial in range(60):
-            positions, prev = random_history(n, history)
-            ours, oracle = derive_rng(101, n, trial), derive_rng(101, n, trial)
-            served, served_rank = resolve_service(positions, prev, ours)
-            expected_served, expected_rank = sorted_service(positions, prev, oracle)
-            assert np.array_equal(served, expected_served)
-            assert np.array_equal(served_rank, expected_rank)
-            assert ours.random() == oracle.random()
+
+class TestConvergenceLaw:
+    def test_three_agents_exactly(self):
+        pmf, dropped = convergence_law(3)
+        assert np.allclose(pmf, [2 / 9, 13 / 18, 1 / 18], rtol=0, atol=1e-15)
+        assert dropped == 0.0
+
+    @pytest.mark.parametrize("n, mean", [(16, 2.381), (256, 5.124), (1024, 6.509)])
+    def test_exact_mean(self, n, mean):
+        pmf, dropped = convergence_law(n)
+        assert dropped < 1e-12
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pmf @ np.arange(pmf.size) == pytest.approx(mean, abs=5e-4)
+
+    @pytest.mark.parametrize("n, seeds", [(64, 10000), (1024, 2000)])
+    def test_run_matches_the_exact_law(self, n, seeds):
+        rng = derive_rng(400, n)
+        days = np.array([kpr_run(n, 10**4, rng).convergence_day for _ in range(seeds)])
+        pmf, _ = convergence_law(n)
+        assert days.max() < pmf.size
+        observed = np.bincount(days, minlength=pmf.size).astype(float)
+        expected = seeds * pmf / pmf.sum()
+        # merge the tails into their neighbours until every bin expects >= 5
+        keep = np.flatnonzero(expected >= 5)
+        edges = np.r_[0, keep[1:], pmf.size]
+        observed = np.add.reduceat(observed, edges[:-1])
+        expected = np.add.reduceat(expected, edges[:-1])
+        assert chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestStepMechanics:
@@ -227,14 +232,27 @@ class TestStepMechanics:
             assert state.utilization == 1.0
 
     def test_corrupt_states_are_flagged(self):
-        # two agents fed at rank 2 both move to rank 1 and both claim it
-        twice_fed = KPRState(3, [2, 2, 3], [NO_AGENT, 0, 2], [2, 2, 3])
-        with pytest.raises(RuntimeError, match="several arrivals claim"):
-            kpr_step(twice_fed, derive_rng(110))
+        # two agents recorded as fed at rank 2
+        with pytest.raises(ValueError, match="service at positions"):
+            KPRState(3, [2, 2, 3], [NO_AGENT, 0, 2], [2, 2, 3])
         # an unfed agent while every rank fed someone
-        nowhere_to_go = KPRState(2, [1, 2], [0, 1], [UNSERVED, 2])
-        with pytest.raises(RuntimeError, match="no empty restaurant"):
-            kpr_step(nowhere_to_go, derive_rng(111))
+        with pytest.raises(ValueError, match="service at positions"):
+            KPRState(2, [1, 2], [0, 1], [UNSERVED, 2])
+
+    @pytest.mark.parametrize(
+        "served, last_served_rank",
+        [
+            ([0, 1, NO_AGENT], [1, 2, UNSERVED]),  # rank 3 is occupied but fed nobody
+            ([1, 0, 2], [1, 2, 3]),  # served names agents at the wrong ranks
+            ([0, 1, 2], [1, 3, 3]),  # agent 1 recorded as fed where it is not
+            ([0, 1, 2], [1, 2, UNSERVED]),  # served names an unfed agent
+            ([0, 1, 1], [1, 2, 3]),  # served names one agent at two ranks
+        ],
+    )
+    def test_service_must_match_positions(self, served, last_served_rank):
+        KPRState(3, [1, 2, 3], [0, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="service at positions"):
+            KPRState(3, [1, 2, 3], served, last_served_rank)
 
     def test_serve_counts_bounded(self):
         rng = derive_rng(85)

@@ -14,8 +14,6 @@ from scipy.stats import poisson
 
 from mgstrat.payoff import (
     delta0_cross_probs,
-    delta0_residual_gap_bound,
-    delta0_residuals,
     expected_payoffs,
     infeasibility_scan,
     log_spaced_grid,
@@ -231,10 +229,17 @@ class TestCrossProbs:
             delta0_cross_probs(1.0, -2.0)
 
 
+def delta0_residuals(lam_first, lam_second):
+    """(thin, crowd) balanced-split residuals, as ``infeasibility_scan`` forms them."""
+    c = delta0_cross_probs(lam_first, lam_second)
+    return c.lt_minus_2 - c.ge, c.lt_minus_1 - c.ge_plus_1
+
+
 class TestBalancedSplitInfeasibility:
     def test_residual_gap_is_minus_coincidence_masses(self):
         for lam_first, lam_second in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.7)):
-            gap = delta0_residual_gap_bound(lam_first, lam_second)
+            res_thin, res_crowd = delta0_residuals(lam_first, lam_second)
+            gap = res_thin - res_crowd
             direct = -(
                 _coincidence_mass(lam_first, lam_second, 2)
                 + _coincidence_mass(lam_first, lam_second, 0)
