@@ -1,8 +1,9 @@
-"""Elementwise argument checks shared by ``dist``, ``solver``, ``payoff`` and ``kpr``.
+"""Argument checks shared by every module that takes numbers from a caller.
 
-Each check takes a scalar or an array, raises ``ValueError`` naming the first
-bad entry, and returns the entries as an array.  ``float_or_array`` gives the
-result back as a float when the input was scalar.
+Each elementwise check takes a scalar or an array, raises ``ValueError``
+naming the first bad entry, and returns the entries as an array.
+``float_or_array`` gives the result back as a float when the input was
+scalar, and ``count`` checks one integer argument.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray
     if bad is not None:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {bad}")
     return array
+
+
+def count(value: int, name: str, minimum: int) -> int:
+    """``value`` as one int of at least ``minimum``; integral floats pass."""
+    array = integers(value, name, minimum)
+    if array.ndim:
+        raise ValueError(f"{name} must be a single integer, got {value!r}")
+    return int(array)
 
 
 def means(

@@ -59,8 +59,8 @@ MAX_EPSILONS = 100_000
 MAX_DELTA_MAX = 10**6
 
 # Most runs sweep (per epsilon) and kpr take: sweep keeps 8 bytes per seed
-# and kpr about 230 (its rows and CSV columns, by tracemalloc), so 10**6
-# seeds stay near 0.25 GB.
+# and kpr 16 (two numpy columns; 16.4 by tracemalloc from 20 000 to 120 000
+# seeds), so 10**6 seeds stay near 16 MB.
 MAX_SEEDS = 10**6
 
 # Most agents kpr takes: it keeps about 49 bytes of arrays per agent
@@ -269,13 +269,10 @@ def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
         params["mode"] = MODE_BASELINE
     if "burn_in" in params and params["burn_in"] >= params["steps"]:
         raise ValueError(f"burn_in must be smaller than steps, got {params['burn_in']}")
-    if params.get("stats"):
-        if params["tau_max"] >= params["steps"]:
-            raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
-        # C(tau) needs the per-agent record, so --stats implies it.
-        params["record_choices"] = True
+    if params.get("stats") and params["tau_max"] >= params["steps"]:
+        raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
     if "steps" in params:
-        check_record_size(params["n"], params["steps"], params.get("record_choices", False))
+        check_record_size(params["n"], params["steps"], False)
 
 
 def parse_config(
@@ -314,8 +311,9 @@ def parse_config(
 
 
 # Rows a CSV block formats at once: one ``tolist`` per column and one
-# format call per row, instead of one call per cell.
-CSV_BLOCK_ROWS = 1 << 16
+# format call per row, instead of one call per cell.  A block's Python
+# objects take about 150 bytes a row, so 2.4 MB at most.
+CSV_BLOCK_ROWS = 1 << 14
 
 
 def _write_csv(
@@ -383,7 +381,7 @@ def _run_payoff_table(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
 def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     params = manifest.params
     config = _strategy_config(params)
-    trajectory = run(config, params["steps"], record_choices=params["record_choices"])
+    trajectory = run(config, params["steps"])
     deltas, reset = trajectory.deltas, trajectory.reset
     _write_csv(
         outdir / "trajectory.csv",
@@ -471,27 +469,27 @@ def _run_sweep(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
 
 def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     params = manifest.params
-    rows = []
-    convergence_days = []
-    for index in range(params["seeds"]):
+    seeds = params["seeds"]
+    days = np.empty(seeds, dtype=np.int64)
+    utilization = np.empty(seeds)
+    for index in range(seeds):
         stream = derive_rng(params["seed"], index)
         result = kpr_run(params["n"], params["max_steps"], stream)
-        day = -1 if result.convergence_day is None else result.convergence_day
-        if day >= 0:
-            convergence_days.append(day)
-        rows.append((index, day, result.utilization[-1]))
+        days[index] = -1 if result.convergence_day is None else result.convergence_day
+        utilization[index] = result.utilization[-1]
     _write_csv(
         outdir / "kpr_runs.csv",
         manifest,
         ["seed_index", "convergence_day", "final_utilization"],
-        list(zip(*rows)),
+        (range(seeds), days, utilization),
     )
+    convergence_days = days[days >= 0]
     results: dict[str, Any] = {
-        "seeds": params["seeds"],
-        "converged": len(convergence_days),
-        "unconverged": params["seeds"] - len(convergence_days),
+        "seeds": seeds,
+        "converged": convergence_days.size,
+        "unconverged": seeds - convergence_days.size,
     }
-    if convergence_days:
+    if convergence_days.size:
         results["mean_convergence_day"] = float(np.mean(convergence_days))
         results["median_convergence_day"] = float(np.median(convergence_days))
         results["max_convergence_day"] = int(np.max(convergence_days))
@@ -529,10 +527,8 @@ _SUBCOMMANDS = {
         _PREFACTOR,
         Param("mode", str, MODE_STRATEGY, "strategy, or a uniform redraw every day",
               choices=(MODE_STRATEGY, "baseline", MODE_BASELINE)),
-        Param("record_choices", bool, False, "keep every agent's daily choice in memory "
-              "for --stats (no file holds it); counts toward the 1 GiB record limit"),
-        Param("stats", bool, False, "also write the derived statistics; turns on "
-              "choice recording"),
+        Param("stats", bool, False, "also write the derived statistics; C(tau) is "
+              "read off the head counts, so no choice is recorded"),
         _BURN_IN,
         Param("tau_max", int, 100, "largest autocorrelation lag", lo=1),
     ), {

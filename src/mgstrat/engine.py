@@ -16,20 +16,21 @@ tracks only these: Binomial(crowd, lam(e) / (M + e + 1)) movers on an
 imbalanced day, Binomial(side, q) off each side on a reset night, the thin
 side drawn first so that relabeling A and B mirrors a run exactly.  The
 random baseline is a reset every night at q = 1/2, an exact uniform redraw.
-Agents exist only for the optional choice record, where a child stream
-picks who moves, so recording never changes the imbalance path; its cost
-grows with the number of movers, not with n (see ``_fill_choice_rows``).
+With each reset night's thin-side count kept, the path gives the movers off
+each side every night, all that the agent-mean C(tau) needs.  Agents exist
+only for the optional choice record, a plain reference drawn from a child
+stream after the head counts, so recording never changes the imbalance path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import count
 from .solver import LambdaTable, default_delta_max
 
 __all__ = [
@@ -58,24 +59,9 @@ MODE_BASELINE = "random-baseline"
 MAX_RECORD_BYTES = 2**30
 
 # Bytes per agent that bound the arrays a run builds from n alone: one day
-# at n = 2 * 10**7 peaks at 293 MB (477 MB with the choice record), against
-# 54 MB at n = 201, so about 12 (21) bytes per agent.
+# at n = 2 * 10**7 peaks at 293 MB (313 MB with the choice record), against
+# 54 MB at n = 201, so about 12 (13) bytes per agent.
 _AGENT_BYTES = 24
-
-# A side that loses more than this fraction of its agents in one night is
-# shuffled whole (~16 ns an agent) rather than swapped mover by mover
-# (~150 ns a mover).
-SHUFFLE_FRACTION = 0.1
-
-# The choice record is rebuilt a block of nights at a time.  A block holds
-# at most IDENTITY_BLOCK movers (~40 bytes of temporaries each, ~130 when
-# swapped), IDENTITY_BLOCK // 128 nights and 16 * IDENTITY_BLOCK
-# agent-nights (a flag byte each), but at least one night, so its
-# temporaries stay below ~10 MiB however long the run is.
-IDENTITY_BLOCK = 1 << 16
-
-_SHUFFLE_A = -1
-_SHUFFLE_B = -2
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -100,12 +86,12 @@ class StrategyConfig:
     mode: str = MODE_STRATEGY
 
     def __post_init__(self) -> None:
-        if self.n != int(self.n) or self.n < 1 or self.n % 2 == 0:
+        self.n = count(self.n, "n", 1)
+        if self.n % 2 == 0:
             raise ValueError(f"population size must be a positive odd integer, got {self.n}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.wait_t != int(self.wait_t) or self.wait_t < 0:
-            raise ValueError(f"wait time must be a nonnegative integer, got {self.wait_t}")
+        self.wait_t = count(self.wait_t, "wait_t", 0)
         if not (self.reset_prefactor > 0.0):
             raise ValueError(f"reset prefactor must be positive, got {self.reset_prefactor}")
         if self.mode not in (MODE_STRATEGY, MODE_BASELINE):
@@ -174,14 +160,18 @@ class Trajectory:
     ``deltas[t]`` is the signed imbalance M - attendance_A on day t, so it
     is nonnegative when A held the smaller crowd; ``reset[t]`` is true when
     the night after marginal day t re-randomized the population.
-    ``choice_rows`` (days x ``row_bytes(n)``, see ``pack_choices``) holds
-    every agent's daily choice as one bit, 0 for A and 1 for B, and is kept
-    only on request.  Every other series is derived from these.
+    ``thin_movers[t]`` counts the agents who left the thin side that night:
+    nonzero only on re-randomization nights (every night of the baseline),
+    since otherwise only the crowd moves.  ``choice_rows`` (days x
+    ``row_bytes(n)``, see ``pack_choices``) holds every agent's daily choice
+    as one bit, 0 for A and 1 for B, and is kept only on request.  Every
+    other series is derived from these.
     """
 
     n: int
     deltas: np.ndarray
     reset: np.ndarray
+    thin_movers: np.ndarray
     choice_rows: np.ndarray | None = None
 
     @property
@@ -192,6 +182,7 @@ class Trajectory:
         return np.unpackbits(
             self.choice_rows, axis=1, count=self.n, bitorder="little"
         ).view(np.int8)
+
     @property
     def minority_side(self) -> np.ndarray:
         """+1 on days A held the smaller crowd, -1 otherwise (int8)."""
@@ -214,12 +205,12 @@ class Trajectory:
 def check_record_size(n: int, steps: int, record_choices: bool) -> None:
     """Refuse a run whose record or per-agent arrays would exceed MAX_RECORD_BYTES.
 
-    Each day keeps an int64 imbalance and a one-byte reset flag (9 bytes),
-    plus a packed row of ``row_bytes(n)`` when choices are recorded.  The
-    switch probabilities, the agents' order and their temporaries take at
-    most ``_AGENT_BYTES`` per agent.
+    Each day keeps an int64 imbalance, a one-byte reset flag and an int32
+    thin-side mover count (13 bytes), plus a packed row of ``row_bytes(n)``
+    when choices are recorded.  The switch probabilities, the agents'
+    choices and their temporaries take at most ``_AGENT_BYTES`` per agent.
     """
-    need = (steps + 1) * (9 + (row_bytes(n) if record_choices else 0))
+    need = (steps + 1) * (13 + (row_bytes(n) if record_choices else 0))
     if need > MAX_RECORD_BYTES:
         raise ValueError(
             f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
@@ -245,9 +236,10 @@ def run(
     The generator defaults to one seeded from ``config.seed``; pass ``rng``
     to draw several runs from a single stream.  ``initial_choices`` pins
     day 0 instead of sampling it (useful for symmetry checks).
+    ``record_choices`` also keeps every agent's daily choice, drawn from a
+    child stream after the head counts.
     """
-    if steps != int(steps) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
+    steps = count(steps, "steps", 1)
     n, m = config.n, config.m
     check_record_size(n, steps, record_choices)
     if rng is None:
@@ -262,19 +254,12 @@ def run(
             raise ValueError("choices must contain only 0 (A) and 1 (B)")
         choices = choices.astype(np.int8)
         attendance = n - int(np.count_nonzero(choices))
-    rows = thin_log = None
     if record_choices:
         # Who moves is drawn from a child stream; ``rng`` alone sets the counts.
         who = rng.spawn(1)[0]
         if initial_choices is None:
             choices = np.full(n, RESTAURANT_B, dtype=np.int8)
             choices[who.choice(n, attendance, replace=False)] = RESTAURANT_A
-        rows = np.zeros((steps + 1, row_bytes(n)), dtype=np.uint8)
-        rows[0] = pack_choices(choices)
-        # Until _fill_choice_rows rebuilds them, the first word of row t + 1
-        # holds the agents the night after day t moved off the thin side on
-        # a reset; every other move follows from the head counts.
-        thin_log = rows.view(np.uint64)[:, 0]
 
     baseline = config.mode == MODE_BASELINE
     reset_q = 0.5 if baseline else config.reset_probability
@@ -282,6 +267,7 @@ def run(
     wait_t = config.wait_t
     deltas = np.empty(steps + 1, dtype=np.int64)
     reset = np.zeros(steps + 1, dtype=bool)
+    thin_movers = np.zeros(steps + 1, dtype=np.int32)
     wait = 0
 
     for t in range(steps):
@@ -291,10 +277,9 @@ def run(
         if baseline or (excess == 0 and wait >= wait_t):
             if not baseline:
                 reset[t] = True
-            thin_movers = rng.binomial(m - excess, reset_q)
-            net = rng.binomial(m + excess + 1, reset_q) - thin_movers
-            if thin_log is not None:
-                thin_log[t + 1] = thin_movers
+            thin = rng.binomial(m - excess, reset_q)
+            net = rng.binomial(m + excess + 1, reset_q) - thin
+            thin_movers[t] = thin
             wait = 0
         elif excess:
             net = rng.binomial(m + excess + 1, probabilities[excess])
@@ -307,115 +292,25 @@ def run(
         attendance += net if delta >= 0 else -net
     deltas[steps] = m - attendance
 
-    if rows is not None:
-        _fill_choice_rows(rows, deltas, choices, who)
-    return Trajectory(n=n, deltas=deltas, reset=reset, choice_rows=rows)
-
-
-def _fill_choice_rows(
-    rows: np.ndarray, deltas: np.ndarray, choices: np.ndarray, who: np.random.Generator
-) -> None:
-    """Rebuild the choice record ``rows[1:]`` from day 0's ``choices`` and the path.
-
-    ``rows[t + 1]`` enters holding the reset-night thin-side movers that
-    ``run`` logged.  The agents sit in one permutation ``order``: those at A
-    in ``order[:attendance]``, counted from the front, and those at B in
-    ``order[attendance:]``, counted from the back, so relabeling A and B
-    reverses ``order`` and, with the thin side drawn first, mirrors the
-    record exactly.  To move k agents off a side of s, k partial
-    Fisher-Yates swaps (their positions drawn for a block of nights in one
-    ``who.integers`` call) or, past ``SHUFFLE_FRACTION``, one shuffle of the
-    side bring a uniform k-subset to the boundary, which then moves over.
-    The movers' bits make per-night difference rows, and an XOR scan down
-    the days turns those into the record.
-    """
-    n = choices.size
-    m = (n - 1) // 2
-    width = rows.shape[1]
-    words = rows.view(np.uint64)
-    order = np.concatenate(
-        (np.flatnonzero(choices == RESTAURANT_A), np.flatnonzero(choices == RESTAURANT_B)[::-1])
-    )
-    # Scalar swaps through a memoryview cost half as much as numpy indexing.
-    slots = memoryview(order)
-    nights = deltas.size - 1
-    start = 0
-    while start < nights:
-        stop = min(start + max(1, min(IDENTITY_BLOCK // 128, 16 * IDENTITY_BLOCK // n)), nights)
-        before = deltas[start:stop]
-        crowd_at_b = before >= 0
-        rise = before - deltas[start + 1 : stop + 1]  # of the head count at A
-        thin = words[start + 1 : stop + 1, 0].astype(np.int64)
-        crowd = thin + np.where(crowd_at_b, rise, -rise)
-        # Cut the block at IDENTITY_BLOCK movers, keeping at least one night.
-        fit = int(np.searchsorted(np.cumsum(thin + crowd), IDENTITY_BLOCK, side="right"))
-        stop = start + max(1, fit)
-        before, crowd_at_b = before[: stop - start], crowd_at_b[: stop - start]
-        thin, crowd = thin[: stop - start], crowd[: stop - start]
-        attendance = m - before
-        off_a = np.where(crowd_at_b, thin, crowd)
-        off_b = np.where(crowd_at_b, crowd, thin)
-
-        # Every side of every night, in draw order: the thin side, then the
-        # crowd.  Its op is the count of movers to swap over one by one, or
-        # _SHUFFLE_A / _SHUFFLE_B to shuffle that side whole.
-        on_a = np.column_stack((crowd_at_b, ~crowd_at_b)).ravel()
-        movers = np.column_stack((thin, crowd)).ravel()
-        at_a = np.repeat(attendance, 2)
-        size = np.where(on_a, at_a, n - at_a)
-        shuffled = movers > SHUFFLE_FRACTION * size
-        ops = np.where(shuffled, np.where(on_a, _SHUFFLE_A, _SHUFFLE_B), movers)
-        # Swap i of a side fills the position size - 1 - i of the side's own
-        # count from a uniform position below it; A counts from 0 and B from
-        # n - 1 down.
-        swaps = np.where(shuffled, 0, movers)
-        bound = np.repeat(size + np.cumsum(swaps) - swaps, swaps) - np.arange(swaps.sum())
-        pick = who.integers(0, bound)
-        side_a = np.repeat(on_a, swaps)
-        pairs = zip(
-            np.where(side_a, pick, n - 1 - pick).tolist(),
-            np.where(side_a, bound - 1, n - bound).tolist(),
-        )
-
-        counts = off_a + off_b
-        active = np.flatnonzero(counts)
-        lo = attendance - off_a
-        hi = attendance + off_b
-        moved = []
-        for att, first, second, low, high, both in zip(
-            attendance[active].tolist(),
-            ops[0::2][active].tolist(),
-            ops[1::2][active].tolist(),
-            lo[active].tolist(),
-            hi[active].tolist(),
-            np.minimum(off_a, off_b)[active].tolist(),
-        ):
-            for op in (first, second):
-                if op > 0:
-                    for i, j in islice(pairs, op):
-                        slots[i], slots[j] = slots[j], slots[i]
-                elif op == _SHUFFLE_A:
-                    who.shuffle(order[:att])
-                elif op == _SHUFFLE_B:
-                    who.shuffle(order[att:][::-1])
-            if both:
-                # [stay at A][off A][off B][stay at B]: trade the first
-                # ``both`` of the A movers for the last ``both`` of the B
-                # movers, so that A's block is again one run from the front.
-                cut = high - both
-                order[low : low + both], order[cut:high] = (
-                    order[cut:high].copy(),
-                    order[low : low + both].copy(),
-                )
-            moved.append(slots[low:high].tobytes())
-
-        # One flag per (night, agent bit) of the block, packed into the
-        # night's difference row.
-        flips = np.zeros((stop - start) * 8 * width, dtype=bool)
-        if moved:
-            agents = np.frombuffer(b"".join(moved), dtype=order.dtype)
-            flips[np.repeat(np.arange(stop - start) * (8 * width), counts) + agents] = True
-        rows[start + 1 : stop + 1] = np.packbits(flips, bitorder="little").reshape(-1, width)
-        block = words[start : stop + 1]
-        np.bitwise_xor.accumulate(block, axis=0, out=block)
-        start = stop
+    trajectory = Trajectory(n=n, deltas=deltas, reset=reset, thin_movers=thin_movers)
+    if record_choices:
+        # Each night a uniform subset of the thin side, then of the crowd,
+        # moves; both flip after both draws, so relabeling A and B mirrors
+        # the record exactly.
+        rows = np.empty((steps + 1, row_bytes(n)), dtype=np.uint8)
+        rows[0] = pack_choices(choices)
+        for t in range(steps):
+            delta, after, thin = int(deltas[t]), int(deltas[t + 1]), int(thin_movers[t])
+            # The crowd, at B when delta >= 0, loses ``net`` more than the thin side.
+            net = delta - after if delta >= 0 else after - delta
+            thin_side = RESTAURANT_A if delta >= 0 else RESTAURANT_B
+            moved = [
+                who.choice(np.flatnonzero(choices == side), k, replace=False)
+                for side, k in ((thin_side, thin), (1 - thin_side, thin + net))
+                if k
+            ]
+            for agents in moved:
+                choices[agents] ^= 1
+            rows[t + 1] = pack_choices(choices)
+        trajectory.choice_rows = rows
+    return trajectory

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integers
+from ._checks import count, integers
 
 __all__ = [
     "UNSERVED",
@@ -53,14 +53,6 @@ __all__ = [
 
 UNSERVED = 0  # last_served_rank entry for an agent who found no food
 NO_AGENT = -1  # served entry for a restaurant that fed nobody
-
-
-def _count(value: int, name: str, minimum: int) -> int:
-    """``value`` as one int of at least ``minimum``; integral floats pass."""
-    array = integers(value, name, minimum)
-    if array.ndim:
-        raise ValueError(f"{name} must be a single integer, got {value!r}")
-    return int(array)
 
 
 def _ranks(positions: np.ndarray, n: int) -> np.ndarray:
@@ -94,7 +86,7 @@ class KPRState:
     day: int = 0
 
     def __post_init__(self) -> None:
-        self.n = n = _count(self.n, "n", 1)
+        self.n = n = count(self.n, "n", 1)
         self.positions = _ranks(self.positions, n)
         self.served = np.asarray(self.served, dtype=np.int64)
         self.last_served_rank = np.asarray(self.last_served_rank, dtype=np.int64)
@@ -219,8 +211,8 @@ def kpr_run(
     all n agents are fed.  A day costs O(unfed agents); the final state is
     built once, at the end.
     """
-    n = _count(n, "n", 1)
-    max_steps = _count(max_steps, "max_steps", 0)
+    n = count(n, "n", 1)
+    max_steps = count(max_steps, "max_steps", 0)
     slot, unfed, free = _first_day(n, rng, positions)
     utilization = [(n - unfed.size) / n]
     day = 0

@@ -5,7 +5,9 @@ distance of the attendance from the ideal n/2, normalized by n.  Random
 choice pins it at 1; the strategy drives it toward zero like a power of the
 crowd size.  The rest of the module measures how the system decorrelates --
 which side wins (fast, a few days) and who sits where (slow, controlled by
-the reset policy) -- and how long recovery from a reset takes.
+the reset policy) -- and how long recovery from a reset takes.  C(tau) is
+read off the head counts, with the same mean as a per-agent record's value
+and less variance.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count
 from .engine import Trajectory, pack_choices
 
 __all__ = [
@@ -28,8 +31,7 @@ __all__ = [
 
 
 def _burned(values: np.ndarray, burn_in: int, what: str) -> np.ndarray:
-    if burn_in != int(burn_in) or burn_in < 0:
-        raise ValueError(f"burn-in must be a nonnegative integer, got {burn_in}")
+    burn_in = count(burn_in, "burn_in", 0)
     out = values[burn_in:]
     if out.size == 0:
         raise ValueError(f"burn-in {burn_in} leaves no {what}")
@@ -84,37 +86,43 @@ def s_decay_rate(acf: np.ndarray) -> float:
 # so its memory stays flat however long the record is.
 COMPARE_BLOCK_BYTES = 4 << 20
 
+# Starting days one block of the count-path C(tau) takes, so its
+# temporaries (~15 float64 a day) stay flat however long the run is.
+COUNT_BLOCK_DAYS = 1 << 14
 
-def c_autocorrelation(
-    choices: Trajectory | np.ndarray | None, tau_max: int
-) -> np.ndarray:
+
+def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndarray:
     """Mean per-agent choice autocorrelation at lags 0..tau_max.
 
-    ``choices`` is a trajectory whose packed choice rows are read as they
-    are, or a (days x agents) record of 0/1 choices, which is packed once.
     With choices read as +/-1, the value at lag tau is the mean product of
-    an agent's choices tau days apart, so lag 0 gives exactly 1.  It is
-    computed from the integer count of changed choices, the set bits of
-    row XOR row-tau, as (N - 2 changed) / N over the N = (days - tau) *
-    agents pairs, rounded once.  Rows are compared in blocks of at most
-    ``COMPARE_BLOCK_BYTES``.
+    an agent's choices tau days apart, so lag 0 gives exactly 1.
+
+    For a trajectory it is the expectation given the head counts.  The
+    movers off a side are a uniform subset of it, so with pa = off_A / a and
+    pb = off_B / b on night t a tagged agent's choice x has E[x(t + 1) |
+    x(t)] = r x(t) + d, r = 1 - (pa + pb) and d = pb - pa.  As the choices
+    on day t add to a_t - b_t, (T - tau) n C(tau) sums, over days t,
+    n prod_{s=t}^{t+tau-1} r_s + (a_t - b_t) h_tau(t), where
+    h_tau = h_(tau-1) r + d and h_0 = 0.  Writing r as 1 - (pa + pb) keeps
+    relabeling A and B exact.
+
+    For a (days x agents) 0/1 record it is the exact count of changed
+    choices, the set bits of row XOR row-tau over packed rows compared
+    ``COMPARE_BLOCK_BYTES`` at a time, as (N - 2 changed) / N over the
+    N = (days - tau) * agents pairs, rounded once.
     """
+    tau_max = count(tau_max, "tau_max", 1)
     if isinstance(choices, Trajectory):
-        agents, rows = choices.n, choices.choice_rows
+        days, rows = choices.days, None
     else:
-        agents, rows = None, choices
-    if rows is None:
-        raise ValueError("choices were not recorded; rerun with record_choices=True")
-    if tau_max != int(tau_max) or tau_max < 1:
-        raise ValueError(f"tau_max must be a positive integer, got {tau_max}")
-    if agents is None:
-        matrix = np.asarray(rows)
+        matrix = np.asarray(choices)
         if matrix.ndim != 2:
             raise ValueError("choice matrix must be two-dimensional (days x agents)")
-        agents, rows = matrix.shape[1], pack_choices(matrix)
-    days = rows.shape[0]
+        (days, agents), rows = matrix.shape, pack_choices(matrix)
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
+    if rows is None:
+        return _count_path_autocorrelation(choices, tau_max)
     words = rows.view(np.uint64)
     block = max(1, COMPARE_BLOCK_BYTES // rows.shape[1])
     out = np.empty(tau_max + 1)
@@ -128,6 +136,44 @@ def c_autocorrelation(
             )
         pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs
+    return out
+
+
+def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
+    """C(tau) given the head counts, ``COUNT_BLOCK_DAYS`` starting days at a time."""
+    n, days = trajectory.n, trajectory.days
+    m = (n - 1) // 2
+    sums = np.zeros(tau_max + 1)
+    for start in range(0, days - 1, COUNT_BLOCK_DAYS):
+        stop = min(start + COUNT_BLOCK_DAYS, days - 1)
+        # The nights after days start .. last - 1 reach lag tau_max.
+        last = min(stop + tau_max - 1, days - 1)
+        before = trajectory.deltas[start:last]
+        rise = before - trajectory.deltas[start + 1 : last + 1]  # of the head count at A
+        thin = trajectory.thin_movers[start:last]
+        # The crowd, at B when the imbalance is nonnegative, loses the thin
+        # side's movers plus the net change.
+        crowd_at_b = before >= 0
+        crowd = thin + np.where(crowd_at_b, rise, -rise)
+        at_a = m - before
+        pa = np.where(crowd_at_b, thin, crowd) / np.maximum(at_a, 1)
+        pb = np.where(crowd_at_b, crowd, thin) / np.maximum(n - at_a, 1)
+        r = 1 - (pa + pb)
+        d = pb - pa
+        spread = 2 * at_a[: stop - start] - n  # a_t - b_t
+        product = np.ones(stop - start)
+        h = np.zeros(stop - start)
+        for tau in range(1, tau_max + 1):
+            size = min(stop, days - tau) - start
+            if size <= 0:
+                break
+            product, h = product[:size], h[:size]
+            product *= r[tau - 1 : tau - 1 + size]
+            h *= r[tau - 1 : tau - 1 + size]
+            h += d[tau - 1 : tau - 1 + size]
+            sums[tau] += np.sum(n * product + spread[:size] * h)
+    out = sums / ((days - np.arange(tau_max + 1)) * n)
+    out[0] = 1.0
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +24,7 @@ from mgstrat.cli import (
     parse_config,
 )
 from mgstrat.engine import derive_rng
+from mgstrat.kpr import kpr_run
 from mgstrat.solver import NumericError
 
 
@@ -110,19 +112,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="^epsilons range .* more than"):
             parse_config(["sweep", "--epsilons", "0:1:1e-5"])
 
-    def test_record_guard_counts_recorded_choices(self, tmp_path):
-        # 50 001 days of 200 001 packed choices (25 008 bytes a day): about
-        # 1.2 GiB, refused
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"n": 200001, "steps": 50000}))
-        parse_config(["simulate", "--config", str(config)])
-        with pytest.raises(ValueError, match="^steps .* recorded choices .* 1 GiB limit"):
-            parse_config(["simulate", "--config", str(config), "--record-choices"])
-
     def test_stats_implies_choice_recording(self):
         manifest = parse_config(["simulate", "--stats"])
-        assert manifest.params["record_choices"] is True
         assert "c_autocorr.csv" in manifest.outputs
+
+    def test_choice_recording_is_no_longer_a_key(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"record_choices": True}))
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "unknown key 'record_choices'" in capsys.readouterr().err
+        assert main(["simulate", "--record-choices"]) == 2
+        assert "--record-choices" in capsys.readouterr().err
 
     def test_outdir_resolution(self, monkeypatch, tmp_path):
         monkeypatch.delenv(OUTDIR_ENV, raising=False)
@@ -270,6 +270,25 @@ class TestSeedsBound:
         assert code == 2
         assert err.startswith(f"error: seeds must lie in [1, 1e+06], got {seeds}"), err
         assert not (tmp_path / "out").exists()
+
+
+def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
+    # Every seed gets the same one-day run, so what grows with the seed count
+    # is what the subcommand keeps per seed, including its CSV rows.
+    result = kpr_run(1, 1, derive_rng(0))
+    monkeypatch.setattr(cli, "kpr_run", lambda n, max_steps, rng: result)
+    monkeypatch.setattr(cli, "derive_rng", lambda *key: None)
+    peaks = []
+    for seeds in (20_000, 120_000):
+        manifest = parse_config(["kpr", "--n", "1", "--max-steps", "1", "--seeds", str(seeds),
+                                 "--outdir", str(tmp_path)])
+        tracemalloc.start()
+        try:
+            cli._SUBCOMMANDS["kpr"].runner(manifest, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 100_000 <= 64, peaks
 
 
 def test_integral_config_number_is_an_integer(tmp_path):

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mgstrat import engine
 from mgstrat.engine import (
     MAX_RECORD_BYTES,
     MODE_BASELINE,
@@ -36,6 +35,7 @@ from mgstrat.engine import (
     switch_probabilities,
 )
 from mgstrat.solver import ASYMPTOTIC_GAP, default_delta_max, solve_lambda
+from mgstrat.stats import c_autocorrelation, inefficiency_eta
 
 
 def start_with_attendance(n: int, attendance_a: int) -> np.ndarray:
@@ -308,20 +308,15 @@ class TestStep:
 
 
 class TestChoiceRecordLaw:
-    """Who moves: a uniform subset of its side, whichever way it is picked."""
+    """Who moves: a uniform subset of its side."""
 
     TRIALS = 2000
 
-    @pytest.mark.parametrize("fraction", [1.0, 0.0], ids=["swaps", "shuffles"])
     @pytest.mark.parametrize("attendance", [1, 2], ids=["imbalanced", "reset"])
-    def test_moved_set_is_uniform_over_the_subsets_of_its_side(
-        self, monkeypatch, fraction, attendance
-    ):
-        # A fraction of 1 never shuffles a side and 0 always does.  From a
-        # pinned start the agents' order is fixed, so any bias by position
-        # shows.  At epsilon 1 a reset night moves each agent with
+    def test_moved_set_is_uniform_over_the_subsets_of_its_side(self, attendance):
+        # From a pinned start the agents' positions are fixed, so any bias by
+        # position shows.  At epsilon 1 a reset night moves each agent with
         # probability 1/2, so both sides move.
-        monkeypatch.setattr(engine, "SHUFFLE_FRACTION", fraction)
         config = StrategyConfig(n=5, epsilon=1.0)
         start = start_with_attendance(5, attendance)
         rng = derive_rng(300, attendance)
@@ -351,9 +346,8 @@ class TestChoiceRecordLaw:
         "n, steps", [(5, (500, 4_000)), (2001, (2_000,))], ids=["n5", "n2001"]
     )
     def test_recorded_run_holds_the_guarded_bytes_plus_a_fixed_block(self, mode, n, steps):
-        # The record is rebuilt in bounded blocks of nights, so whatever else
-        # a run allocates stays below a bound that does not grow with its
-        # length.
+        # The record is built one night at a time, so whatever else a run
+        # allocates stays below a bound that does not grow with its length.
         config = StrategyConfig(n=n, seed=8, mode=mode)
         run(config, 1)  # the rate table is built outside the measurement
         excess = []
@@ -364,9 +358,9 @@ class TestChoiceRecordLaw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            excess.append(peak - (days + 1) * (9 + row_bytes(n)))
-        assert max(excess) <= 64 * engine.IDENTITY_BLOCK, excess
-        # at n = 5 a block spans hundreds of nights, so growth would show
+            excess.append(peak - (days + 1) * (13 + row_bytes(n)))
+        assert max(excess) <= 2**22, excess
+        # at n = 5 the record is small, so growth would show
         assert excess[-1] <= excess[0] + 2**18, excess
 
 
@@ -474,14 +468,14 @@ class TestRun:
             assert recorded.choice_matrix.dtype == np.int8
 
     def test_record_size_guard_boundary(self):
-        per_day = 9 + 8 * math.ceil(2001 / 64)
+        per_day = 13 + 8 * math.ceil(2001 / 64)
         fits = MAX_RECORD_BYTES // per_day - 1
         check_record_size(2001, fits, True)
         with pytest.raises(ValueError, match="^steps"):
             check_record_size(2001, fits + 1, True)
-        check_record_size(2001, MAX_RECORD_BYTES // 9 - 1, False)
+        check_record_size(2001, MAX_RECORD_BYTES // 13 - 1, False)
         with pytest.raises(ValueError, match="^steps"):
-            check_record_size(2001, MAX_RECORD_BYTES // 9, False)
+            check_record_size(2001, MAX_RECORD_BYTES // 13, False)
 
     def test_oversized_run_refused_before_allocating(self):
         # far beyond any address space: only the guard can answer this
@@ -576,6 +570,32 @@ class TestPopulationState:
         assert trajectory.deltas[0] == 1 - 2
 
 
+# (call, the argument its ValueError must name, or the call's result)
+INTEGER_ARGUMENTS = {
+    "config-n-inf": (lambda: StrategyConfig(n=math.inf), "n"),
+    "config-wait-inf": (lambda: StrategyConfig(n=5, wait_t=math.inf), "wait_t"),
+    "run-steps-inf": (lambda: run(StrategyConfig(n=5), math.inf), "steps"),
+    "run-steps-nan": (lambda: run(StrategyConfig(n=5), math.nan), "steps"),
+    "run-steps-integral-float": (lambda: run(StrategyConfig(n=5), 2.0).days, 3),
+    "config-n-integral-float": (lambda: run(StrategyConfig(n=5.0), 3).days, 4),
+    "c-tau-max-inf": (lambda: c_autocorrelation(np.zeros((4, 3)), math.inf), "tau_max"),
+    "eta-burn-in-inf": (
+        lambda: inefficiency_eta(run(StrategyConfig(n=5), 3), math.inf), "burn_in",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, outcome", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+def test_integer_arguments_are_checked_by_name(call, outcome):
+    # A non-integral or infinite count is a ValueError naming the argument;
+    # an integral float is that integer.
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{outcome} must be an integer"):
+            call()
+    else:
+        assert call() == outcome
+
+
 class TestDeriveRng:
     def test_same_key_same_stream(self):
         assert derive_rng(5, 1, 2).integers(0, 10**9) == derive_rng(5, 1, 2).integers(
@@ -593,6 +613,7 @@ class TestTrajectory:
             n=5,
             deltas=np.array([2, 0, -1, -3]),
             reset=np.zeros(4, dtype=bool),
+            thin_movers=np.zeros(4, dtype=np.int32),
         )
         assert np.array_equal(trajectory.excess(), np.array([2, 0, 0, 2]))
 
@@ -600,11 +621,12 @@ class TestTrajectory:
     def test_record_holds_exactly_what_the_guard_counts(self, record):
         trajectory = run(StrategyConfig(n=101, seed=5), 500, record_choices=record)
         names = {f.name for f in dataclasses.fields(Trajectory)}
-        assert names == {"n", "deltas", "reset", "choice_rows"}
+        assert names == {"n", "deltas", "reset", "thin_movers", "choice_rows"}
         assert set(vars(trajectory)) == names
-        # check_record_size counts 9 bytes per day, plus 8 * ceil(n / 64)
+        # check_record_size counts 13 bytes per day, plus 8 * ceil(n / 64)
         # for the packed choices
-        assert trajectory.deltas.nbytes + trajectory.reset.nbytes == 9 * 501
+        held = trajectory.deltas.nbytes + trajectory.reset.nbytes + trajectory.thin_movers.nbytes
+        assert held == 13 * 501
         if record:
             assert trajectory.choice_rows.nbytes == 8 * math.ceil(101 / 64) * 501
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mgstrat import kpr
+from mgstrat import _checks, kpr
 from mgstrat.engine import derive_rng
 from mgstrat.kpr import (
     NO_AGENT,
@@ -404,6 +404,7 @@ class TestRun:
 
         integers = kpr.integers
         monkeypatch.setattr(kpr, "integers", counted)
+        monkeypatch.setattr(_checks, "integers", counted)
         result = kpr_run(64, 10**4, derive_rng(103), positions=np.ones(64))
         assert len(result.utilization) > 3
         # n and max_steps, the given positions, then the final state's n

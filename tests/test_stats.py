@@ -1,5 +1,6 @@
 """Observable-estimator tests, mostly on synthetic trajectories."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,8 @@ def make_trajectory(n: int, deltas, reset_days=()) -> Trajectory:
     deltas = np.asarray(deltas, dtype=np.int64)
     reset = np.zeros(deltas.size, dtype=bool)
     reset[list(reset_days)] = True
-    return Trajectory(n=n, deltas=deltas, reset=reset)
+    thin_movers = np.zeros(deltas.size, dtype=np.int32)
+    return Trajectory(n=n, deltas=deltas, reset=reset, thin_movers=thin_movers)
 
 
 def per_reset_episode_lengths(trajectory: Trajectory) -> list[int]:
@@ -197,15 +199,10 @@ class TestCAutocorrelation:
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
     def test_packed_record_matches_oracle_bit_for_bit(self):
-        # a trajectory hands over its packed rows; the same choices given as
-        # a 0/1 matrix are packed first and must count the same
+        # a recorded run's choices, packed and counted
         trajectory = run(StrategyConfig(n=257, epsilon=0.7, seed=64), 2999, record_choices=True)
         matrix = trajectory.choice_matrix
-        acf = c_autocorrelation(trajectory, 40)
-        self._assert_matches_oracle(matrix, acf)
-        assert acf.tolist() == c_autocorrelation(matrix, 40).tolist()
-        with pytest.raises(ValueError, match="not recorded"):
-            c_autocorrelation(run(StrategyConfig(n=257), 50), 5)
+        self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
     @pytest.mark.parametrize("block_bytes", [1, 3 * 40 + 39, 40 * 64 + 5])
     def test_row_blocks_match_oracle_bit_for_bit(self, monkeypatch, block_bytes):
@@ -215,6 +212,75 @@ class TestCAutocorrelation:
         monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
+
+
+RUN_KINDS = pytest.mark.parametrize(
+    "kind", [{}, {"mode": MODE_BASELINE}, {"wait_t": 3}], ids=["strategy", "baseline", "wait"]
+)
+
+
+class TestCountPathAutocorrelation:
+    """C(tau) of a trajectory, the expectation given its head counts."""
+
+    def test_lag_zero_is_exactly_one(self):
+        acf = c_autocorrelation(run(StrategyConfig(n=201, seed=70), 500), 20)
+        assert acf[0] == 1.0
+        assert (np.abs(acf) <= 1.0).all()
+
+    @RUN_KINDS
+    def test_lag_one_equals_the_record(self, kind):
+        # one night's moves are fixed by its counts, so lag 1 has no
+        # agent-level noise left to average
+        trajectory = run(
+            StrategyConfig(n=201, epsilon=0.7, seed=71, **kind), 1000, record_choices=True
+        )
+        count = c_autocorrelation(trajectory, 5)
+        record = c_autocorrelation(trajectory.choice_matrix, 5)
+        assert abs(count[1] - record[1]) <= 1e-12
+
+    @RUN_KINDS
+    def test_relabeling_gives_identical_values(self, kind):
+        config = StrategyConfig(n=101, epsilon=0.6, **kind)
+        start = derive_rng(72).integers(0, 2, size=101, dtype=np.int8)
+        a = run(config, 3000, rng=derive_rng(73), initial_choices=start)
+        b = run(config, 3000, rng=derive_rng(73), initial_choices=1 - start)
+        assert np.array_equal(b.deltas, -a.deltas - 1)
+        assert np.array_equal(c_autocorrelation(a, 100), c_autocorrelation(b, 100))
+
+    def test_agrees_with_the_record_over_seeds(self):
+        # Same mean: over 20 seeds the mean difference from the record's
+        # value stays within 4 standard errors at every lag.
+        config = StrategyConfig(n=201, epsilon=0.5)
+        diffs = []
+        for seed in range(20):
+            trajectory = run(config, 1000, record_choices=True, rng=derive_rng(74, seed))
+            diffs.append(
+                c_autocorrelation(trajectory, 50) - c_autocorrelation(trajectory.choice_matrix, 50)
+            )
+        diffs = np.array(diffs)[:, 2:]
+        stderr = diffs.std(axis=0, ddof=1) / np.sqrt(len(diffs))
+        assert (np.abs(diffs.mean(axis=0)) <= 4 * stderr).all()
+
+    @pytest.mark.parametrize("block_days", [5, 40, 300])
+    def test_day_blocks_give_the_same_values(self, monkeypatch, block_days):
+        # blocks shorter than, near and longer than the lag window
+        trajectory = run(StrategyConfig(n=201, seed=75), 1000)
+        whole = c_autocorrelation(trajectory, 40)
+        monkeypatch.setattr(stats, "COUNT_BLOCK_DAYS", block_days)
+        assert np.allclose(c_autocorrelation(trajectory, 40), whole, rtol=0, atol=1e-13)
+
+    def test_memory_does_not_grow_with_the_run(self):
+        peaks = []
+        for days in (10**5, 10**6):
+            trajectory = make_trajectory(2001, np.resize([0, -1], days))
+            tracemalloc.start()
+            try:
+                c_autocorrelation(trajectory, 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16, peaks
+        assert peaks[1] <= 16 * 8 * (stats.COUNT_BLOCK_DAYS + 10), peaks
 
 
 class TestConvergenceTime:

@@ -18,3 +18,14 @@ def test_trace_hooks_patch_and_restore(monkeypatch):
     with spans.patched(spans.SpanRecorder()):
         assert cli.main is not main and engine.LambdaTable is not table
     assert cli.main is main and engine.LambdaTable is table
+
+
+def test_benchmark_probes_run_against_the_library(monkeypatch):
+    # probe_metrics calls the library directly (a recorded run, its choice
+    # matrix, c_autocorrelation on it, kpr_init and kpr_step), so a change
+    # that breaks a probe fails here too.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    metrics = spans.probe_metrics(7, 1)
+    assert all(value > 0 for value in metrics.values()), metrics
