@@ -1,42 +1,70 @@
 """Argument checks shared by every module that takes numbers from a caller.
 
-Each elementwise check takes a scalar or an array, raises ``ValueError``
-naming the first bad entry, and returns the entries as an array.
-``float_or_array`` gives the result back as a float when the input was
-scalar, and ``count`` checks one integer argument.
+``number`` is the one rule for a scalar, and ``count`` and ``positive`` build
+on it.  Each elementwise check takes a scalar or an array, raises
+``ValueError`` naming the first bad entry, and returns the entries as an array.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Any, Callable
 
 import numpy as np
 
-# Up to this many entries, testing the listed values in Python beats numpy's
-# fixed cost of ~1 us a call.  The bisection checks one- and two-entry
-# arrays at every step once a single root is left open.
-_FEW = 8
+
+def number(value: Any, name: str, kind: type = float) -> int | float:
+    """``value`` as one finite ``kind``, int or float; ValueError naming ``name``.
+
+    A bool is not a number and an int must be integral (an integral float
+    passes); a Python int of any size is an int.
+    """
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    try:
+        ok = np.asarray(value).dtype != bool and (
+            kind is int and isinstance(value, (int, np.integer))
+            or math.isfinite(value) and (kind is float or value == int(value))
+        )
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def count(value: Any, name: str, minimum: int) -> int:
+    """``value`` as one int of at least ``minimum``, by the rule of ``number``."""
+    value = number(value, name, int)
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value}")
+    return value
+
+
+def positive(value: Any, name: str, maximum: float = math.inf) -> float:
+    """``value`` as a float in (0, ``maximum``], by the rule of ``number``."""
+    value = number(value, name)
+    if not 0.0 < value <= maximum:
+        bound = "be positive" if maximum == math.inf else f"lie in (0, {maximum:g}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
 
 
 def _first_bad(
     array: np.ndarray, ok: Callable[[np.ndarray], np.ndarray]
 ) -> float | int | None:
-    """The first entry that fails ``ok``, or None when every entry passes.
-
-    ``ok`` must accept both an array and a Python number.
-    """
-    if array.size <= _FEW:
-        if all(map(ok, array.ravel().tolist())):
-            return None
-    elif np.count_nonzero(ok(array)) == array.size:
+    """The first entry that fails the ufunc predicate ``ok``, or None."""
+    good = ok(array)
+    if np.count_nonzero(good) == array.size:
         return None
-    return array[~ok(array)].flat[0]
+    return array[~good].flat[0]
 
 
 def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray:
     """Entries that are whole numbers of at least ``minimum``; integral floats pass."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be an integer, got {values!r}")
     if array.dtype.kind == "f":
         bad = _first_bad(
@@ -49,23 +77,12 @@ def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray
     return array
 
 
-def count(value: int, name: str, minimum: int) -> int:
-    """``value`` as one int of at least ``minimum``; integral floats pass."""
-    array = integers(value, name, minimum)
-    if array.ndim:
-        raise ValueError(f"{name} must be a single integer, got {value!r}")
-    return int(array)
-
-
 def means(
     values: np.typing.ArrayLike, name: str = "mean", positive: bool = False
 ) -> np.ndarray:
     """Finite float64 entries, nonnegative or (with ``positive``) above zero."""
     array = np.asarray(values, dtype=np.float64)
-    if positive:
-        bad = _first_bad(array, lambda x: (x > 0.0) & (x < np.inf))
-    else:
-        bad = _first_bad(array, lambda x: (x >= 0.0) & (x < np.inf))
+    bad = _first_bad(array, lambda x: ((x > 0.0) if positive else (x >= 0.0)) & (x < np.inf))
     if bad is not None:
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {sign}, got {bad}")

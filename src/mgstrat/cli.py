@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
+from ._checks import number, positive
 from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, check_record_size, derive_rng, run
 from .kpr import kpr_run
 from .payoff import expected_payoffs
@@ -69,18 +70,6 @@ MAX_SEEDS = 10**6
 _KPR_MAX_N = 8 * 10**6
 
 
-def _number(name: str, value: Any, kind: type) -> int | float:
-    """``value`` as a finite int or float; ValueError naming ``name`` otherwise."""
-    what = "an integer" if kind is int else "a finite number"
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past float range
-        finite = False
-    if not finite or (kind is int and value != int(value)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
-
-
 def _epsilon_values(raw: Any) -> list[Any]:
     """The entries of a ``start:stop:step`` range, a comma list or a JSON list."""
     if isinstance(raw, list):
@@ -93,9 +82,8 @@ def _epsilon_values(raw: Any) -> list[Any]:
         if ":" in raw:
             if raw.count(":") != 2 or len(parts) != 3:
                 raise ValueError(f"epsilons range must be start:stop:step, got {raw!r}")
-            start, stop, step = (_number("epsilons", p, float) for p in parts)
-            if step <= 0:
-                raise ValueError(f"epsilons step must be positive, got {step}")
+            start, stop = (number(p, "epsilons") for p in parts[:2])
+            step = positive(parts[2], "epsilons step")
             count = math.floor(min((stop - start) / step, MAX_EPSILONS) + 1e-9) + 1
             if count > MAX_EPSILONS:
                 raise ValueError(
@@ -156,10 +144,10 @@ class Param:
             return value
         if self.kind is list:
             return [
-                self._bounded(round(_number(self.name, v, float), 12))
+                self._bounded(round(number(v, self.name), 12))
                 for v in _epsilon_values(value)
             ]
-        return self._bounded(_number(self.name, value, self.kind))
+        return self._bounded(number(value, self.name, self.kind))
 
 
 _N = Param("n", int, 2001, "population size, odd", lo=1)

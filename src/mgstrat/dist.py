@@ -17,7 +17,7 @@ from types import ModuleType
 
 import numpy as np
 
-from ._checks import float_or_array, integers, means, probabilities
+from ._checks import float_or_array, integers, means, number, probabilities
 
 __all__ = [
     "poisson_cdf",
@@ -70,8 +70,7 @@ def skellam_cdf(
     chndtr(2 lam_second, -2k, 2 lam_first) for k < 0, and one minus the
     mirrored case for k >= 0.
     """
-    if k != int(k):
-        raise ValueError(f"k must be an integer, got {k}")
+    k = number(k, "k", int)
     lam_first = means(lam_first)
     lam_second = means(lam_second)
     chndtr = _special().chndtr

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import count
+from ._checks import count, number, positive
 from .solver import LambdaTable, default_delta_max
 
 __all__ = [
@@ -66,7 +66,7 @@ _AGENT_BYTES = 24
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (master seed, run indices...)."""
-    return np.random.default_rng([int(seed), *(int(k) for k in key)])
+    return np.random.default_rng([count(seed, "seed", 0), *(count(k, "key", 0) for k in key)])
 
 
 @dataclass
@@ -89,11 +89,12 @@ class StrategyConfig:
         self.n = count(self.n, "n", 1)
         if self.n % 2 == 0:
             raise ValueError(f"population size must be a positive odd integer, got {self.n}")
+        self.epsilon = number(self.epsilon, "epsilon")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         self.wait_t = count(self.wait_t, "wait_t", 0)
-        if not (self.reset_prefactor > 0.0):
-            raise ValueError(f"reset prefactor must be positive, got {self.reset_prefactor}")
+        self.reset_prefactor = positive(self.reset_prefactor, "reset_prefactor")
+        self.seed = count(self.seed, "seed", 0)
         if self.mode not in (MODE_STRATEGY, MODE_BASELINE):
             raise ValueError(f"unknown mode {self.mode!r}")
         # Surface a bad reset probability at construction, not mid-run.

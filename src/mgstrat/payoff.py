@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import float_or_array, integers, means
+from ._checks import count, float_or_array, integers, means, number, positive
 from .dist import poisson_cdf, skellam_cdf
 from .solver import solve_lambda
 
@@ -94,12 +94,8 @@ def verify_no_cheat(delta: int, lam: float, tol: float = 1e-8) -> CheatCheck:
 
     Takes one imbalance and one mean; arrays are refused, naming the argument.
     """
-    for name, value in (("delta", delta), ("lam", lam)):
-        if np.ndim(value):
-            raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    q = expected_payoffs(delta, lam)
+    tol = positive(tol, "tolerance")
+    q = expected_payoffs(count(delta, "delta", 1), number(lam, "lam"))
     crowd_margin = q.crowd_stay - q.crowd_switch
     thin_margin = q.thin_stay - q.thin_switch
     return CheatCheck(
@@ -115,8 +111,7 @@ def payoff_curve(delta_max: int) -> list[tuple[int, float, float]]:
     The two stay payoffs sum to one at every imbalance: the thin side wins
     exactly when the crowd does not.
     """
-    integers(delta_max, "imbalance", 1)
-    deltas = np.arange(1, int(delta_max) + 1)
+    deltas = np.arange(1, count(delta_max, "imbalance", 1) + 1)
     q = expected_payoffs(deltas, solve_lambda(deltas))
     return list(zip(deltas.tolist(), q.thin_stay.tolist(), q.crowd_stay.tolist()))
 
@@ -181,8 +176,7 @@ def infeasibility_scan(
     """
     if not grid:
         raise ValueError("grid must be nonempty")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = positive(tol, "tolerance")
     means = np.asarray(grid, dtype=np.float64)
     outside = ~((means > 0.0) & (means <= 20.0)).all(axis=1)
     if outside.any():
@@ -208,6 +202,7 @@ def log_spaced_grid(
     low: float = 0.05, high: float = 20.0, count: int = 50
 ) -> list[tuple[float, float]]:
     """All pairs from a log-spaced axis of ``count`` means in [low, high]."""
+    low, high, count = number(low, "low"), number(high, "high"), number(count, "count", int)
     if not (0.0 < low < high):
         raise ValueError(f"need 0 < low < high, got low={low}, high={high}")
     if count < 2:

@@ -22,7 +22,7 @@ above.
 :func:`solve_lambda` finds the roots by bisection.  :func:`solve_p_finite`
 solves the analogous balance at finite crowd size, where the defector count
 is Binomial(M + d, p) and the unknown is the per-agent probability p.  Both
-take arrays and run one bisection over all their entries at once
+take arrays and run one bisection loop over all their entries at once
 (:func:`_bisect`), each entry stepping through exactly the midpoints a
 scalar bisection of its own would.  :class:`LambdaTable` precomputes roots
 up to a chosen d and extends them with the ``d + 1/6`` asymptote beyond it.
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import float_or_array, integers, means
+from ._checks import count, float_or_array, integers, means, positive
 from .dist import binomial_cdf, poisson_cdf
 
 __all__ = [
@@ -92,7 +92,7 @@ def _bisect(
     roots = np.empty_like(lo)
     index = np.arange(lo.size)
     steps = 0
-    while index.size > 1 and steps < _MAX_BISECTIONS:
+    while index.size and steps < _MAX_BISECTIONS:
         steps += 1
         mid = 0.5 * (lo + hi)
         f_mid = residual(mid, *params)
@@ -106,27 +106,10 @@ def _bisect(
         above = f_mid > 0.0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    if index.size == 1:
-        # The last open entry -- the only one of a scalar solve -- steps on
-        # in Python floats, which round as float64 arrays do; the numpy
-        # calls of an array step would cost ~1 us each.
-        lo, hi = float(lo[0]), float(hi[0])
-        params = tuple(a[..., 0] for a in params)
-        while steps < _MAX_BISECTIONS:
-            steps += 1
-            mid = 0.5 * (lo + hi)
-            f_mid = float(residual(mid, *params))
-            if abs(f_mid) < tolerance:
-                roots[index[0]] = mid
-                return roots
-            if f_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
     if not index.size:
         return roots
     raise NumericError(
-        f"{solver}: residual still {np.ravel(f_mid)[0]:.3e} after "
+        f"{solver}: residual still {f_mid[0]:.3e} after "
         f"{_MAX_BISECTIONS} bisections for {label(index[0])}"
     )
 
@@ -158,29 +141,6 @@ def indifference_residual(
     return float_or_array(_residual(lam, _counts(delta)))
 
 
-def _lambda_roots(deltas: np.ndarray, tolerance: float) -> np.ndarray:
-    """Roots of the indifference residual for a 1-d array of imbalances."""
-    counts = _counts(deltas)
-    lo = deltas.astype(np.float64)
-    hi = lo + 1.0
-    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
-    if unbracketed.any():
-        delta = int(deltas[unbracketed][0])
-        raise NumericError(
-            f"switch-rate solver: no sign change on [{float(delta)}, "
-            f"{float(delta + 1)}] for imbalance {delta}"
-        )
-    return _bisect(
-        _residual,
-        lo,
-        hi,
-        (counts,),
-        tolerance,
-        "switch-rate solver",
-        lambda i: f"imbalance {deltas[i]}",
-    )
-
-
 def solve_lambda(
     delta: np.typing.ArrayLike, tolerance: float = 1e-10
 ) -> float | np.ndarray:
@@ -193,11 +153,28 @@ def solve_lambda(
     (0, MAX_TOLERANCE].  One bisection solves every entry.
     """
     deltas = _check_delta(delta)
-    if not (0.0 < tolerance <= MAX_TOLERANCE):
-        raise ValueError(
-            f"tolerance must lie in (0, {MAX_TOLERANCE:g}], got {tolerance}"
+    shape, deltas = deltas.shape, deltas.ravel()
+    tolerance = positive(tolerance, "tolerance", MAX_TOLERANCE)
+    counts = _counts(deltas)
+    lo = deltas.astype(np.float64)
+    hi = lo + 1.0
+    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
+    if unbracketed.any():
+        delta = int(deltas[unbracketed][0])
+        raise NumericError(
+            f"switch-rate solver: no sign change on [{float(delta)}, "
+            f"{float(delta + 1)}] for imbalance {delta}"
         )
-    return float_or_array(_lambda_roots(deltas.ravel(), float(tolerance)).reshape(deltas.shape))
+    roots = _bisect(
+        _residual,
+        lo,
+        hi,
+        (counts,),
+        tolerance,
+        "switch-rate solver",
+        lambda i: f"imbalance {deltas[i]}",
+    )
+    return float_or_array(roots.reshape(shape))
 
 
 def lambda_gap(delta: np.typing.ArrayLike) -> float | np.ndarray:
@@ -244,8 +221,7 @@ def solve_p_finite(
     p=0 to +1 at p=1 and is monotone, so the root is unique.  Elementwise
     over the broadcast ``delta`` and ``m``; a float for scalar input.
     """
-    if not (tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    tolerance = positive(tolerance, "tolerance")
     deltas, ms = np.broadcast_arrays(*_check_crowd(delta, m))
     shape = deltas.shape
     deltas, ms = deltas.ravel(), ms.ravel()
@@ -264,7 +240,7 @@ def solve_p_finite(
 
 def default_delta_max(n: int) -> int:
     """Table depth that comfortably covers the imbalances a crowd of n visits."""
-    n = int(integers(n, "population size", 1))
+    n = count(n, "population size", 1)
     return int(math.ceil(3.0 * math.sqrt(n))) + 10
 
 
@@ -283,7 +259,7 @@ class LambdaTable:
     roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        depth = int(integers(self.delta_max, "table depth", 1))
+        depth = count(self.delta_max, "table depth", 1)
         roots = solve_lambda(np.arange(1, depth + 1), self.tolerance)
         roots.flags.writeable = False
         object.__setattr__(self, "roots", roots)

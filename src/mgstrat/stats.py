@@ -207,8 +207,7 @@ def episode_lengths(trajectory: Trajectory) -> np.ndarray:
     excess is zero (imbalance 0 or -1).  Episodes still open when the record
     ends are dropped rather than guessed at.
     """
-    deltas = trajectory.deltas
-    marginal_days = np.flatnonzero((deltas == 0) | (deltas == -1))
+    marginal_days = np.flatnonzero(trajectory.excess() == 0)
     reset_days = np.flatnonzero(trajectory.reset)
     following = np.searchsorted(marginal_days, reset_days, side="right")
     closed = following < marginal_days.size

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from mgstrat.dist import poisson_cdf, skellam_cdf
 from mgstrat.engine import (
     MAX_RECORD_BYTES,
     MODE_BASELINE,
@@ -34,7 +35,8 @@ from mgstrat.engine import (
     run,
     switch_probabilities,
 )
-from mgstrat.solver import ASYMPTOTIC_GAP, default_delta_max, solve_lambda
+from mgstrat.kpr import kpr_run
+from mgstrat.solver import ASYMPTOTIC_GAP, default_delta_max, solve_lambda, solve_p_finite
 from mgstrat.stats import c_autocorrelation, inefficiency_eta
 
 
@@ -582,6 +584,19 @@ INTEGER_ARGUMENTS = {
     "eta-burn-in-inf": (
         lambda: inefficiency_eta(run(StrategyConfig(n=5), 3), math.inf), "burn_in",
     ),
+    # A bool is not an integer, and every scalar count is checked.
+    "config-n-bool": (lambda: StrategyConfig(n=True), "n"),
+    "config-seed-fraction": (lambda: StrategyConfig(n=5, seed=1.5), "seed"),
+    "config-seed-bool": (lambda: StrategyConfig(n=5, seed=True), "seed"),
+    "config-seed-negative": (lambda: StrategyConfig(n=5, seed=-1), "seed"),
+    "run-steps-bool": (lambda: run(StrategyConfig(n=5), True), "steps"),
+    "kpr-n-bool": (lambda: kpr_run(True, 5, derive_rng(0)), "n"),
+    "rng-key-fraction": (lambda: derive_rng(3, 1.5), "key"),
+    "solve-imbalance-bool": (lambda: solve_lambda(True), "imbalance"),
+    "poisson-r-bool": (lambda: poisson_cdf(True, 1.0), "r"),
+    "skellam-k-nan": (lambda: skellam_cdf(math.nan, 1.0, 1.0), "k"),
+    "skellam-k-inf": (lambda: skellam_cdf(math.inf, 1.0, 1.0), "k"),
+    "skellam-k-bool": (lambda: skellam_cdf(True, 1.0, 1.0), "k"),
 }
 
 
@@ -594,6 +609,31 @@ def test_integer_arguments_are_checked_by_name(call, outcome):
             call()
     else:
         assert call() == outcome
+
+
+# (call, the start of its ValueError): a scalar that is not a finite number
+# names its argument, and a Python int of any size reaches the size checks.
+SCALAR_ARGUMENTS = {
+    "config-epsilon-string": (
+        lambda: StrategyConfig(n=5, epsilon="0.5"), "epsilon must be a finite",
+    ),
+    "config-prefactor-string": (
+        lambda: StrategyConfig(n=5, reset_prefactor="0.5"), "reset_prefactor must be a finite",
+    ),
+    "finite-tolerance-string": (
+        lambda: solve_p_finite(1, 5, "1e-12"), "tolerance must be a finite",
+    ),
+    "run-steps-past-int64": (
+        lambda: run(StrategyConfig(n=3), 10**30), "steps 10{30} at n 3 needs",
+    ),
+    "run-n-past-int64": (lambda: run(StrategyConfig(n=10**30 + 1), 1), "n 10{29}1 needs"),
+}
+
+
+@pytest.mark.parametrize("call, message", SCALAR_ARGUMENTS.values(), ids=SCALAR_ARGUMENTS)
+def test_scalar_arguments_follow_the_one_number_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 class TestDeriveRng:

@@ -397,15 +397,18 @@ class TestRun:
 
     def test_inputs_are_checked_once_per_run(self, monkeypatch):
         calls = []
+        rng = derive_rng(103)
 
-        def counted(*args):
-            calls.append(args[1])
-            return integers(*args)
+        def counting(check):
+            def counted(*args):
+                calls.append(args[1])
+                return check(*args)
 
-        integers = kpr.integers
-        monkeypatch.setattr(kpr, "integers", counted)
-        monkeypatch.setattr(_checks, "integers", counted)
-        result = kpr_run(64, 10**4, derive_rng(103), positions=np.ones(64))
+            return counted
+
+        monkeypatch.setattr(kpr, "integers", counting(kpr.integers))
+        monkeypatch.setattr(_checks, "number", counting(_checks.number))
+        result = kpr_run(64, 10**4, rng, positions=np.ones(64))
         assert len(result.utilization) > 3
         # n and max_steps, the given positions, then the final state's n
         # and positions

@@ -29,3 +29,23 @@ def test_benchmark_probes_run_against_the_library(monkeypatch):
 
     metrics = spans.probe_metrics(7, 1)
     assert all(value > 0 for value in metrics.values()), metrics
+
+
+def test_every_workload_records_its_expected_spans(monkeypatch, tmp_path):
+    # The benchmark's traced pass fails a workload whose expected spans (say
+    # eta-sweep's LambdaTable or a dist kernel bound in solver) go missing;
+    # this runs every workload's smoke calls the same way, in-process.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        argvs = [
+            workloads.seeded(call, 7) + ["--outdir", str(tmp_path / name / str(index))]
+            for index, call in enumerate(workload.smoke_calls)
+        ]
+        recorder = spans.SpanRecorder()
+        assert spans.traced_pass(recorder, argvs) == [0] * len(argvs), name
+        for argv in argvs:
+            assert workloads.check_outputs(argv, Path(argv[-1])) == [], argv
+        spans.check_coverage(recorder, workload.expect)
