@@ -5,13 +5,13 @@ The package splits into small, layered modules:
 - ``dist``    -- Poisson/binomial/Skellam CDFs over scipy special functions
 - ``solver``  -- cheat-proof switch-rate root finders
 - ``payoff``  -- expected payoffs and the balanced-split infeasibility scan
-- ``engine``  -- day-by-day crowd simulation over head counts
+- ``engine``  -- crowd simulation over head counts, reset cycle by reset cycle
 - ``stats``   -- inefficiency, autocorrelations, episode statistics
 - ``kpr``     -- the cyclic strategy for N agents on N ranked restaurants
 - ``cli``     -- ``mgstrat`` command-line front end
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .solver import (  # noqa: F401
     LambdaTable,

@@ -1,4 +1,4 @@
-"""Day-by-day simulation of the win-stay/lose-shift crowd.
+"""Cycle-by-cycle simulation of the win-stay/lose-shift crowd.
 
 An odd population of n = 2M + 1 agents picks between restaurants A and B
 every evening.  The smaller crowd eats well (wins); everyone can see both
@@ -13,15 +13,23 @@ brief burst of crowding for long-run fairness.
 Agents on a side act alike, so the head count at A and the marginal-day
 wait form a Markov chain by themselves (the crowd is lumpable), and ``run``
 tracks only these: Binomial(crowd, lam(e) / (M + e + 1)) movers on an
-imbalanced day, Binomial(side, q) off each side on a reset night, the thin
-side drawn first so that relabeling A and B mirrors a run exactly.  The
-random baseline is a reset every night at q = 1/2, an exact uniform redraw.
-With each reset night's thin-side count kept, the path gives the movers off
-each side every night, all that the agent-mean C(tau) needs.  Agents exist
-only for the optional choice record, a plain reference drawn from a child
+imbalanced day, Binomial(side, q) off each side on a reset night.  Nobody
+moves on a waiting day, so the wait is 0 on every imbalanced day and the
+chain starts afresh at each reset night: a run is a string of independent
+cycles (wait_t + 1 marginal days, the last a reset night, then the
+excursion of imbalanced days the reset starts), alike up to swapping A
+and B.  ``run`` draws a block of reset nights at once, thin side first,
+steps their excursions in lockstep as arrays, each in the frame of its own
+thin side, and lays the cycles end to end, mirroring a cycle when the one
+before it ended with the thin side at B; so relabeling A and B mirrors a
+run exactly.  The random baseline redraws every agent every night, so
+tomorrow's head count at today's thin side is Binomial(n, 1/2) whatever
+today holds, and the thin side's movers given it are hypergeometric.
+With each night's thin-side count kept, the path gives the movers off each
+side every night, all that the agent-mean C(tau) needs.  Agents exist only
+for the optional choice record, a plain reference drawn from a child
 stream after the head counts, so recording never changes the imbalance path.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -62,6 +70,13 @@ MAX_RECORD_BYTES = 2**30
 # at n = 2 * 10**7 peaks at 293 MB (313 MB with the choice record), against
 # 54 MB at n = 201, so about 12 (13) bytes per agent.
 _AGENT_BYTES = 24
+
+# Cycles (strategy) or days (baseline) one block of ``run`` draws at once,
+# so its temporaries (about 0.5 MB at most) stay flat however long the run.
+BLOCK_CYCLES = 1 << 11
+
+# Up to this many draws, ``_draw`` samples one parameter set at a time.
+_FEW_DRAWS = 16
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -262,36 +277,14 @@ def run(
             choices = np.full(n, RESTAURANT_B, dtype=np.int8)
             choices[who.choice(n, attendance, replace=False)] = RESTAURANT_A
 
-    baseline = config.mode == MODE_BASELINE
-    reset_q = 0.5 if baseline else config.reset_probability
-    probabilities = None if baseline else switch_probabilities(n)
-    wait_t = config.wait_t
     deltas = np.empty(steps + 1, dtype=np.int64)
     reset = np.zeros(steps + 1, dtype=bool)
     thin_movers = np.zeros(steps + 1, dtype=np.int32)
-    wait = 0
-
-    for t in range(steps):
-        delta = m - attendance
-        deltas[t] = delta
-        excess = delta if delta >= 0 else -delta - 1
-        if baseline or (excess == 0 and wait >= wait_t):
-            if not baseline:
-                reset[t] = True
-            thin = rng.binomial(m - excess, reset_q)
-            net = rng.binomial(m + excess + 1, reset_q) - thin
-            thin_movers[t] = thin
-            wait = 0
-        elif excess:
-            net = rng.binomial(m + excess + 1, probabilities[excess])
-        else:
-            # Nobody moves while waiting, so the wait is 0 on every imbalanced day.
-            wait += 1
-            continue
-        # ``net`` agents more leave the crowd than the thin side; the crowd
-        # is at B when delta >= 0.
-        attendance += net if delta >= 0 else -net
-    deltas[steps] = m - attendance
+    deltas[0] = m - attendance
+    if config.mode == MODE_BASELINE:
+        _baseline_days(rng, n, deltas, thin_movers)
+    else:
+        _strategy_days(rng, config, deltas, reset, thin_movers)
 
     trajectory = Trajectory(n=n, deltas=deltas, reset=reset, thin_movers=thin_movers)
     if record_choices:
@@ -315,3 +308,167 @@ def run(
             rows[t + 1] = pack_choices(choices)
         trajectory.choice_rows = rows
     return trajectory
+
+
+def _draw(sample, *params):
+    """One draw of ``sample`` per entry of the parameter arrays (or scalars).
+
+    numpy checks array parameters in several passes per call (about 13 us
+    for ``binomial`` and 36 us for ``hypergeometric``, against 1-2 us for a
+    scalar draw), so a few entries are drawn one at a time: the same numbers.
+    """
+    if isinstance(params[0], int) or params[0].size > _FEW_DRAWS:
+        return sample(*params)
+    return np.array([sample(*p) for p in zip(*(x.tolist() for x in params))], dtype=np.int64)
+
+
+def _step(rng: np.random.Generator, m: int, probabilities: np.ndarray, delta):
+    """Tomorrow's imbalance of an imbalanced crowd, in today's thin-side frame.
+
+    ``delta`` is an int or an int64 array of lanes; a lane's movers leave
+    the crowd, and past an excess of zero the crowd changes side.  The
+    bitwise NOT of an imbalance is its A/B mirror, -delta - 1.
+    """
+    side = delta >> 63  # -1 where the crowd is at the frame's A
+    excess = delta ^ side
+    return (excess - _draw(rng.binomial, m + 1 + excess, probabilities[excess])) ^ side
+
+
+def _lone_excursion(
+    rng: np.random.Generator, m: int, probabilities: np.ndarray, delta: int, room: int
+) -> tuple[list[int], int]:
+    """One lane's imbalanced days from ``delta``, at most ``room``, and its last imbalance."""
+    days = []
+    while delta ^ (delta >> 63) and len(days) < room:
+        days.append(delta)
+        if len(days) < room:
+            delta = _step(rng, m, probabilities, delta)
+    return days, delta
+
+
+def _excursions(
+    rng: np.random.Generator,
+    m: int,
+    probabilities: np.ndarray,
+    start: np.ndarray,
+    room: int,
+    spacing: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step every lane from its start, in lockstep, until its split is marginal.
+
+    ``start`` holds each lane's first imbalance in its own thin-side frame.
+    Lane k's excursion starts at least ``k * spacing`` days after lane 0's,
+    so it stops after ``room - k * spacing`` imbalanced days, past which it
+    cannot reach the run.  Returns each imbalanced day's lane, its day
+    within the lane's excursion and its imbalance, and each lane's last
+    imbalance: 0 or -1 once it is marginal.  A lone lane left over steps
+    by itself, which draws the same numbers faster.
+    """
+    lanes, delta = np.arange(start.size), start
+    last = start.copy()
+    owner, value = [], []
+    while True:
+        kept = ((delta ^ (delta >> 63)) > 0) & (lanes < -(-(room - len(value)) // spacing))
+        if not kept.all():
+            lanes, delta = lanes[kept], delta[kept]
+        if lanes.size < 2:
+            break
+        owner.append(lanes)
+        value.append(delta)
+        delta = _step(rng, m, probabilities, delta)
+        last[lanes] = delta
+    age = [np.repeat(np.arange(len(value)), [lanes.size for lanes in owner])]
+    lane, tail = 0, []
+    if lanes.size:
+        lane = int(lanes[0])
+        tail, last[lane] = _lone_excursion(
+            rng, m, probabilities, int(delta[0]), room - lane * spacing - len(value)
+        )
+    owner.append(np.full(len(tail), lane))
+    age.append(np.arange(len(value), len(value) + len(tail)))
+    value.append(np.array(tail, dtype=np.int64))
+    return np.concatenate(owner), np.concatenate(age), np.concatenate(value), last
+
+
+def _strategy_days(
+    rng: np.random.Generator,
+    config: StrategyConfig,
+    deltas: np.ndarray,
+    reset: np.ndarray,
+    thin_movers: np.ndarray,
+) -> None:
+    """Fill a strategy run's series from day 0's imbalance, cycle by cycle.
+
+    The wait is 0 on every imbalanced day, so the chain starts afresh at
+    each reset night.  Day 0 opens an excursion of imbalanced days; then
+    each cycle is ``wait_t + 1`` marginal days, the last a reset night,
+    and the excursion that reset starts.  Each excursion is drawn in the
+    frame of its own thin side, up to ``BLOCK_CYCLES`` cycles are stepped
+    in lockstep, and the cycles are laid end to end: a cycle's frame is
+    its predecessor's, mirrored when that excursion ended with the thin
+    side at the frame's B.
+    """
+    m, wait = config.m, config.wait_t + 1
+    q, probabilities = config.reset_probability, switch_probabilities(config.n)
+    end = deltas.size
+    side = int(deltas[0]) >> 63  # XOR maps a frame imbalance to A and B
+    values, last = _lone_excursion(rng, m, probabilities, int(deltas[0]) ^ side, end)
+    pos = len(values)
+    deltas[:pos] = [value ^ side for value in values]
+    side ^= last >> 63
+    while pos < end:
+        # Only a reset night before the last day moves anyone in the run,
+        # and cycle k's excursion starts at least (k + 1) * wait days in.
+        room = end - pos - wait
+        if room <= 0:
+            deltas[pos:] = side
+            break
+        lanes = min(BLOCK_CYCLES, (room - 1) // wait + 1)
+        # Thin side first, so that relabeling A and B mirrors a run exactly.
+        thin = rng.binomial(m, q, lanes)
+        owner, age, values, last = _excursions(
+            rng, m, probabilities, thin - rng.binomial(m + 1, q, lanes), room, wait
+        )
+        flips = last >> 63
+        length = np.bincount(owner, minlength=lanes) + wait
+        first = length.cumsum() - length
+        span = deltas[pos : min(end, pos + int(first[-1] + length[-1]))]
+        # A cycle's marginal days hold its frame's side, and so does every
+        # day of it until its excursion is written over them.
+        span.fill(0)
+        inside = first < span.size
+        span[first[inside]] = np.concatenate(([side], flips[:-1]))[inside]
+        np.bitwise_xor.accumulate(span, out=span)
+        day = first[owner] + (wait + age)
+        kept = day < span.size
+        span[day[kept]] ^= values[kept]
+        nights = first[first < room] + (pos + wait - 1)
+        reset[nights] = True
+        thin_movers[nights] = thin[: nights.size]
+        side ^= int(np.bitwise_xor.reduce(flips))
+        pos += span.size
+
+
+def _baseline_days(
+    rng: np.random.Generator, n: int, deltas: np.ndarray, thin_movers: np.ndarray
+) -> None:
+    """Fill a baseline run's series from day 0's imbalance.
+
+    Every night redraws each agent's side by a fair coin, so tomorrow's
+    head count at today's thin side is Binomial(n, 1/2) whatever today
+    holds, and given it the thin side's stayers are hypergeometric: the
+    agents there tomorrow are a uniform subset of that size.
+    """
+    m = (n - 1) // 2
+    end = deltas.size
+    side = int(deltas[0]) >> 63
+    for start in range(0, end - 1, BLOCK_CYCLES):
+        stop = min(start + BLOCK_CYCLES, end - 1)
+        heads = rng.binomial(n, 0.5, stop - start)
+        frame = m - heads  # tomorrow's imbalance with today's thin side as A
+        flips = np.bitwise_xor.accumulate(frame >> 63)
+        deltas[start + 1 : stop + 1] = frame ^ flips ^ (frame >> 63) ^ side
+        side ^= int(flips[-1])
+        before = deltas[start:stop]
+        thin = m - (before ^ (before >> 63))
+        thin_movers[start:stop] = thin - _draw(rng.hypergeometric, thin, n - thin, heads)

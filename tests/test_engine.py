@@ -12,6 +12,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -91,6 +92,66 @@ def replay_resets(excess: np.ndarray, wait_t: int) -> list[int]:
         else:
             wait += 1
     return resets
+
+
+# The three chains the exact-law tests cover, by test id.
+KINDS = {
+    "strategy-T0": {"wait_t": 0},
+    "strategy-T3": {"wait_t": 3},
+    "baseline": {"mode": MODE_BASELINE},
+}
+
+
+def exact_chain(config: StrategyConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """States (signed imbalance, wait) of the head-count chain, and its transitions.
+
+    The wait counts the marginal days since the last reset or imbalanced
+    day, so it is 0 on every imbalanced day; the baseline has none.  Each
+    row is ``one_day_law`` from that state's attendance, with a reset
+    when the wait is up.
+    """
+    m = config.m
+    wait_t = config.wait_t if config.mode == MODE_STRATEGY else 0
+    states = [
+        (delta, wait)
+        for delta in range(-(m + 1), m + 1)
+        for wait in range(wait_t + 1 if delta in (0, -1) else 1)
+    ]
+    index = {state: i for i, state in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for (delta, wait), i in index.items():
+        waits = delta in (0, -1) and wait < wait_t
+        law = one_day_law(config if waits else dataclasses.replace(config, wait_t=0), m - delta)
+        for attendance in np.flatnonzero(law):
+            matrix[i, index[m - attendance, wait + 1 if waits else 0]] += law[attendance]
+    return states, matrix
+
+
+def assert_law(freq: np.ndarray, law: np.ndarray, trials: int, context) -> None:
+    """Nothing outside the law's support, and every cell within 5 sigma + 3 / trials."""
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (freq[law == 0] == 0).all(), (context, freq, law)
+    sigma = np.sqrt(law * (1 - law) / trials)
+    assert (np.abs(freq - law) <= 5 * sigma + 3 / trials).all(), (context, freq, law)
+
+
+SIX_DAY_TRIALS = 2000
+
+
+@lru_cache(maxsize=None)
+def six_day_runs(n: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stacked (deltas, reset, thin_movers) of six-day runs from each pinned start."""
+    config = StrategyConfig(n=n, epsilon=0.7, **KINDS[kind])
+    stacks = []
+    for attendance in range(n + 1):
+        start = start_with_attendance(n, attendance)
+        rng = derive_rng(20, n, attendance, list(KINDS).index(kind))
+        runs = [run(config, 6, rng=rng, initial_choices=start) for _ in range(SIX_DAY_TRIALS)]
+        stacks.append(tuple(
+            np.array([getattr(r, name) for r in runs])
+            for name in ("deltas", "reset", "thin_movers")
+        ))
+    return stacks
 
 
 class TestStrategyConfig:
@@ -365,6 +426,25 @@ class TestChoiceRecordLaw:
         # at n = 5 the record is small, so growth would show
         assert excess[-1] <= excess[0] + 2**18, excess
 
+    @pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
+    @pytest.mark.parametrize("n", [5, 2001])
+    def test_unrecorded_run_holds_the_guarded_bytes_plus_a_fixed_block(self, mode, n):
+        # Cycles are drawn a block at a time, so beyond the 13 bytes a day
+        # the guard counts, a run's temporaries do not grow with its length.
+        config = StrategyConfig(n=n, seed=9, mode=mode)
+        run(config, 1)  # the rate table is built outside the measurement
+        excess = []
+        for days in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                run(config, days)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - (days + 1) * 13)
+        assert max(excess) <= 2**22, excess
+        assert excess[-1] <= excess[0] + 2**18, excess
+
 
 class TestOneDayLaw:
     """Tomorrow's attendance follows the analytic binomial law exactly."""
@@ -394,6 +474,92 @@ class TestOneDayLaw:
             assert (np.abs(freq - law) <= 5 * sigma + 3 / self.TRIALS).all(), (
                 attendance, freq, law,
             )
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_thin_movers_follow_their_law(self, n, kind):
+        # Night 0's thin-side movers are Binomial(m, q) on a reset night,
+        # Binomial(m - e, 1/2) on a baseline night and 0 on an imbalanced or
+        # waiting day, independent of the crowd's movers, which the head
+        # counts then give.  Read off the six-day runs.
+        config = StrategyConfig(n=n, epsilon=0.7, **KINDS[kind])
+        m = config.m
+        for attendance, (deltas, _, thin) in enumerate(six_day_runs(n, kind)):
+            delta = m - attendance
+            excess = delta if delta >= 0 else -delta - 1
+            sides = m - excess, m + excess + 1  # thin side, crowd
+            if config.mode == MODE_BASELINE:
+                rates = 0.5, 0.5
+            elif excess == 0:
+                rates = (config.reset_probability,) * 2 if config.wait_t == 0 else (0.0, 0.0)
+            else:
+                rates = 0.0, switch_probabilities(n)[excess]
+            law = np.outer(*(
+                sps.binom.pmf(np.arange(size + 1), size, rate) for size, rate in zip(sides, rates)
+            ))
+            # Tomorrow's head count at today's thin side, then the crowd's movers.
+            heads = m - deltas[:, 1] if delta >= 0 else m + 1 + deltas[:, 1]
+            crowd = heads - sides[0] + thin[:, 0]
+            freq = np.bincount(
+                thin[:, 0] * (sides[1] + 1) + crowd, minlength=law.size
+            ) / SIX_DAY_TRIALS
+            assert_law(freq, law.ravel(), SIX_DAY_TRIALS, attendance)
+
+
+class TestMultiDayLaw:
+    """Runs follow the exact chain over many days: cycles, sides, waits, truncation."""
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_six_day_law_matches_the_exact_chain(self, n, kind):
+        config = StrategyConfig(n=n, epsilon=0.7, **KINDS[kind])
+        m, wait_t = config.m, config.wait_t
+        states, matrix = exact_chain(config)
+        lookup = np.full((n + 1, wait_t + 1), -1)
+        for i, (delta, wait) in enumerate(states):
+            lookup[delta + m + 1, wait] = i
+        for attendance, (deltas, reset, _) in enumerate(six_day_runs(n, kind)):
+            # Replay each run's wait from its excess path, as the chain keeps it.
+            excess = np.where(deltas >= 0, deltas, -deltas - 1)
+            waits = np.zeros_like(deltas)
+            for t in range(6):
+                waiting = (excess[:, t] == 0) & (waits[:, t] < wait_t)
+                waits[:, t + 1] = np.where(waiting, waits[:, t] + 1, 0)
+            if config.mode == MODE_STRATEGY:
+                due = (excess == 0) & (waits == wait_t)
+                due[:, 6] = False
+                assert np.array_equal(reset, due), attendance
+            else:
+                assert not reset.any()
+            observed = lookup[deltas + m + 1, waits]
+            law = np.zeros(len(states))
+            law[lookup[m - attendance + m + 1, 0]] = 1.0
+            for t in range(1, 7):
+                law = law @ matrix
+                freq = np.bincount(observed[:, t], minlength=len(states)) / SIX_DAY_TRIALS
+                assert_law(freq, law, SIX_DAY_TRIALS, (attendance, t))
+
+    @pytest.mark.parametrize(
+        "n, epsilon, expected", [(21, 0.5, 0.418786), (51, 0.3, 0.170027)]
+    )
+    def test_eta_matches_the_stationary_chain(self, n, epsilon, expected):
+        config = StrategyConfig(n=n, epsilon=epsilon)
+        states, matrix = exact_chain(config)
+        size = len(states)
+        # The stationary law: pi (P - I) = 0 with its entries adding to 1.
+        pi = np.linalg.lstsq(
+            np.vstack([matrix.T - np.eye(size), np.ones(size)]),
+            np.r_[np.zeros(size), 1.0],
+            rcond=None,
+        )[0]
+        exact = 4 / n * sum(p * (delta + 0.5) ** 2 for (delta, _), p in zip(states, pi))
+        assert exact == pytest.approx(expected, abs=1e-6)
+        etas = [
+            inefficiency_eta(run(config, 200_000, rng=derive_rng(21, n, seed)))
+            for seed in range(20)
+        ]
+        stderr = np.std(etas, ddof=1) / math.sqrt(len(etas))
+        assert abs(np.mean(etas) - exact) <= 4 * stderr, (np.mean(etas), exact, stderr)
 
 
 class TestRun:
