@@ -16,13 +16,12 @@ tracks only these: Binomial(crowd, lam(e) / (M + e + 1)) movers on an
 imbalanced day, Binomial(side, q) off each side on a reset night.  Nobody
 moves on a waiting day, so the wait is 0 on every imbalanced day and the
 chain starts afresh at each reset night: a run is a string of independent
-cycles (wait_t + 1 marginal days, the last a reset night, then the
-excursion of imbalanced days the reset starts), alike up to swapping A
-and B.  ``run`` draws a block of reset nights at once, thin side first,
-steps their excursions in lockstep as arrays, each in the frame of its own
-thin side, and lays the cycles end to end, mirroring a cycle when the one
-before it ended with the thin side at B; so relabeling A and B mirrors a
-run exactly.  The random baseline redraws every agent every night, so
+cycles (an excursion of imbalanced days, then wait_t + 1 marginal days,
+the last a reset night), alike up to swapping A and B.  ``run`` draws a
+block of reset nights at once, thin side first, steps the excursions they
+start in lockstep as arrays, each in the frame of its own thin side, and
+lays the cycles end to end, mirroring a cycle when the one before it ended
+with the thin side at B; so relabeling A and B mirrors a run exactly.  The random baseline redraws every agent every night, so
 tomorrow's head count at today's thin side is Binomial(n, 1/2) whatever
 today holds, and the thin side's movers given it are hypergeometric.
 With each night's thin-side count kept, the path gives the movers off each
@@ -74,9 +73,6 @@ _AGENT_BYTES = 24
 # Cycles (strategy) or days (baseline) one block of ``run`` draws at once,
 # so its temporaries (about 0.5 MB at most) stay flat however long the run.
 BLOCK_CYCLES = 1 << 11
-
-# Up to this many draws, ``_draw`` samples one parameter set at a time.
-_FEW_DRAWS = 16
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -310,42 +306,6 @@ def run(
     return trajectory
 
 
-def _draw(sample, *params):
-    """One draw of ``sample`` per entry of the parameter arrays (or scalars).
-
-    numpy checks array parameters in several passes per call (about 13 us
-    for ``binomial`` and 36 us for ``hypergeometric``, against 1-2 us for a
-    scalar draw), so a few entries are drawn one at a time: the same numbers.
-    """
-    if isinstance(params[0], int) or params[0].size > _FEW_DRAWS:
-        return sample(*params)
-    return np.array([sample(*p) for p in zip(*(x.tolist() for x in params))], dtype=np.int64)
-
-
-def _step(rng: np.random.Generator, m: int, probabilities: np.ndarray, delta):
-    """Tomorrow's imbalance of an imbalanced crowd, in today's thin-side frame.
-
-    ``delta`` is an int or an int64 array of lanes; a lane's movers leave
-    the crowd, and past an excess of zero the crowd changes side.  The
-    bitwise NOT of an imbalance is its A/B mirror, -delta - 1.
-    """
-    side = delta >> 63  # -1 where the crowd is at the frame's A
-    excess = delta ^ side
-    return (excess - _draw(rng.binomial, m + 1 + excess, probabilities[excess])) ^ side
-
-
-def _lone_excursion(
-    rng: np.random.Generator, m: int, probabilities: np.ndarray, delta: int, room: int
-) -> tuple[list[int], int]:
-    """One lane's imbalanced days from ``delta``, at most ``room``, and its last imbalance."""
-    days = []
-    while delta ^ (delta >> 63) and len(days) < room:
-        days.append(delta)
-        if len(days) < room:
-            delta = _step(rng, m, probabilities, delta)
-    return days, delta
-
-
 def _excursions(
     rng: np.random.Generator,
     m: int,
@@ -358,36 +318,31 @@ def _excursions(
 
     ``start`` holds each lane's first imbalance in its own thin-side frame.
     Lane k's excursion starts at least ``k * spacing`` days after lane 0's,
-    so it stops after ``room - k * spacing`` imbalanced days, past which it
-    cannot reach the run.  Returns each imbalanced day's lane, its day
-    within the lane's excursion and its imbalance, and each lane's last
-    imbalance: 0 or -1 once it is marginal.  A lone lane left over steps
-    by itself, which draws the same numbers faster.
+    so it holds at most ``room - k * spacing`` imbalanced days, past which
+    it cannot reach the run.  A lane's movers leave the crowd, and past an
+    excess of zero the crowd changes side; the bitwise NOT of an imbalance
+    is its A/B mirror, -delta - 1.  Returns each imbalanced day's lane, its
+    day within the lane's excursion and its imbalance, and each lane's last
+    imbalance: 0 or -1 once it is marginal.
     """
     lanes, delta = np.arange(start.size), start
     last = start.copy()
     owner, value = [], []
     while True:
-        kept = ((delta ^ (delta >> 63)) > 0) & (lanes < -(-(room - len(value)) // spacing))
-        if not kept.all():
-            lanes, delta = lanes[kept], delta[kept]
-        if lanes.size < 2:
-            break
+        imbalanced = (delta ^ (delta >> 63)) > 0
+        lanes, delta = lanes[imbalanced], delta[imbalanced]
         owner.append(lanes)
         value.append(delta)
-        delta = _step(rng, m, probabilities, delta)
+        # Lanes are in order, so those with a day left are a prefix.
+        lanes = lanes[: lanes.searchsorted(-(-(room - len(value)) // spacing))]
+        if not lanes.size:
+            break
+        side = delta[: lanes.size] >> 63  # -1 where the crowd is at the frame's A
+        excess = delta[: lanes.size] ^ side
+        delta = (excess - rng.binomial(m + 1 + excess, probabilities[excess])) ^ side
         last[lanes] = delta
-    age = [np.repeat(np.arange(len(value)), [lanes.size for lanes in owner])]
-    lane, tail = 0, []
-    if lanes.size:
-        lane = int(lanes[0])
-        tail, last[lane] = _lone_excursion(
-            rng, m, probabilities, int(delta[0]), room - lane * spacing - len(value)
-        )
-    owner.append(np.full(len(tail), lane))
-    age.append(np.arange(len(value), len(value) + len(tail)))
-    value.append(np.array(tail, dtype=np.int64))
-    return np.concatenate(owner), np.concatenate(age), np.concatenate(value), last
+    age = np.repeat(np.arange(len(value)), [lanes.size for lanes in owner])
+    return np.concatenate(owner), age, np.concatenate(value), last
 
 
 def _strategy_days(
@@ -400,53 +355,58 @@ def _strategy_days(
     """Fill a strategy run's series from day 0's imbalance, cycle by cycle.
 
     The wait is 0 on every imbalanced day, so the chain starts afresh at
-    each reset night.  Day 0 opens an excursion of imbalanced days; then
-    each cycle is ``wait_t + 1`` marginal days, the last a reset night,
-    and the excursion that reset starts.  Each excursion is drawn in the
-    frame of its own thin side, up to ``BLOCK_CYCLES`` cycles are stepped
-    in lockstep, and the cycles are laid end to end: a cycle's frame is
-    its predecessor's, mirrored when that excursion ended with the thin
+    each reset night.  Day 0 opens the first cycle; each cycle is an
+    excursion of imbalanced days, then ``wait_t + 1`` marginal days, the
+    last a reset night that starts the next cycle.  Blocks of up to
+    ``BLOCK_CYCLES`` cycles, as many as the mean cycle so far says the days
+    left need, are drawn at once: each reset night thin side first, each
+    excursion in the frame of its own thin side, a block's excursions
+    stepped in lockstep.  The cycles are laid end to end: a cycle's frame
+    is its predecessor's, mirrored when that excursion ended with the thin
     side at the frame's B.
     """
     m, wait = config.m, config.wait_t + 1
     q, probabilities = config.reset_probability, switch_probabilities(config.n)
     end = deltas.size
-    side = int(deltas[0]) >> 63  # XOR maps a frame imbalance to A and B
-    values, last = _lone_excursion(rng, m, probabilities, int(deltas[0]) ^ side, end)
-    pos = len(values)
-    deltas[:pos] = [value ^ side for value in values]
-    side ^= last >> 63
+    # The next cycle's first imbalance in its own frame, and that frame's side.
+    start, side = int(deltas[0]), 0
+    # Days and cycles laid so far, counting from a first guess of one
+    # cycle with one imbalanced day.
+    pos, laid, cycles = 0, wait + 1, 1
     while pos < end:
-        # Only a reset night before the last day moves anyone in the run,
-        # and cycle k's excursion starts at least (k + 1) * wait days in.
-        room = end - pos - wait
-        if room <= 0:
-            deltas[pos:] = side
-            break
-        lanes = min(BLOCK_CYCLES, (room - 1) // wait + 1)
+        room = end - pos
+        lanes = min(BLOCK_CYCLES, -(-room * cycles // laid))
         # Thin side first, so that relabeling A and B mirrors a run exactly.
         thin = rng.binomial(m, q, lanes)
+        after = thin - rng.binomial(m + 1, q, lanes)
+        # Cycle k's excursion starts at least k * wait days into the block.
         owner, age, values, last = _excursions(
-            rng, m, probabilities, thin - rng.binomial(m + 1, q, lanes), room, wait
+            rng, m, probabilities, np.concatenate(([start], after[:-1])), room, wait
         )
+        start = int(after[-1])
         flips = last >> 63
-        length = np.bincount(owner, minlength=lanes) + wait
-        first = length.cumsum() - length
-        span = deltas[pos : min(end, pos + int(first[-1] + length[-1]))]
-        # A cycle's marginal days hold its frame's side, and so does every
-        # day of it until its excursion is written over them.
+        count = np.bincount(owner, minlength=lanes)
+        ends = (count + wait).cumsum() + pos  # the day after each cycle
+        calm = ends - wait  # each cycle's first marginal day
+        stop = min(end, int(ends[-1]))
+        span = deltas[pos:stop]
+        # From a cycle's first marginal day to the next one, every day holds
+        # the next frame's side until an excursion is written over it.
         span.fill(0)
-        inside = first < span.size
-        span[first[inside]] = np.concatenate(([side], flips[:-1]))[inside]
+        inside = calm < stop
+        deltas[calm[inside]] = flips[inside]
+        span[0] ^= side
         np.bitwise_xor.accumulate(span, out=span)
-        day = first[owner] + (wait + age)
-        kept = day < span.size
-        span[day[kept]] ^= values[kept]
-        nights = first[first < room] + (pos + wait - 1)
+        day = (calm - count)[owner] + age
+        kept = day < stop
+        deltas[day[kept]] ^= values[kept]
+        nights = ends[ends < end] - 1
         reset[nights] = True
         thin_movers[nights] = thin[: nights.size]
         side ^= int(np.bitwise_xor.reduce(flips))
-        pos += span.size
+        laid += stop - pos
+        cycles += lanes
+        pos = stop
 
 
 def _baseline_days(
@@ -471,4 +431,4 @@ def _baseline_days(
         side ^= int(flips[-1])
         before = deltas[start:stop]
         thin = m - (before ^ (before >> 63))
-        thin_movers[start:stop] = thin - _draw(rng.hypergeometric, thin, n - thin, heads)
+        thin_movers[start:stop] = thin - rng.hypergeometric(thin, n - thin, heads)

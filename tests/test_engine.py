@@ -635,6 +635,24 @@ class TestRun:
             assert plain.reset_days == recorded.reset_days
             assert recorded.choice_matrix.dtype == np.int8
 
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_night_moves_agents_its_sides_hold(self, kind):
+        # A run of 10**6 days spans hundreds of blocks of cycles (or days),
+        # so a cycle laid in the wrong frame would show here: each night the
+        # thin side's movers number 0..m - e, and the crowd's, which the
+        # head counts then give, 0..m + e + 1; only a reset night (every
+        # baseline night) moves the thin side, and the last day has none.
+        config = StrategyConfig(n=5, epsilon=0.7, **KINDS[kind])
+        trajectory = run(config, 10**6, rng=derive_rng(22, list(KINDS).index(kind)))
+        m, deltas, thin = config.m, trajectory.deltas, trajectory.thin_movers
+        excess = trajectory.excess()[:-1]
+        net = np.where(deltas[:-1] >= 0, deltas[:-1] - deltas[1:], deltas[1:] - deltas[:-1])
+        assert ((thin[:-1] >= 0) & (thin[:-1] <= m - excess)).all()
+        assert ((thin[:-1] + net >= 0) & (thin[:-1] + net <= m + excess + 1)).all()
+        if config.mode == MODE_STRATEGY:
+            assert not thin[~trajectory.reset].any()
+        assert thin[-1] == 0
+
     def test_record_size_guard_boundary(self):
         per_day = 13 + 8 * math.ceil(2001 / 64)
         fits = MAX_RECORD_BYTES // per_day - 1
