@@ -70,7 +70,7 @@ MAX_RECORD_BYTES = 2**30
 # 54 MB at n = 201, so about 12 (13) bytes per agent.
 _AGENT_BYTES = 24
 
-# Cycles (strategy) or days (baseline) one block of ``run`` draws at once,
+# Most cycles (strategy) or days (baseline) one block of ``run`` draws at once,
 # so its temporaries (about 0.5 MB at most) stay flat however long the run.
 BLOCK_CYCLES = 1 << 11
 
