@@ -98,6 +98,21 @@ def probabilities(values: np.typing.ArrayLike) -> np.ndarray:
     return array
 
 
+def binary(values: np.typing.ArrayLike) -> np.ndarray:
+    """Choices that are all 0 (A) or 1 (B), as integers or bools.
+
+    Integer and bool arrays pass as they are, checked by their minimum and
+    maximum, which allocate nothing; a float array of 0/1 entries becomes int8.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "biu" and (not array.size or 0 <= array.min() and array.max() <= 1):
+        return array
+    bad = _first_bad(array, lambda x: (x == 0) | (x == 1))
+    if bad is not None:
+        raise ValueError(f"choices must contain only 0 (A) and 1 (B), got {bad}")
+    return array.astype(np.int8)
+
+
 def float_or_array(values: np.ndarray) -> float | np.ndarray:
     """A float for a 0-d array or numpy scalar, the array otherwise."""
     return float(values) if values.ndim == 0 else values

@@ -21,9 +21,12 @@ the last a reset night), alike up to swapping A and B.  ``run`` draws a
 block of reset nights at once, thin side first, steps the excursions they
 start in lockstep as arrays, each in the frame of its own thin side, and
 lays the cycles end to end, mirroring a cycle when the one before it ended
-with the thin side at B; so relabeling A and B mirrors a run exactly.  The random baseline redraws every agent every night, so
-tomorrow's head count at today's thin side is Binomial(n, 1/2) whatever
-today holds, and the thin side's movers given it are hypergeometric.
+with the thin side at B; so relabeling A and B mirrors a run exactly.
+
+The random baseline redraws every agent every night, so tomorrow's head
+count at today's thin side is Binomial(n, 1/2) whatever today holds, and
+the thin side's movers given it are hypergeometric.
+
 With each night's thin-side count kept, the path gives the movers off each
 side every night, all that the agent-mean C(tau) needs.  Agents exist only
 for the optional choice record, a plain reference drawn from a child
@@ -37,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import count, number, positive
+from ._checks import binary, count, number, positive
 from .solver import LambdaTable, default_delta_max
 
 __all__ = [
@@ -49,8 +52,6 @@ __all__ = [
     "StrategyConfig",
     "Trajectory",
     "check_record_size",
-    "pack_choices",
-    "row_bytes",
     "run",
     "derive_rng",
     "switch_probabilities",
@@ -66,8 +67,9 @@ MODE_BASELINE = "random-baseline"
 MAX_RECORD_BYTES = 2**30
 
 # Bytes per agent that bound the arrays a run builds from n alone: one day
-# at n = 2 * 10**7 peaks at 293 MB (313 MB with the choice record), against
-# 54 MB at n = 201, so about 12 (13) bytes per agent.
+# at n = 2 * 10**7 peaks at 293 MiB of RSS (313 MiB with the choice record,
+# its two rows included), against 54 MiB at n = 201, so about 12 (13) bytes
+# per agent.
 _AGENT_BYTES = 24
 
 # Most cycles (strategy) or days (baseline) one block of ``run`` draws at once,
@@ -146,25 +148,6 @@ def switch_probabilities(n: int) -> np.ndarray:
     return probabilities
 
 
-def row_bytes(n: int) -> int:
-    """Bytes of one packed choice row: n bits, padded to whole 64-bit words."""
-    return 8 * -(-n // 64)
-
-
-def pack_choices(matrix: np.typing.ArrayLike) -> np.ndarray:
-    """Packed rows of a (days x agents) 0/1 choice record.
-
-    Agent i is bit i % 8 of byte i // 8 (little bit order), and each row is
-    zero-padded to ``row_bytes(agents)``, so a row reads as whole uint64
-    words.
-    """
-    matrix = np.asarray(matrix)
-    packed = np.packbits(matrix, axis=-1, bitorder="little")
-    rows = np.zeros(packed.shape[:-1] + (row_bytes(matrix.shape[-1]),), dtype=np.uint8)
-    rows[..., : packed.shape[-1]] = packed
-    return rows
-
-
 @dataclass
 class Trajectory:
     """Recorded time series of one run.
@@ -174,26 +157,16 @@ class Trajectory:
     the night after marginal day t re-randomized the population.
     ``thin_movers[t]`` counts the agents who left the thin side that night:
     nonzero only on re-randomization nights (every night of the baseline),
-    since otherwise only the crowd moves.  ``choice_rows`` (days x
-    ``row_bytes(n)``, see ``pack_choices``) holds every agent's daily choice
-    as one bit, 0 for A and 1 for B, and is kept only on request.  Every
-    other series is derived from these.
+    since otherwise only the crowd moves.  ``choice_matrix`` (days x n
+    int8) holds every agent's daily choice, 0 for A and 1 for B, and is kept
+    only on request.  Every other series is derived from these.
     """
 
     n: int
     deltas: np.ndarray
     reset: np.ndarray
     thin_movers: np.ndarray
-    choice_rows: np.ndarray | None = None
-
-    @property
-    def choice_matrix(self) -> np.ndarray | None:
-        """The choice record unpacked to (days x agents) int8, 0 for A and 1 for B."""
-        if self.choice_rows is None:
-            return None
-        return np.unpackbits(
-            self.choice_rows, axis=1, count=self.n, bitorder="little"
-        ).view(np.int8)
+    choice_matrix: np.ndarray | None = None
 
     @property
     def minority_side(self) -> np.ndarray:
@@ -218,11 +191,11 @@ def check_record_size(n: int, steps: int, record_choices: bool) -> None:
     """Refuse a run whose record or per-agent arrays would exceed MAX_RECORD_BYTES.
 
     Each day keeps an int64 imbalance, a one-byte reset flag and an int32
-    thin-side mover count (13 bytes), plus a packed row of ``row_bytes(n)``
-    when choices are recorded.  The switch probabilities, the agents'
-    choices and their temporaries take at most ``_AGENT_BYTES`` per agent.
+    thin-side mover count (13 bytes), plus one byte per agent when choices
+    are recorded.  The switch probabilities, the agents' choices and their
+    temporaries take at most ``_AGENT_BYTES`` per agent.
     """
-    need = (steps + 1) * (13 + (row_bytes(n) if record_choices else 0))
+    need = (steps + 1) * (13 + (n if record_choices else 0))
     if need > MAX_RECORD_BYTES:
         raise ValueError(
             f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
@@ -262,9 +235,7 @@ def run(
         choices = np.asarray(initial_choices)
         if choices.shape != (n,):
             raise ValueError(f"initial choices have length {choices.size}, expected {n}")
-        if not ((choices == RESTAURANT_A) | (choices == RESTAURANT_B)).all():
-            raise ValueError("choices must contain only 0 (A) and 1 (B)")
-        choices = choices.astype(np.int8)
+        choices = binary(choices).astype(np.int8)
         attendance = n - int(np.count_nonzero(choices))
     if record_choices:
         # Who moves is drawn from a child stream; ``rng`` alone sets the counts.
@@ -282,13 +253,13 @@ def run(
     else:
         _strategy_days(rng, config, deltas, reset, thin_movers)
 
-    trajectory = Trajectory(n=n, deltas=deltas, reset=reset, thin_movers=thin_movers)
+    matrix = None
     if record_choices:
         # Each night a uniform subset of the thin side, then of the crowd,
         # moves; both flip after both draws, so relabeling A and B mirrors
         # the record exactly.
-        rows = np.empty((steps + 1, row_bytes(n)), dtype=np.uint8)
-        rows[0] = pack_choices(choices)
+        matrix = np.empty((steps + 1, n), dtype=np.int8)
+        matrix[0] = choices
         for t in range(steps):
             delta, after, thin = int(deltas[t]), int(deltas[t + 1]), int(thin_movers[t])
             # The crowd, at B when delta >= 0, loses ``net`` more than the thin side.
@@ -301,9 +272,8 @@ def run(
             ]
             for agents in moved:
                 choices[agents] ^= 1
-            rows[t + 1] = pack_choices(choices)
-        trajectory.choice_rows = rows
-    return trajectory
+            matrix[t + 1] = choices
+    return Trajectory(n, deltas, reset, thin_movers, choice_matrix=matrix)
 
 
 def _excursions(

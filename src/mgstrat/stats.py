@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count
-from .engine import Trajectory, pack_choices
+from ._checks import binary, count
+from .engine import Trajectory
 
 __all__ = [
     "inefficiency_eta",
@@ -82,8 +82,8 @@ def s_decay_rate(acf: np.ndarray) -> float:
     return float(-slope)
 
 
-# Upper bound on the rows one block comparison in c_autocorrelation XORs,
-# so its memory stays flat however long the record is.
+# Upper bound on the packed rows one block comparison in c_autocorrelation
+# XORs, so its memory stays flat however long the record is.
 COMPARE_BLOCK_BYTES = 4 << 20
 
 # Starting days one block of the count-path C(tau) takes, so its
@@ -106,25 +106,24 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
     h_tau = h_(tau-1) r + d and h_0 = 0.  Writing r as 1 - (pa + pb) keeps
     relabeling A and B exact.
 
-    For a (days x agents) 0/1 record it is the exact count of changed
-    choices, the set bits of row XOR row-tau over packed rows compared
-    ``COMPARE_BLOCK_BYTES`` at a time, as (N - 2 changed) / N over the
-    N = (days - tau) * agents pairs, rounded once.
+    For a (days x agents) record of 0s and 1s it is the exact count of
+    changed choices, the set bits of row XOR row-tau over packed rows
+    compared ``COMPARE_BLOCK_BYTES`` at a time, as (N - 2 changed) / N over
+    the N = (days - tau) * agents pairs, rounded once.
     """
     tau_max = count(tau_max, "tau_max", 1)
     if isinstance(choices, Trajectory):
-        days, rows = choices.days, None
+        days, words = choices.days, None
     else:
         matrix = np.asarray(choices)
-        if matrix.ndim != 2:
-            raise ValueError("choice matrix must be two-dimensional (days x agents)")
-        (days, agents), rows = matrix.shape, pack_choices(matrix)
+        if matrix.ndim != 2 or not matrix.shape[1]:
+            raise ValueError("choice matrix must be (days x agents), with at least one agent")
+        (days, agents), words = matrix.shape, _packed_words(binary(matrix))
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    if rows is None:
+    if words is None:
         return _count_path_autocorrelation(choices, tau_max)
-    words = rows.view(np.uint64)
-    block = max(1, COMPARE_BLOCK_BYTES // rows.shape[1])
+    block = max(1, COMPARE_BLOCK_BYTES // words[0].nbytes)
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
@@ -137,6 +136,18 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
         pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs
     return out
+
+
+def _packed_words(matrix: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 matrix as uint64 words, one bit per entry.
+
+    Entry j is bit j % 8 of byte j // 8, and a row is zero-padded to whole
+    words, so the set bits of one row XOR another count where they differ.
+    """
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    rows = np.zeros((matrix.shape[0], 8 * -(-matrix.shape[1] // 64)), dtype=np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    return rows.view(np.uint64)
 
 
 def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:

@@ -68,7 +68,7 @@ class TestPoissonCdf:
             poisson_cdf([np.inf, 1.0], 1.0)
 
     def test_bad_entry_is_named_in_long_arrays(self):
-        # Short and long arrays are checked by different code; both name the entry.
+        # A bad entry deep inside an array is named, whichever argument holds it.
         r = np.arange(20)
         r[15] = -3
         with pytest.raises(ValueError, match="got -3"):

@@ -32,7 +32,6 @@ from mgstrat.engine import (
     Trajectory,
     check_record_size,
     derive_rng,
-    row_bytes,
     run,
     switch_probabilities,
 )
@@ -421,7 +420,7 @@ class TestChoiceRecordLaw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            excess.append(peak - (days + 1) * (13 + row_bytes(n)))
+            excess.append(peak - (days + 1) * (13 + n))
         assert max(excess) <= 2**22, excess
         # at n = 5 the record is small, so growth would show
         assert excess[-1] <= excess[0] + 2**18, excess
@@ -654,7 +653,7 @@ class TestRun:
         assert thin[-1] == 0
 
     def test_record_size_guard_boundary(self):
-        per_day = 13 + 8 * math.ceil(2001 / 64)
+        per_day = 13 + 2001
         fits = MAX_RECORD_BYTES // per_day - 1
         check_record_size(2001, fits, True)
         with pytest.raises(ValueError, match="^steps"):
@@ -845,12 +844,14 @@ class TestTrajectory:
     def test_record_holds_exactly_what_the_guard_counts(self, record):
         trajectory = run(StrategyConfig(n=101, seed=5), 500, record_choices=record)
         names = {f.name for f in dataclasses.fields(Trajectory)}
-        assert names == {"n", "deltas", "reset", "thin_movers", "choice_rows"}
+        assert names == {"n", "deltas", "reset", "thin_movers", "choice_matrix"}
         assert set(vars(trajectory)) == names
-        # check_record_size counts 13 bytes per day, plus 8 * ceil(n / 64)
-        # for the packed choices
+        # check_record_size counts 13 bytes per day, plus one per agent for
+        # the choices
         held = trajectory.deltas.nbytes + trajectory.reset.nbytes + trajectory.thin_movers.nbytes
         assert held == 13 * 501
         if record:
-            assert trajectory.choice_rows.nbytes == 8 * math.ceil(101 / 64) * 501
+            assert trajectory.choice_matrix.nbytes == 101 * 501
+            # a stored field: reading it twice builds nothing
+            assert trajectory.choice_matrix is trajectory.choice_matrix
 

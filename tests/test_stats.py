@@ -172,9 +172,20 @@ class TestCAutocorrelation:
         acf = c_autocorrelation(matrix, 3)
         assert np.allclose(acf, [1.0, -1.0, 1.0, -1.0])
 
+    @pytest.mark.parametrize("low, high", [(-1, 1), (0, 2)], ids=["plus-minus-one", "zero-two"])
+    def test_entries_other_than_zero_and_one_are_refused(self, low, high):
+        # packed as bits, every nonzero entry would read as 1: the +/-1
+        # record below would give C(1) = 1.0 where the true value is -2/3
+        matrix = np.array([[low, high], [high, low], [low, high], [high, high]])
+        first_bad = low if low else high
+        with pytest.raises(ValueError, match=rf"only 0 \(A\) and 1 \(B\), got {first_bad}$"):
+            c_autocorrelation(matrix, 1)
+
     def test_missing_record_is_usage_error(self):
         with pytest.raises(ValueError):
             c_autocorrelation(None, 5)
+        with pytest.raises(ValueError, match="at least one agent"):
+            c_autocorrelation(np.zeros((50, 0), dtype=np.int8), 5)
 
     def test_values_in_unit_interval(self):
         matrix = derive_rng(57).integers(0, 2, size=(300, 21), dtype=np.int8)
@@ -206,9 +217,9 @@ class TestCAutocorrelation:
 
     @pytest.mark.parametrize("block_bytes", [1, 3 * 40 + 39, 40 * 64 + 5])
     def test_row_blocks_match_oracle_bit_for_bit(self, monkeypatch, block_bytes):
-        # 257 agents pack into 40-byte rows, so blocks of 1, 3 and 64 rows:
-        # every lag spans many blocks, and the last block of a lag is a
-        # partial one
+        # c_autocorrelation packs 257 agents into 40-byte rows, so blocks of
+        # 1, 3 and 64 rows: every lag spans many blocks, and the last block
+        # of a lag is a partial one
         monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
