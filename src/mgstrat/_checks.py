@@ -98,8 +98,10 @@ def probabilities(values: np.typing.ArrayLike) -> np.ndarray:
     return array
 
 
-def binary(values: np.typing.ArrayLike) -> np.ndarray:
-    """Choices that are all 0 (A) or 1 (B), as integers or bools.
+def binary(
+    values: np.typing.ArrayLike, name: str = "choices", zero: str = "A", one: str = "B"
+) -> np.ndarray:
+    """Entries that are all 0 (``zero``) or 1 (``one``), as integers or bools.
 
     Integer and bool arrays pass as they are, checked by their minimum and
     maximum, which allocate nothing; a float array of 0/1 entries becomes int8.
@@ -109,7 +111,7 @@ def binary(values: np.typing.ArrayLike) -> np.ndarray:
         return array
     bad = _first_bad(array, lambda x: (x == 0) | (x == 1))
     if bad is not None:
-        raise ValueError(f"choices must contain only 0 (A) and 1 (B), got {bad}")
+        raise ValueError(f"{name} must contain only 0 ({zero}) and 1 ({one}), got {bad}")
     return array.astype(np.int8)
 
 

@@ -38,10 +38,15 @@ def _special() -> ModuleType:
     return scipy.special
 
 
+def _poisson_cdf(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``poisson_cdf`` without its checks, for callers that checked r and lam once."""
+    return _special().pdtr(r, lam)
+
+
 def poisson_cdf(r: np.typing.ArrayLike, lam: np.typing.ArrayLike) -> float | np.ndarray:
     """P(X <= r) for X ~ Poisson(lam), elementwise; a float for scalar input."""
     integers(r, "r", 0)
-    return float_or_array(_special().pdtr(r, means(lam)))
+    return float_or_array(_poisson_cdf(r, means(lam)))
 
 
 def binomial_cdf(

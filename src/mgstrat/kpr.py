@@ -15,8 +15,8 @@ Daily rules:
 The priority never decides anything.  Stepping one rank down is a
 bijection, so two agents fed at different ranks arrive at different ranks;
 and an unserved agent arrives one below an empty rank, which no fed agent
-comes from.  So every claimant eats alone, and only arrivals without a
-claim ever collide.
+comes from.  So every claimant eats alone, only arrivals without a claim
+ever collide, and a day's state is just the positions and who ate.
 
 That leaves a chain on the unfed agents.  Each occupied rank feeds exactly
 one agent, so there are as many empty ranks as unfed agents, say u.  In the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count, integers
+from ._checks import binary, count, integers
 
 __all__ = [
     "UNSERVED",
@@ -67,54 +67,51 @@ def _ranks(positions: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class KPRState:
-    """Positions and service outcome of one day.
+    """Positions and who ate, on one day.
 
-    ``positions[agent]`` is the rank (1..n) attended today.
-    ``served[rank - 1]`` is the agent fed at that rank, or ``NO_AGENT``.
-    ``last_served_rank[agent]`` is the rank the agent was fed at, or
-    ``UNSERVED``; the next day's movement reads it as "yesterday's"
-    service.  ``served`` and ``last_served_rank`` must be the service at
-    ``positions``: each fed agent sits at its served rank and is the one
-    ``served`` names there, and every occupied rank fed exactly one of its
-    arrivals.  ValueError otherwise.
+    ``positions[agent]`` is the rank (1..n) attended today, and
+    ``fed[agent]`` is true when the agent ate there; the next day's movement
+    reads both as "yesterday's".  Fed agents must sit at distinct ranks, one
+    at every occupied rank; ValueError otherwise.
     """
 
     n: int
     positions: np.ndarray
-    served: np.ndarray
-    last_served_rank: np.ndarray
+    fed: np.ndarray
     day: int = 0
 
     def __post_init__(self) -> None:
         self.n = n = count(self.n, "n", 1)
         self.positions = _ranks(self.positions, n)
-        self.served = np.asarray(self.served, dtype=np.int64)
-        self.last_served_rank = np.asarray(self.last_served_rank, dtype=np.int64)
-        for name in ("served", "last_served_rank"):
-            shape = getattr(self, name).shape
-            if shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {shape}")
-        fed = self.last_served_rank != UNSERVED
-        occupied = np.bincount(self.positions, minlength=n + 1)[1:] > 0
-        if not (
-            np.array_equal(self.last_served_rank[fed], self.positions[fed])
-            and np.array_equal(self.served != NO_AGENT, occupied)
-            and np.count_nonzero(fed) == np.count_nonzero(occupied)
-            and np.array_equal(self.served[self.positions[fed] - 1], np.flatnonzero(fed))
-        ):
-            raise ValueError(
-                "served and last_served_rank must be the service at positions: one "
-                "agent fed at each occupied rank, at the rank it is recorded as fed"
-            )
+        self.fed = fed = binary(self.fed, "fed", "unfed", "fed").astype(bool, copy=False)
+        if fed.shape != (n,):
+            raise ValueError(f"fed must have shape ({n},), got {fed.shape}")
+        eaters = np.bincount(self.positions[fed], minlength=n + 1)
+        occupied = np.bincount(self.positions, minlength=n + 1) > 0
+        if not np.array_equal(eaters, occupied):
+            raise ValueError("fed must be the service at positions: "
+                             "one agent fed at each occupied rank")
+
+    @property
+    def served(self) -> np.ndarray:
+        """``served[rank - 1]``: the agent fed at that rank, or ``NO_AGENT``."""
+        served = np.full(self.n, NO_AGENT, dtype=np.int64)
+        served[self.positions[self.fed] - 1] = np.flatnonzero(self.fed)
+        return served
+
+    @property
+    def last_served_rank(self) -> np.ndarray:
+        """The rank each agent was fed at today, or ``UNSERVED``."""
+        return np.where(self.fed, self.positions, UNSERVED)
 
     @property
     def utilization(self) -> float:
         """Fraction of agents fed today."""
-        return float((self.last_served_rank != UNSERVED).sum()) / self.n
+        return np.count_nonzero(self.fed) / self.n
 
     def is_cyclic(self) -> bool:
-        """True when every restaurant got exactly one customer."""
-        return bool(np.bincount(self.positions, minlength=self.n + 1)[1:].all())
+        """True when every agent ate, so every restaurant got exactly one customer."""
+        return bool(self.fed.all())
 
 
 def _land(
@@ -156,16 +153,12 @@ def _first_day(
 
 def _state(n: int, slot: np.ndarray, unfed: np.ndarray, day: int) -> KPRState:
     """The state of ``day``, turning ``slot`` into ranks in place."""
-    positions = slot
-    positions -= day
-    positions %= n
-    positions += 1
-    last_served_rank = positions.copy()
-    last_served_rank[unfed] = UNSERVED
-    fed = last_served_rank != UNSERVED
-    served = np.full(n, NO_AGENT, dtype=np.int64)
-    served[positions[fed] - 1] = np.flatnonzero(fed)
-    return KPRState(n, positions, served, last_served_rank, day=day)
+    slot -= day
+    slot %= n
+    slot += 1
+    fed = np.ones(n, dtype=bool)
+    fed[unfed] = False
+    return KPRState(n, slot, fed, day=day)
 
 
 def kpr_init(
@@ -180,11 +173,11 @@ def kpr_init(
 
 def kpr_step(state: KPRState, rng: np.random.Generator) -> KPRState:
     """Advance one day: the unfed land on the empty ranks, the fed step down."""
-    n, day = state.n, state.day
+    n, day, fed = state.n, state.day, state.fed
     slot = (state.positions - 1 + day) % n
-    movers = np.flatnonzero(state.last_served_rank == UNSERVED)
-    free = np.flatnonzero(np.roll(state.served == NO_AGENT, day))
-    unfed, _ = _land(slot, movers, free, rng)
+    held = np.zeros(n, dtype=bool)
+    held[slot[fed]] = True
+    unfed, _ = _land(slot, np.flatnonzero(~fed), np.flatnonzero(~held), rng)
     return _state(n, slot, unfed, day + 1)
 
 

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import count, float_or_array, integers, means, positive
-from .dist import binomial_cdf, poisson_cdf
+from .dist import _poisson_cdf, binomial_cdf
 
 __all__ = [
     "ASYMPTOTIC_GAP",
@@ -121,8 +121,8 @@ def _counts(delta: np.ndarray) -> np.ndarray:
 
 def _residual(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1);
-    # one CDF call evaluates both terms.
-    cdf = poisson_cdf(counts, lam)
+    # one CDF call gives both terms, unchecked: both callers checked the inputs.
+    cdf = _poisson_cdf(counts, lam)
     return cdf[0] + cdf[1] - 1.0
 
 
@@ -255,12 +255,11 @@ class LambdaTable:
     """
 
     delta_max: int
-    tolerance: float = 1e-10
     roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         depth = count(self.delta_max, "table depth", 1)
-        roots = solve_lambda(np.arange(1, depth + 1), self.tolerance)
+        roots = solve_lambda(np.arange(1, depth + 1))
         roots.flags.writeable = False
         object.__setattr__(self, "roots", roots)
 

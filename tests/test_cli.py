@@ -291,6 +291,26 @@ def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
     assert (peaks[1] - peaks[0]) / 100_000 <= 64, peaks
 
 
+def test_kpr_rows_are_per_seed(tmp_path):
+    # Row i depends on stream i alone: more seeds keep the first rows, and
+    # each row is a lone kpr_run, unconverged ones (-1) included.  Seed 10
+    # leaves row 2 unconverged after 3 days.
+    rows = {}
+    for seeds in (3, 5):
+        outdir = tmp_path / str(seeds)
+        assert main(["kpr", "--n", "16", "--max-steps", "3", "--seeds", str(seeds),
+                     "--seed", "10", "--outdir", str(outdir)]) == 0
+        rows[seeds] = (outdir / "kpr_runs.csv").read_text().splitlines()[3:]
+    assert rows[5][:3] == rows[3]
+    expected = []
+    for index in range(5):
+        result = kpr_run(16, 3, derive_rng(10, index))
+        day = -1 if result.convergence_day is None else result.convergence_day
+        expected.append(f"{index},{day},{result.utilization[-1]:.12g}")
+    assert rows[5] == expected
+    assert ",-1," in rows[3][2]
+
+
 def test_integral_config_number_is_an_integer(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n": 201.0, "epsilon": 1}))

@@ -234,25 +234,28 @@ class TestStepMechanics:
     def test_corrupt_states_are_flagged(self):
         # two agents recorded as fed at rank 2
         with pytest.raises(ValueError, match="service at positions"):
-            KPRState(3, [2, 2, 3], [NO_AGENT, 0, 2], [2, 2, 3])
+            KPRState(3, [2, 2, 3], [True, True, True])
         # an unfed agent while every rank fed someone
         with pytest.raises(ValueError, match="service at positions"):
-            KPRState(2, [1, 2], [0, 1], [UNSERVED, 2])
+            KPRState(2, [1, 2], [False, True])
 
     @pytest.mark.parametrize(
-        "served, last_served_rank",
+        "positions, fed",
         [
-            ([0, 1, NO_AGENT], [1, 2, UNSERVED]),  # rank 3 is occupied but fed nobody
-            ([1, 0, 2], [1, 2, 3]),  # served names agents at the wrong ranks
-            ([0, 1, 2], [1, 3, 3]),  # agent 1 recorded as fed where it is not
-            ([0, 1, 2], [1, 2, UNSERVED]),  # served names an unfed agent
-            ([0, 1, 1], [1, 2, 3]),  # served names one agent at two ranks
+            ([1, 2, 3], [1, 1, 0]),  # rank 3 is occupied but fed nobody
+            ([1, 1, 3], [0, 0, 1]),  # rank 1 is occupied but fed nobody
         ],
     )
-    def test_service_must_match_positions(self, served, last_served_rank):
-        KPRState(3, [1, 2, 3], [0, 1, 2], [1, 2, 3])
+    def test_service_must_match_positions(self, positions, fed):
+        KPRState(3, [1, 1, 3], [0, 1, 1])
         with pytest.raises(ValueError, match="service at positions"):
-            KPRState(3, [1, 2, 3], served, last_served_rank)
+            KPRState(3, positions, fed)
+
+    def test_derived_service_records(self):
+        state = KPRState(4, [2, 2, 4, 1], [0, 1, 1, 1])
+        assert state.served.tolist() == [3, 1, NO_AGENT, 2]
+        assert state.last_served_rank.tolist() == [UNSERVED, 2, 4, 1]
+        assert state.served.dtype == state.last_served_rank.dtype == np.int64
 
     def test_serve_counts_bounded(self):
         rng = derive_rng(85)
@@ -450,9 +453,15 @@ class TestInputChecks:
         assert result.convergence_day == expected.convergence_day
         assert np.array_equal(result.final_state.positions, expected.final_state.positions)
 
-    @pytest.mark.parametrize("field", ["served", "last_served_rank"])
-    def test_state_checks_service_shapes(self, field):
-        arrays = {"served": [0, 1, 2], "last_served_rank": [1, 2, 3]}
-        arrays[field] = arrays[field][:2]
-        with pytest.raises(ValueError, match=f"{field} must have shape"):
-            KPRState(3, [1, 2, 3], **arrays)
+    @pytest.mark.parametrize(
+        "fed, message",
+        [
+            ([1, 1], "fed must have shape"),
+            ([1, 1, 2], r"fed must contain only 0 \(unfed\) and 1 \(fed\), got 2"),
+            ([1.0, 0.5, 1.0], "fed must contain only .* got 0.5"),
+        ],
+        ids=["shape", "integer", "float"],
+    )
+    def test_state_checks_fed(self, fed, message):
+        with pytest.raises(ValueError, match=message):
+            KPRState(3, [1, 2, 3], fed)

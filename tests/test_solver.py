@@ -216,7 +216,7 @@ class TestArrayBisection:
         def flat_cdf(r, lam):
             return np.zeros(np.broadcast(r, lam).shape)
 
-        monkeypatch.setattr(solver, "poisson_cdf", flat_cdf)
+        monkeypatch.setattr(solver, "_poisson_cdf", flat_cdf)
         with pytest.raises(NumericError, match=r"no sign change on \[2.0, 3.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
 
@@ -300,9 +300,9 @@ class TestSolvePFinite:
 
 class TestLambdaTable:
     def test_entries_satisfy_residual_bound(self):
-        table = LambdaTable(delta_max=40, tolerance=1e-10)
+        table = LambdaTable(delta_max=40)
         for delta, lam in enumerate(table.roots.tolist(), start=1):
-            assert abs(indifference_residual(lam, delta)) < table.tolerance
+            assert abs(indifference_residual(lam, delta)) < 1e-10
 
     def test_lookup_exact_below_and_asymptote_above(self):
         table = LambdaTable(delta_max=12)
