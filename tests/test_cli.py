@@ -574,3 +574,34 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
+    src = str(Path(mgstrat.__file__).resolve().parents[1])
+    calls = [
+        ["solve-lambda", "--delta-max", "5"],
+        ["payoff-table", "--delta-max", "5"],
+        ["simulate", "--n", "21", "--steps", "20", "--stats", "--tau-max", "3"],
+        ["sweep", "--n", "21", "--epsilons", "0.5", "--seeds", "1", "--steps", "20"],
+    ]
+    argvs = [[*call, "--outdir", str(tmp_path / str(i))] for i, call in enumerate(calls)]
+    code = (
+        "import json, sys\n"
+        "from mgstrat import dist\n"
+        "from mgstrat.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted({'scipy.special', 'scipy._lib._array_api', 'numpy.f2py'}"
+        " & set(sys.modules))\n"
+        "ufuncs_loaded = 'scipy.special._ufuncs' in sys.modules\n"
+        "import scipy.special\n"
+        "same = [getattr(scipy.special, name) is getattr(dist._special(), name)\n"
+        "        for name in ('pdtr', 'betaincc', 'chndtr')]\n"
+        "print(json.dumps([loaded, ufuncs_loaded, same]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [[], True, [True, True, True]]

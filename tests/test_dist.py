@@ -5,13 +5,19 @@ used as an independent second implementation where a cross-library check
 adds value.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mgstrat.dist import binomial_cdf, poisson_cdf, skellam_cdf
+import mgstrat
+from mgstrat.dist import _special, binomial_cdf, poisson_cdf, skellam_cdf
 
 # Frozen closed-form oracle at lam = 1.14619: cdf(1) = (1 + lam) e^-lam.
 LAM_1 = 1.14619
@@ -203,3 +209,35 @@ class TestSkellam:
         with pytest.raises(ValueError):
             skellam_cdf(0, 1.0, np.inf)
 
+
+class TestSpecialLoader:
+    def test_keeps_an_already_loaded_scipy_special(self):
+        import scipy.special
+
+        _special.cache_clear()
+        ufuncs = _special()
+        assert sys.modules["scipy.special"] is scipy.special
+        assert ufuncs.pdtr is scipy.special.pdtr
+
+    def test_failed_load_propagates_and_leaves_no_placeholder(self):
+        src = str(Path(mgstrat.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special._ufuncs':\n"
+            "            raise ImportError('refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from mgstrat.dist import poisson_cdf\n"
+            "try:\n"
+            "    poisson_cdf(1, 1.0)\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines() == ["refused", "[]"]
