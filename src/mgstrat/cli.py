@@ -7,8 +7,10 @@ Subcommands: ``solve-lambda`` (tabulate cheat-proof switch-rate means),
 ``kpr`` (convergence of the ranked-restaurant cyclic strategy).
 
 Every run resolves flags over config-file values over built-in defaults
-into a manifest, then writes its outputs into one directory: data as CSV
-whose first lines are ``#`` comments embedding the manifest hash, plus
+into a manifest.  Each subcommand declares its data files, with their CSV
+headers, in one table; its runner maps the parameters to the files'
+columns, and ``dispatch`` writes them into one directory: CSV whose first
+lines are ``#`` comments embedding the manifest hash, plus
 ``manifest.json`` and ``summary.json`` whose first key is that same hash.
 Outputs are byte-deterministic: same subcommand, parameters, and package
 version give identical files, whatever the output directory.
@@ -236,6 +238,8 @@ def _load_config_file(path: Path, allowed: Iterable[str]) -> dict[str, Any]:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -261,25 +265,26 @@ def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
         raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
     if "steps" in params:
         check_record_size(params["n"], params["steps"], False)
+    if "reset_prefactor" in params:
+        # The reset probability, prefactor * m**(epsilon - 1), is monotone in epsilon.
+        epsilons = params.get("epsilons") or [params["epsilon"]]
+        for epsilon in (min(epsilons), max(epsilons)):
+            _strategy_config(params, epsilon)
 
 
-def parse_config(
-    argv: Sequence[str] | None = None, config_file: str | Path | None = None
-) -> RunManifest:
-    """Resolve argv (and an optional config file) into a RunManifest.
+def parse_config(argv: Sequence[str] | None = None) -> RunManifest:
+    """Resolve argv into a RunManifest.
 
-    Precedence: command-line flags beat config-file values beat built-in
-    defaults.  An explicit ``--config`` flag beats the ``config_file``
-    argument.  Raises ValueError naming the offending key on bad input;
-    argparse itself exits with code 2 on malformed flags.
+    Precedence: command-line flags beat ``--config`` file values beat
+    built-in defaults.  Raises ValueError naming the offending key on bad
+    input; argparse itself exits with code 2 on malformed flags.
     """
     namespace = _build_parser().parse_args(argv)
     subcommand = namespace.subcommand
     entry = _SUBCOMMANDS[subcommand]
     raw = {param.name: param.default for param in entry.params}
-    config_path = namespace.config or (Path(config_file) if config_file else None)
-    if config_path is not None:
-        raw.update(_load_config_file(config_path, raw))
+    if namespace.config is not None:
+        raw.update(_load_config_file(namespace.config, raw))
     for param in entry.params:
         flag_value = getattr(namespace, param.name)
         if flag_value is not None:
@@ -292,7 +297,7 @@ def parse_config(
         params=params,
         seed=params.get("seed"),
         version=__version__,
-        outputs=(*(name for name, flag in entry.data.items() if flag is None or params[flag]),
+        outputs=(*(name for name, (flag, _) in entry.data.items() if flag is None or params[flag]),
                  "manifest.json", "summary.json"),
         outdir=Path(outdir),
     )
@@ -326,10 +331,10 @@ def _write_json(path: Path, document: dict[str, Any]) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
-def _strategy_config(params: dict[str, Any], epsilon: float | None = None) -> StrategyConfig:
+def _strategy_config(params: dict[str, Any], epsilon: float) -> StrategyConfig:
     return StrategyConfig(
         n=params["n"],
-        epsilon=params["epsilon"] if epsilon is None else epsilon,
+        epsilon=epsilon,
         wait_t=params["wait_t"],
         reset_prefactor=params["reset_prefactor"],
         seed=params["seed"],
@@ -337,46 +342,34 @@ def _strategy_config(params: dict[str, Any], epsilon: float | None = None) -> St
     )
 
 
-def _run_solve_lambda(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    params = manifest.params
+_Result = tuple[list[Sequence[Sequence[Any]]], dict[str, Any]]
+
+
+def _run_solve_lambda(params: dict[str, Any]) -> _Result:
     deltas = np.arange(1, params["delta_max"] + 1)
     lams = solve_lambda(deltas, params["tolerance"])
     gaps = lams - deltas
-    _write_csv(
-        outdir / "lambda_table.csv", manifest, ["delta", "lambda", "gap"], [deltas, lams, gaps]
-    )
-    return {
+    return [(deltas, lams, gaps)], {
         "rows": len(deltas),
         "gap_at_delta_max": float(gaps[-1]),
         "asymptotic_gap": ASYMPTOTIC_GAP,
     }
 
 
-def _run_payoff_table(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    deltas = np.arange(1, manifest.params["delta_max"] + 1)
+def _run_payoff_table(params: dict[str, Any]) -> _Result:
+    deltas = np.arange(1, params["delta_max"] + 1)
     lams = solve_lambda(deltas)
     q = expected_payoffs(deltas, lams)
-    _write_csv(
-        outdir / "payoff_table.csv",
-        manifest,
-        ["delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch"],
-        [deltas, lams, q.thin_stay, q.thin_switch, q.crowd_stay, q.crowd_switch],
-    )
+    table = (deltas, lams, q.thin_stay, q.thin_switch, q.crowd_stay, q.crowd_switch)
     worst_sum_error = float(np.abs(q.thin_stay + q.crowd_stay - 1.0).max())
-    return {"rows": len(deltas), "max_stay_sum_error": worst_sum_error}
+    return [table], {"rows": len(deltas), "max_stay_sum_error": worst_sum_error}
 
 
-def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    params = manifest.params
-    config = _strategy_config(params)
+def _run_simulate(params: dict[str, Any]) -> _Result:
+    config = _strategy_config(params, params["epsilon"])
     trajectory = run(config, params["steps"])
     deltas, reset = trajectory.deltas, trajectory.reset
-    _write_csv(
-        outdir / "trajectory.csv",
-        manifest,
-        ["day", "delta", "minority_side", "reset"],
-        (range(trajectory.days), deltas, trajectory.minority_side, reset),
-    )
+    tables = [(range(trajectory.days), deltas, trajectory.minority_side, reset)]
     results: dict[str, Any] = {
         "eta": inefficiency_eta(trajectory, burn_in=params["burn_in"]),
         "days": trajectory.days,
@@ -395,58 +388,32 @@ def _run_simulate(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         }
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])
-        _write_csv(
-            outdir / "delta_hist.csv",
-            manifest,
-            ["delta", "frequency"],
-            list(zip(*sorted(hist.items()))),
-        )
         s_acf = s_autocorrelation(trajectory, params["tau_max"])
-        _write_csv(
-            outdir / "s_autocorr.csv",
-            manifest,
-            ["lag", "value"],
-            (range(s_acf.size), s_acf),
-        )
         c_acf = c_autocorrelation(trajectory, params["tau_max"])
-        _write_csv(
-            outdir / "c_autocorr.csv",
-            manifest,
-            ["lag", "value"],
+        tables += [
+            list(zip(*sorted(hist.items()))),
+            (range(s_acf.size), s_acf),
             (range(c_acf.size), c_acf),
-        )
+        ]
         results["c_at_tau_max"] = float(c_acf[-1])
-    return results
+    return tables, results
 
 
-def _run_sweep(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    params = manifest.params
-    rows = []
-    means = []
-    for i, epsilon in enumerate(params["epsilons"]):
-        config = _strategy_config(params, epsilon=epsilon)
-        etas = np.empty(params["seeds"])
-        for j in range(params["seeds"]):
+def _run_sweep(params: dict[str, Any]) -> _Result:
+    epsilons, seeds = params["epsilons"], params["seeds"]
+    means, stderrs = [], []
+    for i, epsilon in enumerate(epsilons):
+        config = _strategy_config(params, epsilon)
+        etas = np.empty(seeds)
+        for j in range(seeds):
             stream = derive_rng(params["seed"], i, j)
             trajectory = run(config, params["steps"], rng=stream)
             etas[j] = inefficiency_eta(trajectory, burn_in=params["burn_in"])
-        mean = float(etas.mean())
-        stderr = (
-            float(etas.std(ddof=1) / math.sqrt(params["seeds"]))
-            if params["seeds"] > 1
-            else 0.0
-        )
-        rows.append((epsilon, mean, stderr, params["seeds"]))
-        means.append(mean)
-    _write_csv(
-        outdir / "sweep.csv",
-        manifest,
-        ["epsilon", "eta_mean", "eta_stderr", "seeds"],
-        list(zip(*rows)),
-    )
+        means.append(float(etas.mean()))
+        stderrs.append(float(etas.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else 0.0)
     increases = sum(1 for a, b in zip(means, means[1:]) if b > a)
-    return {
-        "points": len(rows),
+    return [(epsilons, means, stderrs, [seeds] * len(means))], {
+        "points": len(means),
         "eta_min": min(means),
         "eta_max": max(means),
         "monotone_increasing_fraction": (
@@ -455,8 +422,7 @@ def _run_sweep(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
     }
 
 
-def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
-    params = manifest.params
+def _run_kpr(params: dict[str, Any]) -> _Result:
     seeds = params["seeds"]
     days = np.empty(seeds, dtype=np.int64)
     utilization = np.empty(seeds)
@@ -465,12 +431,6 @@ def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         result = kpr_run(params["n"], params["max_steps"], stream)
         days[index] = -1 if result.convergence_day is None else result.convergence_day
         utilization[index] = result.utilization[-1]
-    _write_csv(
-        outdir / "kpr_runs.csv",
-        manifest,
-        ["seed_index", "convergence_day", "final_utilization"],
-        (range(seeds), days, utilization),
-    )
     convergence_days = days[days >= 0]
     results: dict[str, Any] = {
         "seeds": seeds,
@@ -481,20 +441,22 @@ def _run_kpr(manifest: RunManifest, outdir: Path) -> dict[str, Any]:
         results["mean_convergence_day"] = float(np.mean(convergence_days))
         results["median_convergence_day"] = float(np.median(convergence_days))
         results["max_convergence_day"] = int(np.max(convergence_days))
-    return results
+    return [(range(seeds), days, utilization)], results
 
 
 class _Subcommand(NamedTuple):
     """Everything one subcommand declares.
 
     ``data`` maps each data file, in output order, to the bool parameter
-    that turns it on, or to None for a file always written.
+    that turns it on (None for a file always written) and its CSV header.
+    ``runner`` maps the resolved parameters to the columns of every data
+    file turned on, in that order, and the summary results.
     """
 
     help: str
     params: tuple[Param, ...]
-    data: dict[str, str | None]
-    runner: Callable[[RunManifest, Path], dict[str, Any]]
+    data: dict[str, tuple[str | None, tuple[str, ...]]]
+    runner: Callable[[dict[str, Any]], _Result]
 
 
 _SUBCOMMANDS = {
@@ -502,10 +464,12 @@ _SUBCOMMANDS = {
         Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
         Param("tolerance", float, 1e-10, "bisection stops once |residual| is below this",
               lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
-    ), {"lambda_table.csv": None}, _run_solve_lambda),
+    ), {"lambda_table.csv": (None, ("delta", "lambda", "gap"))}, _run_solve_lambda),
     "payoff-table": _Subcommand("stay/switch winning probabilities at the solved rate", (
         Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
-    ), {"payoff_table.csv": None}, _run_payoff_table),
+    ), {"payoff_table.csv": (None, (
+        "delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch",
+    ))}, _run_payoff_table),
     "simulate": _Subcommand("run the two-restaurant crowd simulation", (
         _N,
         Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
@@ -520,10 +484,10 @@ _SUBCOMMANDS = {
         _BURN_IN,
         Param("tau_max", int, 100, "largest autocorrelation lag", lo=1),
     ), {
-        "trajectory.csv": None,
-        "delta_hist.csv": "stats",
-        "s_autocorr.csv": "stats",
-        "c_autocorr.csv": "stats",
+        "trajectory.csv": (None, ("day", "delta", "minority_side", "reset")),
+        "delta_hist.csv": ("stats", ("delta", "frequency")),
+        "s_autocorr.csv": ("stats", ("lag", "value")),
+        "c_autocorr.csv": ("stats", ("lag", "value")),
     }, _run_simulate),
     "sweep": _Subcommand("inefficiency versus epsilon over many seeds", (
         _N,
@@ -535,21 +499,29 @@ _SUBCOMMANDS = {
         _WAIT_T,
         _PREFACTOR,
         _BURN_IN,
-    ), {"sweep.csv": None}, _run_sweep),
+    ), {"sweep.csv": (None, ("epsilon", "eta_mean", "eta_stderr", "seeds"))}, _run_sweep),
     "kpr": _Subcommand("ranked-restaurant cyclic-strategy convergence", (
         Param("n", int, 64, "agents and restaurants", lo=1, hi=_KPR_MAX_N),
         Param("seeds", int, 200, "independent runs", lo=1, hi=MAX_SEEDS),
         Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
         _SEED,
-    ), {"kpr_runs.csv": None}, _run_kpr),
+    ), {"kpr_runs.csv": (None, ("seed_index", "convergence_day", "final_utilization"))},
+        _run_kpr),
 }
 
 
 def dispatch(manifest: RunManifest) -> int:
     """Run the manifest's subcommand and write all of its outputs."""
+    entry = _SUBCOMMANDS[manifest.subcommand]
     outdir = manifest.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
-    results = _SUBCOMMANDS[manifest.subcommand].runner(manifest, outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"outdir {outdir} cannot be created: {exc.strerror}") from None
+    tables, results = entry.runner(manifest.params)
+    names = [name for name in manifest.outputs if name in entry.data]
+    for name, columns in zip(names, tables, strict=True):
+        _write_csv(outdir / name, manifest, entry.data[name][1], columns)
     _write_json(outdir / "manifest.json", manifest.document())
     _write_json(
         outdir / "summary.json",

@@ -113,8 +113,9 @@ class StrategyConfig:
         # Surface a bad reset probability at construction, not mid-run.
         if not (0.0 < self.reset_probability <= 1.0):
             raise ValueError(
-                f"reset probability {self.reset_probability:.6g} falls outside (0, 1]; "
-                "lower the prefactor or epsilon"
+                f"reset_prefactor {self.reset_prefactor:g} puts the reset probability at "
+                f"{self.reset_probability:.6g}, outside (0, 1], for epsilon {self.epsilon:g}; "
+                "lower reset_prefactor or epsilon"
             )
 
     @property

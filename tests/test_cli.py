@@ -59,12 +59,6 @@ class TestParseConfig:
         assert both.params["epsilon"] == 0.7
         assert both.params["steps"] == 777  # file still beats default
 
-    def test_config_file_argument_without_flag(self, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"n": 201}))
-        manifest = parse_config(["simulate"], config_file=config)
-        assert manifest.params["n"] == 201
-
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"populaton": 11}))
@@ -209,6 +203,50 @@ def test_bad_flag_value_exits_2_naming_the_key(tmp_path, capsys, argv, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--reset-prefactor", "3", "--epsilons", "0.1:0.9:0.1"],
+        ["sweep", "--reset-prefactor", "5e-324", "--epsilons", "0.5,1"],
+        ["simulate", "--reset-prefactor", "3", "--epsilon", "0.9"],
+    ],
+    ids=["sweep-top-epsilon", "sweep-bottom-epsilon", "simulate"],
+)
+def test_impossible_reset_probability_refused_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    # At n = 2001 (m = 1000), prefactor 3 gives 3 * 1000**-0.1 > 1 at epsilon 0.9 only,
+    # and 5e-324 underflows to 0 at epsilon 0.5 only.
+    def never_run(*args, **kwargs):
+        raise AssertionError("simulated before refusing the reset probability")
+
+    monkeypatch.setattr(cli, "run", never_run)
+    code = main(argv + ["--n", "2001", "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: reset_prefactor "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,relative,key",
+    [
+        ("--outdir", "a_file", "outdir"),
+        ("--outdir", "a_file/out", "outdir"),
+        ("--config", "a_dir", "config file"),
+        ("--config", "latin1.json", "config file"),
+    ],
+    ids=["outdir-is-a-file", "outdir-under-a-file", "config-is-a-directory", "config-not-utf8"],
+)
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, flag, relative, key):
+    (tmp_path / "a_file").write_text("{}")
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"n": "\xe9"}'.encode("latin-1"))
+    path = tmp_path / relative
+    code = main(["kpr", "--seeds", "1", "--outdir", str(tmp_path / "out"), flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} {path} "), err
+
+
 # 24 bytes per agent must stay within 1 GiB: 2**30 // 24 = 44 739 242, so
 # 44 739 241 is the largest odd n simulate and sweep take; kpr takes 8 * 10**6.
 POPULATION_BOUNDS = [("simulate", 44739241, 2), ("sweep", 44739241, 2), ("kpr", 8 * 10**6, 1)]
@@ -284,7 +322,7 @@ def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
                                  "--outdir", str(tmp_path)])
         tracemalloc.start()
         try:
-            cli._SUBCOMMANDS["kpr"].runner(manifest, tmp_path)
+            cli.dispatch(manifest)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -317,6 +355,25 @@ def test_integral_config_number_is_an_integer(tmp_path):
     params = parse_config(["simulate", "--config", str(config)]).params
     assert params["n"] == 201 and type(params["n"]) is int
     assert params["epsilon"] == 1.0 and type(params["epsilon"]) is float
+
+
+_STATS_CALL = "simulate --n 11 --steps 20 --stats --tau-max 5"
+
+# Each data file's header line as README documents it, written out here rather
+# than read from the CLI's own table, and a small call that writes the file.
+DOCUMENTED_HEADERS = {
+    "lambda_table.csv": ("delta,lambda,gap", "solve-lambda --delta-max 3"),
+    "payoff_table.csv": ("delta,lambda,thin_stay,thin_switch,crowd_stay,crowd_switch",
+                         "payoff-table --delta-max 3"),
+    "trajectory.csv": ("day,delta,minority_side,reset", "simulate --n 11 --steps 20"),
+    "delta_hist.csv": ("delta,frequency", _STATS_CALL),
+    "s_autocorr.csv": ("lag,value", _STATS_CALL),
+    "c_autocorr.csv": ("lag,value", _STATS_CALL),
+    "sweep.csv": ("epsilon,eta_mean,eta_stderr,seeds",
+                  "sweep --n 11 --steps 20 --seeds 2 --epsilons 0.2,0.4"),
+    "kpr_runs.csv": ("seed_index,convergence_day,final_utilization",
+                     "kpr --n 4 --seeds 2 --max-steps 50"),
+}
 
 
 class TestDispatch:
@@ -380,6 +437,12 @@ class TestDispatch:
         manifest = parse_config(argv + ["--outdir", str(tmp_path)])
         assert dispatch(manifest) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest.outputs)
+
+    @pytest.mark.parametrize("name", DOCUMENTED_HEADERS)
+    def test_csv_header_is_the_documented_one(self, tmp_path, name):
+        header, call = DOCUMENTED_HEADERS[name]
+        assert main(call.split() + ["--outdir", str(tmp_path)]) == 0
+        assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[2] == header
 
     def test_simulate_row_count_and_summary(self, tmp_path):
         code = main(
