@@ -11,7 +11,7 @@ The package splits into small, layered modules:
 - ``cli``     -- ``mgstrat`` command-line front end
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .solver import (  # noqa: F401
     LambdaTable,

@@ -19,13 +19,17 @@ in ``lam`` (its derivative is -(pmf(d-1) + pmf(d))), so the root is unique.
 It always lies inside [d, d + 1], and for large d approaches d + 1/6 from
 above.
 
-:func:`solve_lambda` finds the roots by bisection.  :func:`solve_p_finite`
+:func:`solve_lambda` finds the roots on [d, d + 1].  :func:`solve_p_finite`
 solves the analogous balance at finite crowd size, where the defector count
-is Binomial(M + d, p) and the unknown is the per-agent probability p.  Both
-take arrays and run one bisection loop over all their entries at once
-(:func:`_bisect`), each entry stepping through exactly the midpoints a
-scalar bisection of its own would.  :class:`LambdaTable` precomputes roots
-up to a chosen d and extends them with the ``d + 1/6`` asymptote beyond it.
+is Binomial(M + d, p) and the unknown is the per-agent probability p, on
+[0, 1].  Both take arrays and run one ITP loop (interpolate, truncate,
+project) over all their entries at once (:func:`_itp`), each entry stepping
+through exactly the points a scalar loop of its own would.  ITP's bracket
+after j steps is never wider than twice bisection's, and on these smooth
+residuals it converges superlinearly: every root of d = 1..3000 takes at
+most 6 steps where bisection took up to 32.  :class:`LambdaTable`
+precomputes roots up to a chosen d and extends them with the ``d + 1/6``
+asymptote beyond it.
 """
 
 from __future__ import annotations
@@ -55,11 +59,16 @@ __all__ = [
 # Large-imbalance limit of solve_lambda(d) - d.
 ASYMPTOTIC_GAP = 1.0 / 6.0
 
-# Loosest residual tolerance solve_lambda accepts.  The bisection stops on
+# Loosest residual tolerance solve_lambda accepts.  The root loop stops on
 # the residual alone, so a looser one would return a visibly wrong root.
 MAX_TOLERANCE = 1e-6
 
-_MAX_BISECTIONS = 200
+# The root loop's step cap, and its ITP constants: the truncation is
+# _KAPPA1 * w**2 on a bracket of width w (kappa2 = 2, computed as w * w), and
+# the projection lets the bracket fall at most _N0 steps behind bisection's.
+_MAX_STEPS = 200
+_KAPPA1 = 0.1
+_N0 = 1
 
 
 class NumericError(ArithmeticError):
@@ -70,47 +79,82 @@ def _check_delta(delta: np.typing.ArrayLike) -> np.ndarray:
     return integers(delta, "imbalance", 1).astype(np.int64, copy=False)
 
 
-def _bisect(
+def _itp(
     residual: Callable[..., np.ndarray],
     lo: np.ndarray,
-    hi: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
     params: tuple[np.ndarray, ...],
     tolerance: float,
     solver: str,
     label: Callable[[int], str],
 ) -> np.ndarray:
-    """Roots of a decreasing residual on the brackets [lo, hi], elementwise.
+    """Roots of a decreasing residual on the unit brackets [lo, lo + 1], elementwise.
 
+    ``f_lo > 0 > f_hi`` are the residuals at the bracket ends, and
     ``residual(x, *params)`` evaluates the open entries at ``x``; each array
     in ``params`` holds one column per entry along its last axis, and drops
-    an entry's column when the entry closes.  Each step evaluates every open
-    entry at its midpoint; an entry closes at its first midpoint with
-    |residual| < ``tolerance``, and otherwise keeps the half where the sign
-    changes.  So each entry follows the midpoints a scalar bisection of its
-    own would, bit for bit.  ``label(i)`` names entry i in the error.
+    an entry's column when the entry closes.  Each step is one ITP step
+    (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
+    2020): take the regula falsi point, move it κ1·w² towards the midpoint
+    of the width-w bracket, and keep it close enough to the midpoint that
+    the bracket after j steps is at most 2**(_N0 - j) wide, never more than
+    2**_N0 times bisection's.  An entry closes at its first point with
+    |residual| < ``tolerance`` and otherwise keeps the part where the sign
+    changes.  Every iterate is built from +, -, *, / and exact powers of
+    two, so a scalar copy of the loop gives the same roots bit for bit.
+    ``label(i)`` names entry i in the error.
     """
     roots = np.empty_like(lo)
     index = np.arange(lo.size)
+    hi = lo + 1.0
     steps = 0
-    while index.size and steps < _MAX_BISECTIONS:
+    while index.size and steps < _MAX_STEPS:
+        width = hi - lo
+        mid = lo + hi
+        mid *= 0.5
+        # Interpolate: the regula falsi point, as its offset from the midpoint.
+        offset = f_lo - f_hi
+        np.divide(f_lo, offset, out=offset)
+        offset *= width
+        offset += lo
+        np.subtract(mid, offset, out=offset)
+        # Truncate: move it _KAPPA1 * w**2 towards the midpoint, but not past it;
+        # project: keep it within 2**(_N0 - 1 - j) - w / 2 of the midpoint.
+        shift = np.abs(offset)
+        shift -= _KAPPA1 * (width * width)
+        reach = 2.0 ** (_N0 - 1 - steps) - np.multiply(width, 0.5, out=width)
+        np.minimum(shift, reach, out=shift)
+        np.maximum(shift, 0.0, out=shift)
+        x = np.subtract(mid, np.copysign(shift, offset, out=shift), out=mid)
+        del width, offset, shift, reach  # freed before the residual allocates
         steps += 1
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid, *params)
-        done = np.abs(f_mid) < tolerance
+        f_x = residual(x, *params)
+        done = np.abs(f_x) < tolerance
         # count_nonzero: a third of the cost of .any() on small arrays
         if np.count_nonzero(done):
-            roots[index[done]] = mid[done]
+            roots[index[done]] = x[done]
             open_ = ~done
-            index, lo, hi, mid, f_mid = (a[open_] for a in (index, lo, hi, mid, f_mid))
+            # One array at a time, so each old copy is freed before the next.
+            index = index[open_]
+            lo = lo[open_]
+            hi = hi[open_]
+            f_lo = f_lo[open_]
+            f_hi = f_hi[open_]
+            x = x[open_]
+            f_x = f_x[open_]
             params = tuple(a[..., open_] for a in params)
-        above = f_mid > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+        above = f_x > 0.0
+        np.copyto(lo, x, where=above)
+        np.copyto(f_lo, f_x, where=above)
+        np.logical_not(above, out=above)
+        np.copyto(hi, x, where=above)
+        np.copyto(f_hi, f_x, where=above)
     if not index.size:
         return roots
     raise NumericError(
-        f"{solver}: residual still {f_mid[0]:.3e} after "
-        f"{_MAX_BISECTIONS} bisections for {label(index[0])}"
+        f"{solver}: residual still {f_x[0]:.3e} after "
+        f"{_MAX_STEPS} steps for {label(index[0])}"
     )
 
 
@@ -123,7 +167,9 @@ def _residual(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1);
     # one CDF call gives both terms, unchecked: both callers checked the inputs.
     cdf = _poisson_cdf(counts, lam)
-    return cdf[0] + cdf[1] - 1.0
+    residual = cdf[0] + cdf[1]
+    residual -= 1.0
+    return residual
 
 
 def indifference_residual(
@@ -147,28 +193,30 @@ def solve_lambda(
     """Cheat-proof mean defector count for each imbalance in ``delta``.
 
     Elementwise over an integer array of any shape, in any order and with
-    repeats; a float for scalar input.  Bisects
-    :func:`indifference_residual` on [delta, delta + 1] and stops when the
-    residual magnitude drops below ``tolerance``, which must lie in
-    (0, MAX_TOLERANCE].  One bisection solves every entry.
+    repeats; a float for scalar input.  Searches
+    :func:`indifference_residual` on [delta, delta + 1] by ITP steps and
+    stops when the residual magnitude drops below ``tolerance``, which must
+    lie in (0, MAX_TOLERANCE].  One loop solves every entry.
     """
     deltas = _check_delta(delta)
     shape, deltas = deltas.shape, deltas.ravel()
     tolerance = positive(tolerance, "tolerance", MAX_TOLERANCE)
     counts = _counts(deltas)
     lo = deltas.astype(np.float64)
-    hi = lo + 1.0
-    unbracketed = ~((_residual(lo, counts) > 0.0) & (_residual(hi, counts) < 0.0))
+    f_lo = _residual(lo, counts)
+    f_hi = _residual(lo + 1.0, counts)
+    unbracketed = ~((f_lo > 0.0) & (f_hi < 0.0))
     if unbracketed.any():
         delta = int(deltas[unbracketed][0])
         raise NumericError(
             f"switch-rate solver: no sign change on [{float(delta)}, "
             f"{float(delta + 1)}] for imbalance {delta}"
         )
-    roots = _bisect(
+    roots = _itp(
         _residual,
         lo,
-        hi,
+        f_lo,
+        f_hi,
         (counts,),
         tolerance,
         "switch-rate solver",
@@ -217,19 +265,21 @@ def solve_p_finite(
 ) -> float | np.ndarray:
     """Cheat-proof per-agent defection probability at finite crowd size.
 
-    Bisects :func:`finite_m_balance` on (0, 1); its value runs from -1 at
-    p=0 to +1 at p=1 and is monotone, so the root is unique.  Elementwise
-    over the broadcast ``delta`` and ``m``; a float for scalar input.
+    Searches :func:`finite_m_balance` on (0, 1) by ITP steps, as
+    :func:`solve_lambda` does; its value runs from -1 at p=0 to +1 at p=1
+    and is monotone, so the root is unique.  Elementwise over the broadcast
+    ``delta`` and ``m``; a float for scalar input.
     """
     tolerance = positive(tolerance, "tolerance")
     deltas, ms = np.broadcast_arrays(*_check_crowd(delta, m))
     shape = deltas.shape
     deltas, ms = deltas.ravel(), ms.ravel()
-    roots = _bisect(
-        # Negated, so the residual decreases as _bisect expects.
+    roots = _itp(
+        # Negated, so the residual decreases as _itp expects: +1 at p=0, -1 at p=1.
         lambda p, delta, m: -_balance(p, delta, m),
         np.zeros(deltas.size),
         np.ones(deltas.size),
+        np.full(deltas.size, -1.0),
         (deltas, ms),
         tolerance,
         "finite-crowd solver",

@@ -1,7 +1,9 @@
 """Command-line front-end tests: parsing, precedence, dispatch, determinism."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -528,6 +530,12 @@ class TestDispatch:
         assert "numeric failure" in err
         assert "solver" in err
 
+    def test_unreachable_tolerance_exits_3_naming_the_imbalance(self, tmp_path, capsys):
+        # filterwarnings = error: a numpy warning on the way fails the test.
+        code = main(["solve-lambda", "--tolerance", "1e-300", "--outdir", str(tmp_path)])
+        assert code == 3
+        assert re.search(r"after 200 steps for imbalance \d+$", capsys.readouterr().err)
+
     def test_version_flag(self, capsys):
         code = main(["--version"])
         assert code == 0
@@ -622,8 +630,15 @@ class TestRateTables:
         assert lines[3:] == expected
 
 
-def test_kpr_and_version_never_import_scipy(tmp_path):
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """This interpreter run on the mgstrat under test, in a fresh process."""
     src = str(Path(mgstrat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_kpr_and_version_never_import_scipy(tmp_path):
     code = (
         "import sys\n"
         "from mgstrat.cli import main\n"
@@ -631,16 +646,12 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
         f"assert main(['kpr', '--n', '16', '--seeds', '3', '--outdir', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
-    src = str(Path(mgstrat.__file__).resolve().parents[1])
     calls = [
         ["solve-lambda", "--delta-max", "5"],
         ["payoff-table", "--delta-max", "5"],
@@ -662,9 +673,48 @@ def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
         "        for name in ('pdtr', 'betaincc', 'chndtr')]\n"
         "print(json.dumps([loaded, ufuncs_loaded, same]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [[], True, [True, True, True]]
+
+
+class TestCliEntry:
+    """The console entry point freezes the import-time heap; main() never does."""
+
+    def test_main_leaves_the_freeze_count_unchanged(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["kpr", "--n", "16", "--seeds", "3", "--outdir", str(tmp_path)]) == 0
+        assert main(["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_cli_entry_freezes_before_main(self):
+        code = (
+            "import gc\n"
+            "from mgstrat import cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "cli.cli_entry()\n"
+        )
+        result = _python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-lambda", "--delta-max", "50"],
+        ["kpr", "--n", "16", "--seeds", "3"],
+    ])
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path, argv):
+        assert main([*argv, "--outdir", str(tmp_path / "main")]) == 0
+        result = _python("-m", "mgstrat.cli", *argv, "--outdir", str(tmp_path / "module"))
+        assert result.returncode == 0, result.stderr
+        names = sorted(path.name for path in (tmp_path / "main").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "module").iterdir())
+        for name in names:
+            module_bytes = (tmp_path / "module" / name).read_bytes()
+            assert module_bytes == (tmp_path / "main" / name).read_bytes(), name
+
+    def test_module_usage_error_exits_2(self, tmp_path):
+        result = _python(
+            "-m", "mgstrat.cli", "solve-lambda", "--delta-max", "0", "--outdir", str(tmp_path)
+        )
+        assert result.returncode == 2
+        assert "delta_max" in result.stderr

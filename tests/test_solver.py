@@ -4,15 +4,19 @@ Fourteen frozen (imbalance, mean) reference pairs are pinned to five
 decimal places; everything else is checked against structural properties
 (monotone residual, bracketing, asymptote) or independent oracles (dense
 scans, polynomial root extraction, the finite-crowd/large-crowd limit).
-The former one-root-at-a-time bisection loops are kept here as oracles:
-the array solvers must return their roots bit for bit.
+A scalar copy of the ITP root loop is kept here as an oracle: the array
+solvers must return its roots bit for bit.  scipy's brentq checks every
+root independently, to within tolerance / |residual'(root)|.
 """
 
+import math
 from functools import cache
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import betaincc, pdtr
+from scipy.stats import binom, poisson
 
 from mgstrat import solver
 from mgstrat.cli import MAX_DELTA_MAX
@@ -30,50 +34,49 @@ from mgstrat.solver import (
 )
 
 
+def scalar_itp(residual, lo: float, f_lo: float, f_hi: float, tolerance: float) -> float:
+    """A scalar copy of the array solvers' ITP loop on the unit bracket [lo, lo + 1]."""
+    hi = lo + 1.0
+    for step in range(200):
+        width = hi - lo
+        offset = 0.5 * (lo + hi) - (lo + width * (f_lo / (f_lo - f_hi)))
+        reach = 2.0 ** (-step) - 0.5 * width
+        shift = max(min(abs(offset) - 0.1 * (width * width), reach), 0.0)
+        x = 0.5 * (lo + hi) - math.copysign(shift, offset)
+        f_x = residual(x)
+        if abs(f_x) < tolerance:
+            return x
+        if f_x > 0.0:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    raise AssertionError("no convergence")
+
+
 @cache
 def scalar_lambda_root(delta: int, tolerance: float = 1e-10) -> float:
-    """The former scalar bisection of the indifference residual, kept as the oracle."""
+    """One root of the indifference residual by the scalar ITP loop, as the oracle."""
 
     def residual(lam: float) -> float:
         return float(pdtr(delta - 1, lam)) + float(pdtr(delta, lam)) - 1.0
 
-    lo, hi = float(delta), float(delta + 1)
-    if not (residual(lo) > 0.0 > residual(hi)):
-        lo, hi = 0.5 * delta, float(delta + 2)
-        assert residual(lo) > 0.0 > residual(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) < tolerance:
-            return mid
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError(f"no convergence for imbalance {delta}")
+    lo = float(delta)
+    f_lo, f_hi = residual(lo), residual(lo + 1.0)
+    assert f_lo > 0.0 > f_hi
+    return scalar_itp(residual, lo, f_lo, f_hi, tolerance)
 
 
 def scalar_p_finite_root(delta: int, m: int, tolerance: float = 1e-12) -> float:
-    """The former scalar finite-crowd bisection, kept as the oracle."""
+    """One finite-crowd root by the scalar ITP loop, as the oracle."""
     n = m + delta
 
-    def balance(p: float) -> float:
-        # binomial_cdf(r, n, p) = betaincc(r + 1, n - r, p) for r < n
-        return (1.0 - float(betaincc(delta + 1, n - delta, p))) - float(
+    def residual(p: float) -> float:
+        # minus the balance; binomial_cdf(r, n, p) = betaincc(r + 1, n - r, p) for r < n
+        return -((1.0 - float(betaincc(delta + 1, n - delta, p))) - float(
             betaincc(delta, n - delta + 1, p)
-        )
+        ))
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = balance(mid)
-        if abs(f_mid) < tolerance:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError(f"no convergence for imbalance {delta}, crowd parameter {m}")
+    return scalar_itp(residual, 0.0, 1.0, -1.0, tolerance)
 
 
 # Frozen reference roots, five decimal places.
@@ -158,6 +161,11 @@ class TestSolveLambda:
 
 
 class TestArrayBisection:
+    """The array loop against the scalar oracles.
+
+    "bisection" in the test names is the loop that ITP replaced.
+    """
+
     @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
     def test_matches_the_scalar_bisection_bit_for_bit(self, tolerance):
         deltas = np.arange(1, 3001)
@@ -193,19 +201,19 @@ class TestArrayBisection:
             indifference_residual([1.0, np.nan], 3)
 
     def test_unconverged_root_names_its_imbalance(self, monkeypatch):
-        monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
-        with pytest.raises(NumericError, match="after 3 bisections for imbalance 4$"):
+        monkeypatch.setattr(solver, "_MAX_STEPS", 3)
+        with pytest.raises(NumericError, match="after 3 steps for imbalance 4$"):
             solve_lambda(np.array([4, 5]))
 
     @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
     def test_lone_root_matches_the_scalar_bisection(self, tolerance):
-        # A single open entry finishes in Python floats; the roots must not move.
+        # A lone root runs the same array loop; the roots must not move.
         for delta in (1, 2, 10, 137, 1000, 3000):
             assert solve_lambda(delta, tolerance) == scalar_lambda_root(delta, tolerance)
 
     def test_unconverged_lone_root_names_its_imbalance(self, monkeypatch):
-        monkeypatch.setattr(solver, "_MAX_BISECTIONS", 3)
-        with pytest.raises(NumericError, match="after 3 bisections for imbalance 6$"):
+        monkeypatch.setattr(solver, "_MAX_STEPS", 3)
+        with pytest.raises(NumericError, match="after 3 steps for imbalance 6$"):
             solve_lambda(6)
 
     def test_empty_input_gives_no_roots(self):
@@ -219,6 +227,91 @@ class TestArrayBisection:
         monkeypatch.setattr(solver, "_poisson_cdf", flat_cdf)
         with pytest.raises(NumericError, match=r"no sign change on \[2.0, 3.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
+
+
+# Steps each finite-crowd root took by bisection, the loop before ITP, at
+# tolerance 1e-12: imbalances down, crowd parameters across.
+FINITE_DELTAS = (1, 2, 3, 5, 10, 40)
+FINITE_MS = (40, 100, 2001, 10**4, 10**6)
+BISECTION_STEPS = (
+    (42, 45, 49, 51, 55),
+    (43, 44, 49, 50, 58),
+    (41, 44, 47, 50, 57),
+    (42, 44, 47, 50, 58),
+    (42, 43, 48, 49, 56),
+    (1, 43, 45, 48, 54),
+)
+
+
+@cache
+def brentq_lambda_root(delta: int) -> float:
+    return brentq(
+        lambda lam: float(pdtr(delta - 1, lam)) + float(pdtr(delta, lam)) - 1.0,
+        delta, delta + 1, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+    )
+
+
+class TestRootLoopCost:
+    def test_rate_roots_take_six_steps(self, monkeypatch):
+        calls = []
+
+        def counting_cdf(r, lam):
+            calls.append(lam.size)
+            return pdtr(r, lam)
+
+        monkeypatch.setattr(solver, "_poisson_cdf", counting_cdf)
+        solve_lambda(np.arange(1, 3001))
+        # Two for the bracket check, then one a step; bisection made 34.
+        assert len(calls) <= 8
+
+    def test_finite_crowd_roots_take_at_most_one_step_past_bisection(self, monkeypatch):
+        calls = []
+        binomial_cdf = solver.binomial_cdf
+
+        def counting_cdf(*args):
+            calls.append(1)
+            return binomial_cdf(*args)
+
+        monkeypatch.setattr(solver, "binomial_cdf", counting_cdf)
+        steps = []
+        for delta in FINITE_DELTAS:
+            for m in FINITE_MS:
+                calls.clear()
+                solve_p_finite(delta, m)
+                steps.append(len(calls) // 2)  # _balance evaluates two CDFs a step
+        bisection = np.ravel(BISECTION_STEPS)
+        assert (np.array(steps) <= bisection + 1).all()
+        # ITP took 509 steps over the grid, bisection 1 435.
+        assert sum(steps) <= bisection.sum() // 2
+
+
+class TestBrentOracle:
+    """Every root against scipy's brentq, to within tolerance / |residual'(root)|."""
+
+    @pytest.mark.parametrize("tolerance", [1e-10, MAX_TOLERANCE])
+    def test_rate_roots(self, tolerance):
+        deltas = np.arange(1, 3001)
+        roots = solve_lambda(deltas, tolerance)
+        slopes = poisson.pmf(deltas - 1, roots) + poisson.pmf(deltas, roots)
+        for delta, root, slope in zip(deltas.tolist(), roots.tolist(), slopes.tolist()):
+            reference = brentq_lambda_root(delta)
+            assert abs(root - reference) <= 1.01 * tolerance / slope + 1e-15 * reference
+
+    def test_finite_crowd_roots(self):
+        tolerance = 1e-12
+        deltas = np.array(FINITE_DELTAS)[:, None]
+        ms = np.array(FINITE_MS)[None, :]
+        roots = solve_p_finite(deltas, ms, tolerance)
+        n = deltas + ms
+        slopes = n * (binom.pmf(deltas, n - 1, roots) + binom.pmf(deltas - 1, n - 1, roots))
+        for (i, j), root in np.ndenumerate(roots):
+            delta, m = FINITE_DELTAS[i], FINITE_MS[j]
+            reference = brentq(
+                lambda p: finite_m_balance(p, delta, m), 0.0, 1.0,
+                xtol=1e-300, rtol=4 * np.finfo(float).eps,
+            )
+            bound = 1.01 * tolerance / slopes[i, j] + 1e-15 * reference
+            assert abs(root - reference) <= bound, (delta, m)
 
 
 class TestLambdaGap:
