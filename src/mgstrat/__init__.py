@@ -2,9 +2,9 @@
 
 The package splits into small, layered modules:
 
-- ``dist``    -- Poisson/binomial/Skellam CDFs over scipy special functions
+- ``dist``    -- Poisson/binomial CDFs over scipy special functions
 - ``solver``  -- cheat-proof switch-rate root finders
-- ``payoff``  -- expected payoffs and the balanced-split infeasibility scan
+- ``payoff``  -- expected payoffs and the no-cheat check
 - ``engine``  -- crowd simulation over head counts, reset cycle by reset cycle
 - ``stats``   -- inefficiency, autocorrelations, episode statistics
 - ``kpr``     -- the cyclic strategy for N agents on N ranked restaurants
@@ -17,7 +17,6 @@ from .solver import (  # noqa: F401
     LambdaTable,
     NumericError,
     indifference_residual,
-    lambda_gap,
     solve_lambda,
     solve_p_finite,
 )
@@ -25,13 +24,13 @@ from .payoff import (  # noqa: F401
     CheatCheck,
     PayoffQuadruple,
     expected_payoffs,
-    infeasibility_scan,
     verify_no_cheat,
 )
 from .engine import StrategyConfig, Trajectory, derive_rng, run  # noqa: F401
 from .stats import (  # noqa: F401
+    EpisodeStats,
     c_autocorrelation,
-    convergence_time,
+    episode_lengths,
     inefficiency_eta,
     s_autocorrelation,
 )

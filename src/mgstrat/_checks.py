@@ -77,15 +77,13 @@ def integers(values: np.typing.ArrayLike, name: str, minimum: int) -> np.ndarray
     return array
 
 
-def means(
-    values: np.typing.ArrayLike, name: str = "mean", positive: bool = False
-) -> np.ndarray:
+def means(values: np.typing.ArrayLike, positive: bool = False) -> np.ndarray:
     """Finite float64 entries, nonnegative or (with ``positive``) above zero."""
     array = np.asarray(values, dtype=np.float64)
     bad = _first_bad(array, lambda x: ((x > 0.0) if positive else (x >= 0.0)) & (x < np.inf))
     if bad is not None:
         sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {sign}, got {bad}")
+        raise ValueError(f"mean must be finite and {sign}, got {bad}")
     return array
 
 

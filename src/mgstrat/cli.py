@@ -161,7 +161,11 @@ _PREFACTOR = Param(
     "reset_prefactor", float, 0.5, "reset flip probability is this times m**(epsilon-1)",
     lo=0.0, lo_open=True,
 )
-_BURN_IN = Param("burn_in", int, 0, "leading days left out of the statistics", lo=0)
+_BURN_IN = Param(
+    "burn_in", int, 0,
+    "leading days left out of eta and simulate's delta_hist.csv; other outputs use all days",
+    lo=0,
+)
 
 
 @dataclass(frozen=True)

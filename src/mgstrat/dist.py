@@ -1,11 +1,10 @@
-"""Poisson, binomial and Skellam probability kernels.
+"""Poisson and binomial probability kernels.
 
 The cumulative distributions are validated wrappers over scipy's
-regularized incomplete gamma and beta functions (``pdtr`` and ``betaincc``)
-and its noncentral chi-square CDF (``chndtr``), so each value costs O(1)
-whatever the count.  Every kernel is elementwise over arrays and names the
-first bad entry in its ``ValueError``; the Poisson and binomial CDFs give a
-float for scalar input.  The three ufuncs are loaded on the first call
+regularized incomplete gamma and beta functions (``pdtr`` and ``betaincc``),
+so each value costs O(1) whatever the count.  Both kernels are elementwise
+over arrays, name the first bad entry in their ``ValueError`` and give a
+float for scalar input.  The two ufuncs are loaded on the first call
 (``_special``), straight from ``scipy.special._ufuncs``: subcommands that
 never evaluate a CDF (``kpr``, ``--version``) load no scipy at all, and the
 rest skip the ``scipy.special`` package start-up, whose array-API layer
@@ -21,12 +20,11 @@ from types import ModuleType
 
 import numpy as np
 
-from ._checks import float_or_array, integers, means, number, probabilities
+from ._checks import float_or_array, integers, means, probabilities
 
 __all__ = [
     "poisson_cdf",
     "binomial_cdf",
-    "skellam_cdf",
 ]
 
 
@@ -35,13 +33,12 @@ def _special() -> ModuleType:
     """``scipy.special._ufuncs``, loaded once without running ``scipy.special``'s ``__init__``.
 
     The package start-up (~0.2 s, most of it an array-API layer) buys the
-    kernels nothing: ``scipy.special.pdtr``, ``betaincc`` and ``chndtr`` are
-    these very ufunc objects.  Unless the real package is loaded already,
-    the extension is imported under a placeholder parent made from the
-    package's spec, which runs no package code, and the placeholder is
-    removed again; a later ``import scipy.special`` reuses the loaded
-    extension.  A cached call costs ~0.1 us, and one after ``cache_clear``
-    a dict lookup.
+    kernels nothing: ``scipy.special.pdtr`` and ``betaincc`` are these very
+    ufunc objects.  Unless the real package is loaded already, the extension
+    is imported under a placeholder parent made from the package's spec,
+    which runs no package code, and the placeholder is removed again; a
+    later ``import scipy.special`` reuses the loaded extension.  A cached
+    call costs ~0.1 us, and one after ``cache_clear`` a dict lookup.
     """
     name = "scipy.special._ufuncs"
     if name not in sys.modules and "scipy.special" not in sys.modules:
@@ -79,22 +76,3 @@ def binomial_cdf(
     # relative accuracy when p is small (4.5e-10 at n = 1e6, p = 2e-6).
     tail = _special().betaincc(r + 1, np.where(below, n - r, 1), p)
     return float_or_array(np.where(below, tail, 1.0))
-
-
-def skellam_cdf(
-    k: int, lam_first: np.typing.ArrayLike, lam_second: np.typing.ArrayLike
-) -> np.ndarray:
-    """P(X - Y <= k) for independent X ~ Poisson(lam_first), Y ~ Poisson(lam_second).
-
-    Elementwise over arrays of means.  The difference of two Poisson counts
-    is Skellam-distributed, and its CDF is a noncentral chi-square CDF:
-    chndtr(2 lam_second, -2k, 2 lam_first) for k < 0, and one minus the
-    mirrored case for k >= 0.
-    """
-    k = number(k, "k", int)
-    lam_first = means(lam_first)
-    lam_second = means(lam_second)
-    chndtr = _special().chndtr
-    if k < 0:
-        return chndtr(2.0 * lam_second, -2.0 * k, 2.0 * lam_first)
-    return 1.0 - chndtr(2.0 * lam_first, 2.0 * (k + 1), 2.0 * lam_second)

@@ -49,7 +49,6 @@ __all__ = [
     "NumericError",
     "indifference_residual",
     "solve_lambda",
-    "lambda_gap",
     "solve_p_finite",
     "finite_m_balance",
     "LambdaTable",
@@ -223,11 +222,6 @@ def solve_lambda(
         lambda i: f"imbalance {deltas[i]}",
     )
     return float_or_array(roots.reshape(shape))
-
-
-def lambda_gap(delta: np.typing.ArrayLike) -> float | np.ndarray:
-    """solve_lambda(delta) - delta; tends to 1/6 as the imbalance grows."""
-    return solve_lambda(delta) - delta
 
 
 def _check_crowd(

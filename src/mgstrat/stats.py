@@ -23,10 +23,9 @@ __all__ = [
     "inefficiency_eta",
     "delta_histogram",
     "s_autocorrelation",
-    "s_decay_rate",
     "c_autocorrelation",
     "EpisodeStats",
-    "convergence_time",
+    "episode_lengths",
 ]
 
 
@@ -65,21 +64,6 @@ def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     c_autocorrelation's exact integer count.
     """
     return c_autocorrelation((trajectory.deltas < 0)[:, None], tau_max)
-
-
-def s_decay_rate(acf: np.ndarray) -> float:
-    """Exponential decay rate fitted to |acf| at lags 1..3 by least squares.
-
-    Magnitudes are floored at 1e-300 so a zero sample correlation cannot
-    take the logarithm to -inf.
-    """
-    acf = np.asarray(acf, dtype=np.float64)
-    if acf.size < 4:
-        raise ValueError(f"need lags 0..3, got {acf.size} entries")
-    lags = np.array([1.0, 2.0, 3.0])
-    logs = np.log(np.maximum(np.abs(acf[1:4]), 1e-300))
-    slope = np.polyfit(lags, logs, 1)[0]
-    return float(-slope)
 
 
 # Upper bound on the packed rows one block comparison in c_autocorrelation
@@ -224,9 +208,3 @@ def episode_lengths(trajectory: Trajectory) -> np.ndarray:
     closed = following < marginal_days.size
     return marginal_days[following[closed]] - reset_days[closed]
 
-
-def convergence_time(trajectory: Trajectory) -> EpisodeStats:
-    """Episode-length statistics (mean/median/max) over all completed episodes."""
-    if not trajectory.reset.any():
-        raise ValueError("trajectory contains no re-randomization nights")
-    return EpisodeStats.from_lengths(episode_lengths(trajectory))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import mgstrat
-from mgstrat.dist import _special, binomial_cdf, poisson_cdf, skellam_cdf
+from mgstrat.dist import _special, binomial_cdf, poisson_cdf
 
 # Frozen closed-form oracle at lam = 1.14619: cdf(1) = (1 + lam) e^-lam.
 LAM_1 = 1.14619
@@ -173,41 +173,6 @@ class TestBinomial:
             binomial_cdf(-1, 3, 0.5)
         with pytest.raises(ValueError):
             binomial_cdf(1, -2, 0.5)
-
-
-def skellam_by_summation(k, lam_first, lam_second):
-    """P(X - Y <= k) as a sum of P(Y = y) P(X <= y + k) over y."""
-    y = np.arange(200)
-    return float(np.sum(sps.poisson.pmf(y, lam_second) * sps.poisson.cdf(y + k, lam_first)))
-
-
-class TestSkellam:
-    def test_matches_direct_summation(self):
-        for lam_first, lam_second in ((1.0, 1.0), (0.3, 2.0), (20.0, 0.05), (0.05, 20.0)):
-            for k in range(-5, 5):
-                assert float(skellam_cdf(k, lam_first, lam_second)) == pytest.approx(
-                    skellam_by_summation(k, lam_first, lam_second), abs=1e-14
-                ), (k, lam_first, lam_second)
-
-    def test_elementwise_over_arrays(self):
-        first = np.array([0.5, 1.0, 7.0])
-        second = np.array([[2.0], [0.1]])
-        values = skellam_cdf(-1, first, second)
-        assert values.shape == (2, 3)
-        for i, j in np.ndindex(values.shape):
-            assert values[i, j] == float(skellam_cdf(-1, first[j], second[i, 0]))
-
-    def test_zero_means(self):
-        assert float(skellam_cdf(-1, 3.0, 0.0)) == 0.0
-        assert float(skellam_cdf(0, 0.0, 3.0)) == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            skellam_cdf(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            skellam_cdf(0, [1.0, -0.5], 1.0)
-        with pytest.raises(ValueError):
-            skellam_cdf(0, 1.0, np.inf)
 
 
 class TestSpecialLoader:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mgstrat.dist import poisson_cdf, skellam_cdf
+from mgstrat.dist import poisson_cdf
 from mgstrat.engine import (
     MAX_RECORD_BYTES,
     MODE_BASELINE,
@@ -777,9 +777,6 @@ INTEGER_ARGUMENTS = {
     "rng-key-fraction": (lambda: derive_rng(3, 1.5), "key"),
     "solve-imbalance-bool": (lambda: solve_lambda(True), "imbalance"),
     "poisson-r-bool": (lambda: poisson_cdf(True, 1.0), "r"),
-    "skellam-k-nan": (lambda: skellam_cdf(math.nan, 1.0, 1.0), "k"),
-    "skellam-k-inf": (lambda: skellam_cdf(math.inf, 1.0, 1.0), "k"),
-    "skellam-k-bool": (lambda: skellam_cdf(True, 1.0, 1.0), "k"),
 }
 
 

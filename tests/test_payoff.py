@@ -1,8 +1,10 @@
-"""Payoff and balanced-split infeasibility tests.
+"""Payoff, no-cheat and balanced-split infeasibility tests.
 
-Dual-route checks are deliberate: the balanced-split impossibility is
-witnessed both by the grid scan and by tracing the crowd-side root curve,
-and the cross probabilities are checked against a Monte Carlo oracle.
+The balanced split has no library code: its four cross probabilities come
+from ``scipy.stats.skellam`` here (``cross_probs``), checked against direct
+truncated sums.  Acceptance criterion 5 scans a grid with the same helper;
+this module checks the mechanism behind it, the pointwise identity
+thin - crowd = -[P(D = -2) + P(D = 0)] < 0 and the crowd-side root curve.
 """
 
 import numpy as np
@@ -10,16 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pdtr
-from scipy.stats import poisson
+from scipy.stats import poisson, skellam
 
-from mgstrat.payoff import (
-    delta0_cross_probs,
-    expected_payoffs,
-    infeasibility_scan,
-    log_spaced_grid,
-    payoff_curve,
-    verify_no_cheat,
-)
+from mgstrat.payoff import expected_payoffs, verify_no_cheat
 from mgstrat.solver import indifference_residual, solve_lambda
 
 
@@ -142,25 +137,6 @@ class TestVerifyNoCheat:
             verify_no_cheat(1, [1.14619])
 
 
-class TestPayoffCurve:
-    def test_first_row(self):
-        rows = payoff_curve(3)
-        delta, thin, crowd = rows[0]
-        assert delta == 1
-        assert thin == pytest.approx(0.6821, abs=5e-4)
-        assert crowd == pytest.approx(0.3179, abs=5e-4)
-
-    def test_monotone_trend_toward_half(self):
-        rows = payoff_curve(50)
-        thin = [r[1] for r in rows]
-        crowd = [r[2] for r in rows]
-        assert all(b < a for a, b in zip(thin, thin[1:]))
-        assert all(b > a for a, b in zip(crowd, crowd[1:]))
-        assert all(t > 0.5 > c for t, c in zip(thin, crowd))
-        assert thin[-1] == pytest.approx(0.5, abs=0.05)
-        assert crowd[-1] == pytest.approx(0.5, abs=0.05)
-
-
 def _coincidence_mass(lam_first: float, lam_second: float, shift: int) -> float:
     """P(first = second - shift) by direct truncated summation."""
     # past these counts less than 1e-12 of each Poisson mass remains
@@ -176,11 +152,33 @@ def _coincidence_mass(lam_first: float, lam_second: float, shift: int) -> float:
     return total
 
 
+def cross_probs(lam_first, lam_second):
+    """Balanced-split cross probabilities of independent Poisson defector counts.
+
+    ``first`` counts arrivals onto the smaller side, ``second`` departures
+    from it.  Returns P(first < second - 2), P(first >= second),
+    P(first < second - 1) and P(first >= second + 1), each a value of the
+    Skellam CDF of a count difference, elementwise over the means.
+    """
+    return (
+        skellam.cdf(-3, lam_first, lam_second),
+        skellam.cdf(0, lam_second, lam_first),
+        skellam.cdf(-2, lam_first, lam_second),
+        skellam.cdf(-1, lam_second, lam_first),
+    )
+
+
+def delta0_residuals(lam_first, lam_second):
+    """(thin, crowd) balanced-split residuals: each side's stay-minus-switch gap."""
+    lt_minus_2, ge, lt_minus_1, ge_plus_1 = cross_probs(lam_first, lam_second)
+    return lt_minus_2 - ge, lt_minus_1 - ge_plus_1
+
+
 class TestCrossProbs:
     def test_exchange_symmetry_at_equal_means(self):
-        c = delta0_cross_probs(1.0, 1.0)
+        ge = cross_probs(1.0, 1.0)[1]
         equal_mass = _coincidence_mass(1.0, 1.0, 0)
-        assert c.ge == pytest.approx((1.0 + equal_mass) / 2.0, abs=1e-10)
+        assert ge == pytest.approx((1.0 + equal_mass) / 2.0, abs=1e-10)
 
     @given(
         lam_first=st.floats(min_value=0.05, max_value=20.0),
@@ -188,51 +186,29 @@ class TestCrossProbs:
     )
     @settings(max_examples=40, deadline=None)
     def test_strict_orderings_and_range(self, lam_first, lam_second):
-        c = delta0_cross_probs(lam_first, lam_second)
-        for value in (c.lt_minus_2, c.ge, c.lt_minus_1, c.ge_plus_1):
+        lt_minus_2, ge, lt_minus_1, ge_plus_1 = cross_probs(lam_first, lam_second)
+        for value in (lt_minus_2, ge, lt_minus_1, ge_plus_1):
             assert 0.0 <= value <= 1.0
-        assert c.lt_minus_2 < c.lt_minus_1
-        assert c.ge_plus_1 < c.ge
+        assert lt_minus_2 < lt_minus_1
+        assert ge_plus_1 < ge
 
     def test_matches_truncated_double_sums(self):
         for lam_first, lam_second in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.7), (20.0, 0.05)):
-            c = delta0_cross_probs(lam_first, lam_second)
+            lt_minus_2, ge, lt_minus_1, ge_plus_1 = cross_probs(lam_first, lam_second)
             first, second = np.ogrid[:80, :80]
             joint = poisson.pmf(first, lam_first) * poisson.pmf(second, lam_second)
-            assert c.lt_minus_2 == pytest.approx(joint[first < second - 2].sum(), abs=1e-14)
-            assert c.ge == pytest.approx(joint[first >= second].sum(), abs=1e-14)
-            assert c.lt_minus_1 == pytest.approx(joint[first < second - 1].sum(), abs=1e-14)
-            assert c.ge_plus_1 == pytest.approx(joint[first >= second + 1].sum(), abs=1e-14)
-
-    def test_monte_carlo_oracle(self):
-        c = delta0_cross_probs(1.0, 1.0)
-        rng = np.random.default_rng(42)
-        samples = 10**7
-        first = rng.poisson(1.0, samples)
-        second = rng.poisson(1.0, samples)
-        estimate = float(np.mean(first < second - 1))
-        stderr = np.sqrt(estimate * (1 - estimate) / samples)
-        assert abs(c.lt_minus_1 - estimate) < 4 * stderr
+            assert lt_minus_2 == pytest.approx(joint[first < second - 2].sum(), abs=1e-14)
+            assert ge == pytest.approx(joint[first >= second].sum(), abs=1e-14)
+            assert lt_minus_1 == pytest.approx(joint[first < second - 1].sum(), abs=1e-14)
+            assert ge_plus_1 == pytest.approx(joint[first >= second + 1].sum(), abs=1e-14)
 
     def test_complement_identities(self):
         # ge is the exact complement of lt_minus_... events one index over:
         # P(first >= second) = 1 - P(first < second), linked through the
         # coincidence masses.
-        c = delta0_cross_probs(0.7, 1.3)
-        lt = c.lt_minus_1 + _coincidence_mass(0.7, 1.3, 1)  # P(first < second)
-        assert c.ge == pytest.approx(1.0 - lt, abs=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            delta0_cross_probs(0.0, 1.0)
-        with pytest.raises(ValueError):
-            delta0_cross_probs(1.0, -2.0)
-
-
-def delta0_residuals(lam_first, lam_second):
-    """(thin, crowd) balanced-split residuals, as ``infeasibility_scan`` forms them."""
-    c = delta0_cross_probs(lam_first, lam_second)
-    return c.lt_minus_2 - c.ge, c.lt_minus_1 - c.ge_plus_1
+        _, ge, lt_minus_1, _ = cross_probs(0.7, 1.3)
+        lt = lt_minus_1 + _coincidence_mass(0.7, 1.3, 1)  # P(first < second)
+        assert ge == pytest.approx(1.0 - lt, abs=1e-10)
 
 
 class TestBalancedSplitInfeasibility:
@@ -251,24 +227,6 @@ class TestBalancedSplitInfeasibility:
         res_thin, res_crowd = delta0_residuals(1.0, 1.0)
         assert abs(res_thin) > 1e-4 or abs(res_crowd) > 1e-4
 
-    def test_scan_on_coarse_grid(self):
-        report = infeasibility_scan(log_spaced_grid(0.05, 20.0, 12), tol=1e-4)
-        assert report.no_joint_root
-        assert report.orderings_hold
-        assert report.points_checked == 144
-        assert report.min_max_residual > 1e-4
-
-    def test_scan_agrees_with_pointwise_cross_probs(self):
-        grid = log_spaced_grid(0.05, 20.0, 7)
-        report = infeasibility_scan(grid, tol=1e-4)
-        scores = [
-            max(abs(c.lt_minus_2 - c.ge), abs(c.lt_minus_1 - c.ge_plus_1))
-            for c in (delta0_cross_probs(a, b) for a, b in grid)
-        ]
-        best = int(np.argmin(scores))
-        assert report.min_max_residual == scores[best]
-        assert report.worst_point == grid[best]
-
     def test_crowd_root_curve_leaves_thin_residual_negative(self):
         # Trace the curve where the crowd-side residual vanishes (it is
         # increasing in the second mean) and confirm the thin-side residual
@@ -285,18 +243,3 @@ class TestBalancedSplitInfeasibility:
             res_thin, res_crowd = delta0_residuals(lam_first, root)
             assert abs(res_crowd) < 1e-8
             assert res_thin < -1e-6
-
-    def test_scan_input_validation(self):
-        with pytest.raises(ValueError):
-            infeasibility_scan([], tol=1e-4)
-        with pytest.raises(ValueError):
-            infeasibility_scan([(0.0, 1.0)], tol=1e-4)
-        with pytest.raises(ValueError):
-            infeasibility_scan([(1.0, 25.0)], tol=1e-4)
-
-    def test_grid_helper_shape_and_bounds(self):
-        grid = log_spaced_grid(0.05, 20.0, 50)
-        assert len(grid) == 2500
-        firsts = sorted({a for a, _ in grid})
-        assert firsts[0] == pytest.approx(0.05)
-        assert firsts[-1] == pytest.approx(20.0)

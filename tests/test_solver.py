@@ -28,7 +28,6 @@ from mgstrat.solver import (
     default_delta_max,
     finite_m_balance,
     indifference_residual,
-    lambda_gap,
     solve_lambda,
     solve_p_finite,
 )
@@ -316,14 +315,14 @@ class TestBrentOracle:
 
 class TestLambdaGap:
     def test_reference_gaps(self):
-        assert lambda_gap(1) == pytest.approx(0.14619, abs=1e-5)
-        assert lambda_gap(50) == pytest.approx(0.16623, abs=1e-5)
+        assert solve_lambda(1) - 1 == pytest.approx(0.14619, abs=1e-5)
+        assert solve_lambda(50) - 50 == pytest.approx(0.16623, abs=1e-5)
 
     def test_gap_500_near_asymptote(self):
-        assert abs(lambda_gap(500) - 1.0 / 6.0) < 2e-4
+        assert abs(solve_lambda(500) - 500 - 1.0 / 6.0) < 2e-4
 
     def test_strictly_increasing_and_bounded_to_1000(self):
-        gaps = [lambda_gap(delta) for delta in range(1, 1001)]
+        gaps = [solve_lambda(delta) - delta for delta in range(1, 1001)]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
         assert max(gaps) < 1.0 / 6.0 + 1e-3
 

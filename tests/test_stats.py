@@ -18,12 +18,10 @@ from mgstrat.engine import (
 from mgstrat.stats import (
     EpisodeStats,
     c_autocorrelation,
-    convergence_time,
     delta_histogram,
     episode_lengths,
     inefficiency_eta,
     s_autocorrelation,
-    s_decay_rate,
 )
 
 
@@ -137,22 +135,6 @@ class TestSAutocorrelation:
         assert acf[0] == 1.0
         for tau in range(1, 51):
             assert acf[tau] == float(np.mean(s[:-tau] * s[tau:])), tau
-
-
-class TestDecayRateFit:
-    def test_recovers_exact_exponential(self):
-        for k in (0.7, 2.0, 3.5):
-            acf = np.exp(-k * np.arange(4))
-            assert s_decay_rate(acf) == pytest.approx(k, rel=1e-9)
-
-    def test_sign_insensitive_magnitude_fit(self):
-        k = 1.3
-        acf = np.exp(-k * np.arange(4)) * np.array([1, -1, 1, -1])
-        assert s_decay_rate(acf) == pytest.approx(k, rel=1e-9)
-
-    def test_requires_three_lags(self):
-        with pytest.raises(ValueError):
-            s_decay_rate(np.array([1.0, 0.5]))
 
 
 class TestCAutocorrelation:
@@ -301,7 +283,7 @@ class TestConvergenceTime:
         trajectory = make_trajectory(
             5, [0, 3, 2, 0, 0, -2, -1], reset_days=[0, 3, 4]
         )
-        stats = convergence_time(trajectory)
+        stats = EpisodeStats.from_lengths(episode_lengths(trajectory))
         assert stats.lengths.tolist() == [3, 1, 2]
         assert stats.mean == pytest.approx(2.0)
         assert stats.median == pytest.approx(2.0)
@@ -310,18 +292,11 @@ class TestConvergenceTime:
     def test_unfinished_episode_dropped(self):
         trajectory = make_trajectory(5, [0, 4, 3, 2], reset_days=[0])
         assert episode_lengths(trajectory).tolist() == []
-        with pytest.raises(ValueError):
-            convergence_time(trajectory)
-
-    def test_no_resets_is_an_error(self):
-        trajectory = make_trajectory(5, [1, 2, 1])
-        with pytest.raises(ValueError):
-            convergence_time(trajectory)
 
     def test_real_run_episode_sanity(self):
         config = StrategyConfig(n=201, epsilon=0.5, seed=58)
         trajectory = run(config, 3000)
-        stats = convergence_time(trajectory)
+        stats = EpisodeStats.from_lengths(episode_lengths(trajectory))
         assert stats.lengths.tolist()
         assert all(length >= 1 for length in stats.lengths)
         assert stats.median <= 8
