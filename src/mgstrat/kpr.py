@@ -42,17 +42,12 @@ import numpy as np
 from ._checks import binary, count, integers
 
 __all__ = [
-    "UNSERVED",
-    "NO_AGENT",
     "KPRState",
     "kpr_init",
     "kpr_step",
     "KPRRunResult",
     "kpr_run",
 ]
-
-UNSERVED = 0  # last_served_rank entry for an agent who found no food
-NO_AGENT = -1  # served entry for a restaurant that fed nobody
 
 
 def _ranks(positions: np.ndarray, n: int) -> np.ndarray:
@@ -91,27 +86,6 @@ class KPRState:
         if not np.array_equal(eaters, occupied):
             raise ValueError("fed must be the service at positions: "
                              "one agent fed at each occupied rank")
-
-    @property
-    def served(self) -> np.ndarray:
-        """``served[rank - 1]``: the agent fed at that rank, or ``NO_AGENT``."""
-        served = np.full(self.n, NO_AGENT, dtype=np.int64)
-        served[self.positions[self.fed] - 1] = np.flatnonzero(self.fed)
-        return served
-
-    @property
-    def last_served_rank(self) -> np.ndarray:
-        """The rank each agent was fed at today, or ``UNSERVED``."""
-        return np.where(self.fed, self.positions, UNSERVED)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of agents fed today."""
-        return np.count_nonzero(self.fed) / self.n
-
-    def is_cyclic(self) -> bool:
-        """True when every agent ate, so every restaurant got exactly one customer."""
-        return bool(self.fed.all())
 
 
 def _land(

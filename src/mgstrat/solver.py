@@ -20,16 +20,15 @@ It always lies inside [d, d + 1], and for large d approaches d + 1/6 from
 above.
 
 :func:`solve_lambda` finds the roots on [d, d + 1].  :func:`solve_p_finite`
-solves the analogous balance at finite crowd size, where the defector count
-is Binomial(M + d, p) and the unknown is the per-agent probability p, on
-[0, 1].  Both take arrays and run one ITP loop (interpolate, truncate,
-project) over all their entries at once (:func:`_itp`), each entry stepping
-through exactly the points a scalar loop of its own would.  ITP's bracket
-after j steps is never wider than twice bisection's, and on these smooth
-residuals it converges superlinearly: every root of d = 1..3000 takes at
-most 6 steps where bisection took up to 32.  :class:`LambdaTable`
-precomputes roots up to a chosen d and extends them with the ``d + 1/6``
-asymptote beyond it.
+solves the balance at finite crowd size, where the defector count is
+Binomial(M + d, p), on the same bracket in ``lam = p * (M + d + 1)``.  Both
+hand one ITP loop (interpolate, truncate, project; :func:`_itp`) all their
+entries at once; it checks every bracket's sign change, then steps each
+entry through exactly the points a scalar loop of its own would.  On these
+smooth residuals ITP converges superlinearly: every root of d = 1..3000
+takes at most 6 steps where bisection took up to 32, and finite-crowd roots
+at most 7.  :class:`LambdaTable` precomputes roots up to a chosen d and
+extends them with the ``d + 1/6`` asymptote beyond it.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ __all__ = [
 # Large-imbalance limit of solve_lambda(d) - d.
 ASYMPTOTIC_GAP = 1.0 / 6.0
 
-# Loosest residual tolerance solve_lambda accepts.  The root loop stops on
-# the residual alone, so a looser one would return a visibly wrong root.
+# Loosest residual tolerance both solvers accept.  The root loop stops on the
+# residual alone, so a looser one would return a visibly wrong root.
 MAX_TOLERANCE = 1e-6
 
 # The root loop's step cap, and its ITP constants: the truncation is
@@ -81,8 +80,6 @@ def _check_delta(delta: np.typing.ArrayLike) -> np.ndarray:
 def _itp(
     residual: Callable[..., np.ndarray],
     lo: np.ndarray,
-    f_lo: np.ndarray,
-    f_hi: np.ndarray,
     params: tuple[np.ndarray, ...],
     tolerance: float,
     solver: str,
@@ -90,23 +87,30 @@ def _itp(
 ) -> np.ndarray:
     """Roots of a decreasing residual on the unit brackets [lo, lo + 1], elementwise.
 
-    ``f_lo > 0 > f_hi`` are the residuals at the bracket ends, and
     ``residual(x, *params)`` evaluates the open entries at ``x``; each array
     in ``params`` holds one column per entry along its last axis, and drops
-    an entry's column when the entry closes.  Each step is one ITP step
-    (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
-    2020): take the regula falsi point, move it κ1·w² towards the midpoint
-    of the width-w bracket, and keep it close enough to the midpoint that
-    the bracket after j steps is at most 2**(_N0 - j) wide, never more than
+    an entry's column when the entry closes.  The residual must be positive
+    at ``lo`` and negative at ``lo + 1``; NumericError naming the first
+    entry where it is not.  Each step is one ITP step (interpolate,
+    truncate, project; Oliveira & Takahashi, ACM TOMS 47(1), 2020): take
+    the regula falsi point, move it κ1·w² towards the midpoint of the
+    width-w bracket, and keep it close enough to the midpoint that the
+    bracket after j steps is at most 2**(_N0 - j) wide, never more than
     2**_N0 times bisection's.  An entry closes at its first point with
     |residual| < ``tolerance`` and otherwise keeps the part where the sign
     changes.  Every iterate is built from +, -, *, / and exact powers of
     two, so a scalar copy of the loop gives the same roots bit for bit.
-    ``label(i)`` names entry i in the error.
+    ``label(i)`` names entry i in the errors.  ``lo`` is updated in place.
     """
+    hi = lo + 1.0
+    f_lo = residual(lo, *params)
+    f_hi = residual(hi, *params)
+    unbracketed = np.flatnonzero(~((f_lo > 0.0) & (f_hi < 0.0)))
+    if unbracketed.size:
+        i = unbracketed[0]
+        raise NumericError(f"{solver}: no sign change on [{lo[i]}, {hi[i]}] for {label(i)}")
     roots = np.empty_like(lo)
     index = np.arange(lo.size)
-    hi = lo + 1.0
     steps = 0
     while index.size and steps < _MAX_STEPS:
         width = hi - lo
@@ -200,23 +204,10 @@ def solve_lambda(
     deltas = _check_delta(delta)
     shape, deltas = deltas.shape, deltas.ravel()
     tolerance = positive(tolerance, "tolerance", MAX_TOLERANCE)
-    counts = _counts(deltas)
-    lo = deltas.astype(np.float64)
-    f_lo = _residual(lo, counts)
-    f_hi = _residual(lo + 1.0, counts)
-    unbracketed = ~((f_lo > 0.0) & (f_hi < 0.0))
-    if unbracketed.any():
-        delta = int(deltas[unbracketed][0])
-        raise NumericError(
-            f"switch-rate solver: no sign change on [{float(delta)}, "
-            f"{float(delta + 1)}] for imbalance {delta}"
-        )
     roots = _itp(
         _residual,
-        lo,
-        f_lo,
-        f_hi,
-        (counts,),
+        deltas.astype(np.float64),
+        (_counts(deltas),),
         tolerance,
         "switch-rate solver",
         lambda i: f"imbalance {deltas[i]}",
@@ -236,9 +227,12 @@ def _check_crowd(
     return delta, m
 
 
-def _balance(p: np.ndarray, delta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    n = m + delta
-    return (1.0 - binomial_cdf(delta, n, p)) - binomial_cdf(delta - 1, n, p)
+def _binomial_residual(p: np.ndarray, counts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # F(d-1) + F(d) - 1 for F the CDF of Binomial(n, p), from one CDF call.
+    cdf = binomial_cdf(counts, n, p)
+    residual = cdf[0] + cdf[1]
+    residual -= 1.0
+    return residual
 
 
 def finite_m_balance(
@@ -248,10 +242,13 @@ def finite_m_balance(
 
     The crowded side holds m + delta agents besides the deviator, each
     defecting with probability p, so the defector count is
-    Binomial(m + delta, p).  This balance is increasing in p.  Elementwise
-    over arrays; a float for scalar input.
+    Binomial(m + delta, p).  This balance is increasing in p: it is minus
+    the residual :func:`solve_p_finite` solves.  Elementwise over arrays; a
+    float for scalar input.
     """
-    return _balance(p, *_check_crowd(delta, m))
+    delta, m = _check_crowd(delta, m)
+    p, delta, m = np.broadcast_arrays(p, delta, m)
+    return float_or_array(-_binomial_residual(p, _counts(delta), m + delta))
 
 
 def solve_p_finite(
@@ -259,27 +256,25 @@ def solve_p_finite(
 ) -> float | np.ndarray:
     """Cheat-proof per-agent defection probability at finite crowd size.
 
-    Searches :func:`finite_m_balance` on (0, 1) by ITP steps, as
-    :func:`solve_lambda` does; its value runs from -1 at p=0 to +1 at p=1
-    and is monotone, so the root is unique.  Elementwise over the broadcast
-    ``delta`` and ``m``; a float for scalar input.
+    Solves :func:`finite_m_balance` as :func:`solve_lambda` solves its
+    residual, in ``lam = p * (m + delta + 1)`` on [delta, delta + 1] with
+    ``tolerance`` in (0, MAX_TOLERANCE], and returns ``lam / (m + delta + 1)``.
+    The balance is monotone, so the root is unique.  Elementwise over the
+    broadcast ``delta`` and ``m``; a float for scalar input.
     """
-    tolerance = positive(tolerance, "tolerance")
+    tolerance = positive(tolerance, "tolerance", MAX_TOLERANCE)
     deltas, ms = np.broadcast_arrays(*_check_crowd(delta, m))
-    shape = deltas.shape
-    deltas, ms = deltas.ravel(), ms.ravel()
+    shape, deltas, ms = deltas.shape, deltas.ravel(), ms.ravel()
+    n = ms + deltas
     roots = _itp(
-        # Negated, so the residual decreases as _itp expects: +1 at p=0, -1 at p=1.
-        lambda p, delta, m: -_balance(p, delta, m),
-        np.zeros(deltas.size),
-        np.ones(deltas.size),
-        np.full(deltas.size, -1.0),
-        (deltas, ms),
+        lambda lam, counts, n: _binomial_residual(lam / (n + 1), counts, n),
+        deltas.astype(np.float64),
+        (_counts(deltas), n),
         tolerance,
         "finite-crowd solver",
         lambda i: f"imbalance {deltas[i]}, crowd parameter {ms[i]}",
     )
-    return float_or_array(roots.reshape(shape))
+    return float_or_array((roots / (n + 1)).reshape(shape))
 
 
 def default_delta_max(n: int) -> int:

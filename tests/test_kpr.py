@@ -16,14 +16,7 @@ from scipy.stats import chisquare
 
 from mgstrat import _checks, kpr
 from mgstrat.engine import derive_rng
-from mgstrat.kpr import (
-    NO_AGENT,
-    UNSERVED,
-    KPRState,
-    kpr_init,
-    kpr_run,
-    kpr_step,
-)
+from mgstrat.kpr import KPRState, kpr_init, kpr_run, kpr_step
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,14 +61,14 @@ class TestSingleAgent:
         for _ in range(5):
             state = kpr_step(state, derive_rng(71))
             assert state.positions[0] == 1
-            assert state.last_served_rank[0] == 1
+            assert state.fed[0]
 
 
 class TestServiceResolution:
     def test_lone_arrival_is_served(self):
         state = kpr_init(3, derive_rng(72), positions=np.array([1, 2, 3]))
-        assert np.array_equal(state.served, np.array([0, 1, 2]))
-        assert np.array_equal(state.last_served_rank, np.array([1, 2, 3]))
+        assert state.fed.all()
+        assert np.array_equal(state.positions, np.array([1, 2, 3]))
 
     def test_priority_claimant_always_wins(self):
         # agent 0 is fed alone at rank 2, so at rank 1 tomorrow it holds
@@ -83,8 +76,7 @@ class TestServiceResolution:
         for trial in range(50):
             rng = derive_rng(73, trial)
             after = kpr_step(kpr_init(3, rng, positions=np.array([2, 1, 1])), rng)
-            assert after.served[0] == 0
-            assert after.last_served_rank[0] == 1
+            assert after.fed[0] and after.positions[0] == 1
 
     def test_priority_wraps_at_top_rank(self):
         # agents 0 and 1 collide at rank 1; whoever eats wraps to rank 3
@@ -92,21 +84,20 @@ class TestServiceResolution:
         for trial in range(50):
             rng = derive_rng(74, trial)
             state = kpr_init(3, rng, positions=np.array([1, 1, 3]))
-            winner = state.served[0]
+            (winner,) = np.flatnonzero(state.fed & (state.positions == 1))
             after = kpr_step(state, rng)
-            assert after.last_served_rank[winner] == 3
-            assert after.served[2] == winner
-            assert after.last_served_rank[2] == 2
+            assert after.fed[winner] and after.positions[winner] == 3
+            assert after.fed[2] and after.positions[2] == 2
 
     def test_fed_agents_always_step_down_and_eat(self):
         rng = derive_rng(79)
         state = kpr_init(9, rng)
         for _ in range(30):
-            fed = np.flatnonzero(state.last_served_rank != UNSERVED)
+            fed = np.flatnonzero(state.fed)
             after = kpr_step(state, rng)
-            below = (state.last_served_rank[fed] - 2) % 9 + 1
+            below = (state.positions[fed] - 2) % 9 + 1
             assert np.array_equal(after.positions[fed], below)
-            assert np.array_equal(after.last_served_rank[fed], below)
+            assert after.fed[fed].all()
             state = after
 
     @pytest.mark.parametrize("claimant", [0, 1, 2])
@@ -117,14 +108,14 @@ class TestServiceResolution:
         for trial in range(100):
             rng = derive_rng(96, claimant, trial)
             after = kpr_step(kpr_init(4, rng, positions=positions), rng)
-            assert after.served[0] == claimant
-            assert after.last_served_rank[claimant] == 1
+            assert after.fed[claimant] and after.positions[claimant] == 1
 
     def test_collision_without_priority_is_uniform(self):
-        winners = [
-            int(kpr_init(3, derive_rng(75, trial), positions=np.array([2, 2, 3])).served[1])
-            for trial in range(400)
-        ]
+        winners = []
+        for trial in range(400):
+            state = kpr_init(3, derive_rng(75, trial), positions=np.array([2, 2, 3]))
+            (winner,) = np.flatnonzero(state.fed & (state.positions == 2))
+            winners.append(int(winner))
         share = winners.count(0) / len(winners)
         assert 0.4 < share < 0.6
         assert set(winners) == {0, 1}
@@ -136,18 +127,18 @@ class TestServiceResolution:
         wins = np.zeros(3, dtype=int)
         for _ in range(trials):
             state = kpr_init(4, rng, positions=np.array([2, 2, 2, 4]))
-            wins[state.served[1]] += 1
-            assert state.last_served_rank[3] == 4
+            (winner,) = np.flatnonzero(state.fed & (state.positions == 2))
+            wins[winner] += 1
+            assert state.fed[3] and state.positions[3] == 4
         sigma = np.sqrt(trials * (1 / 3) * (2 / 3))
         assert (np.abs(wins - trials / 3) < 5 * sigma).all(), wins
 
     def test_empty_restaurant_serves_nobody(self):
         state = kpr_init(3, derive_rng(77), positions=np.array([1, 1, 1]))
-        assert state.served[1] == NO_AGENT
-        assert state.served[2] == NO_AGENT
+        assert not np.isin(state.positions[state.fed], (2, 3)).any()
         after = kpr_step(state, derive_rng(78))
-        empty = np.bincount(after.positions, minlength=4)[1:] == 0
-        assert (after.served[empty] == NO_AGENT).all()
+        empty = np.flatnonzero(np.bincount(after.positions, minlength=4)[1:] == 0) + 1
+        assert not np.isin(after.positions[after.fed], empty).any()
 
 
 class TestConvergenceLaw:
@@ -182,10 +173,10 @@ class TestConvergenceLaw:
 class TestStepMechanics:
     def test_cyclic_state_rotates_exactly(self):
         state = kpr_init(3, derive_rng(78), positions=np.array([2, 3, 1]))
-        assert state.is_cyclic()
+        assert state.fed.all()
         after = kpr_step(state, derive_rng(79))
         assert np.array_equal(after.positions, np.array([1, 2, 3]))
-        assert after.is_cyclic()
+        assert after.fed.all()
 
     def test_rank_one_wraps_to_top(self):
         state = kpr_init(4, derive_rng(80), positions=np.array([1, 2, 3, 4]))
@@ -197,7 +188,7 @@ class TestStepMechanics:
         # must move one below an empty restaurant, and the empties are
         # ranks 1 and 3 (below 1 wraps to 4)
         state = kpr_init(4, derive_rng(82), positions=np.array([2, 2, 2, 4]))
-        losers = [a for a in range(3) if state.last_served_rank[a] == UNSERVED]
+        losers = [a for a in range(3) if not state.fed[a]]
         assert len(losers) == 2
         after = kpr_step(state, derive_rng(83))
         for agent in losers:
@@ -207,7 +198,7 @@ class TestStepMechanics:
         # four agents pile onto rank 3 of five; the empties are ranks 1, 2
         # and 4, so each of the three losers lands on rank 5, 1 or 3
         state = kpr_init(5, derive_rng(97), positions=np.array([3, 3, 3, 3, 5]))
-        losers = np.flatnonzero(state.last_served_rank == UNSERVED)
+        losers = np.flatnonzero(~state.fed)
         assert losers.size == 3
         rng = derive_rng(98)
         trials = 3000
@@ -223,13 +214,12 @@ class TestStepMechanics:
         state = kpr_init(6, rng)
         for _ in range(200):
             state = kpr_step(state, rng)
-            if state.is_cyclic():
+            if state.fed.all():
                 break
-        assert state.is_cyclic()
+        assert state.fed.all()
         for _ in range(1000):
             state = kpr_step(state, rng)
-            assert state.is_cyclic()
-            assert state.utilization == 1.0
+            assert state.fed.all()
 
     def test_corrupt_states_are_flagged(self):
         # two agents recorded as fed at rank 2
@@ -251,19 +241,13 @@ class TestStepMechanics:
         with pytest.raises(ValueError, match="service at positions"):
             KPRState(3, positions, fed)
 
-    def test_derived_service_records(self):
-        state = KPRState(4, [2, 2, 4, 1], [0, 1, 1, 1])
-        assert state.served.tolist() == [3, 1, NO_AGENT, 2]
-        assert state.last_served_rank.tolist() == [UNSERVED, 2, 4, 1]
-        assert state.served.dtype == state.last_served_rank.dtype == np.int64
-
     def test_serve_counts_bounded(self):
         rng = derive_rng(85)
         state = kpr_init(9, rng)
         for _ in range(50):
-            served_agents = state.served[state.served != NO_AGENT]
-            assert len(served_agents) == len(set(served_agents.tolist()))
-            assert (state.last_served_rank != UNSERVED).sum() == len(served_agents)
+            fed_ranks = state.positions[state.fed]
+            assert len(fed_ranks) == len(set(fed_ranks.tolist()))
+            assert len(fed_ranks) == np.unique(state.positions).size
             state = kpr_step(state, rng)
 
 
@@ -283,7 +267,7 @@ class TestTwoAgentExhaustive:
 
 
 def _first_day_support(start):
-    """Every (day-0 served, day-1 positions) pair the rules allow.
+    """Every (day-0 fed, day-1 positions) pair the rules allow.
 
     Day 0 has no history, so each occupied rank feeds any one of its
     arrivals; each unserved agent then picks any empty rank and moves one
@@ -296,17 +280,13 @@ def _first_day_support(start):
     empty = [r for r in arrivals if not arrivals[r]]
     support = set()
     for winners in itertools.product(*(arrivals[r] for r in occupied)):
-        served = [NO_AGENT] * n
-        rank_of = [UNSERVED] * n
-        for rank, agent in zip(occupied, winners):
-            served[rank - 1] = agent
-            rank_of[agent] = rank
-        losers = [a for a in range(n) if rank_of[a] == UNSERVED]
+        fed = tuple(a in winners for a in range(n))
+        losers = [a for a in range(n) if not fed[a]]
         for picks in itertools.product(empty, repeat=len(losers)):
-            k = list(rank_of)
+            k = list(start)
             for agent, rank in zip(losers, picks):
                 k[agent] = rank
-            support.add((tuple(served), tuple(r - 1 if r > 1 else n for r in k)))
+            support.add((fed, tuple(r - 1 if r > 1 else n for r in k)))
     return support
 
 
@@ -320,7 +300,7 @@ class TestThreeAgentExhaustive:
             for _ in range(trials):
                 day0 = kpr_init(3, rng, positions=np.array(start))
                 day1 = kpr_step(day0, rng)
-                outcome = (tuple(day0.served.tolist()), tuple(day1.positions.tolist()))
+                outcome = (tuple(day0.fed.tolist()), tuple(day1.positions.tolist()))
                 seen[outcome] = seen.get(outcome, 0) + 1
             assert set(seen) == support, start
             p = 1 / len(support)
@@ -338,7 +318,8 @@ class TestRun:
         history = []
         for _ in range(20):
             state = kpr_step(state, derive_rng(88, state.day))
-            history.append(state.last_served_rank.copy())
+            assert state.fed.all()
+            history.append(state.positions.copy())
         for offset in (0, 3):
             window = np.stack(history[offset : offset + 8])
             for agent in range(8):
@@ -382,19 +363,18 @@ class TestRun:
             ours, stepped = derive_rng(102, n, seed), derive_rng(102, n, seed)
             result = kpr_run(n, max_steps, ours, positions=start)
             state = kpr_init(n, stepped, positions=start)
-            utilization = [state.utilization]
-            while not state.is_cyclic() and state.day < max_steps:
+            utilization = [np.count_nonzero(state.fed) / n]
+            while not state.fed.all() and state.day < max_steps:
                 state = kpr_step(state, stepped)
-                utilization.append(state.utilization)
-            expected_day = state.day if state.is_cyclic() else None
+                utilization.append(np.count_nonzero(state.fed) / n)
+            expected_day = state.day if state.fed.all() else None
             stopped_early |= expected_day is None
             assert result.convergence_day == expected_day
             assert np.array_equal(result.utilization, np.array(utilization))
             final = result.final_state
             assert final.day == state.day
             assert np.array_equal(final.positions, state.positions)
-            assert np.array_equal(final.served, state.served)
-            assert np.array_equal(final.last_served_rank, state.last_served_rank)
+            assert np.array_equal(final.fed, state.fed)
             assert ours.random() == stepped.random()
         assert stopped_early or n < 16
 
@@ -447,7 +427,8 @@ class TestInputChecks:
         state = kpr_init(3.0, derive_rng(108))
         expected = kpr_init(3, derive_rng(108))
         assert state.n == 3 and isinstance(state.n, int)
-        assert np.array_equal(state.served, expected.served)
+        assert np.array_equal(state.positions, expected.positions)
+        assert np.array_equal(state.fed, expected.fed)
         result = kpr_run(5.0, 40.0, derive_rng(109), positions=[1.0, 1.0, 2.0, 3.0, 5.0])
         expected = kpr_run(5, 40, derive_rng(109), positions=[1, 1, 2, 3, 5])
         assert result.convergence_day == expected.convergence_day

@@ -33,9 +33,11 @@ from mgstrat.solver import (
 )
 
 
-def scalar_itp(residual, lo: float, f_lo: float, f_hi: float, tolerance: float) -> float:
+def scalar_itp(residual, lo: float, tolerance: float) -> float:
     """A scalar copy of the array solvers' ITP loop on the unit bracket [lo, lo + 1]."""
     hi = lo + 1.0
+    f_lo, f_hi = residual(lo), residual(hi)
+    assert f_lo > 0.0 > f_hi
     for step in range(200):
         width = hi - lo
         offset = 0.5 * (lo + hi) - (lo + width * (f_lo / (f_lo - f_hi)))
@@ -59,23 +61,21 @@ def scalar_lambda_root(delta: int, tolerance: float = 1e-10) -> float:
     def residual(lam: float) -> float:
         return float(pdtr(delta - 1, lam)) + float(pdtr(delta, lam)) - 1.0
 
-    lo = float(delta)
-    f_lo, f_hi = residual(lo), residual(lo + 1.0)
-    assert f_lo > 0.0 > f_hi
-    return scalar_itp(residual, lo, f_lo, f_hi, tolerance)
+    return scalar_itp(residual, float(delta), tolerance)
 
 
 def scalar_p_finite_root(delta: int, m: int, tolerance: float = 1e-12) -> float:
-    """One finite-crowd root by the scalar ITP loop, as the oracle."""
+    """One finite-crowd root by the scalar ITP loop in lam = p * (n + 1), as the oracle."""
     n = m + delta
 
-    def residual(p: float) -> float:
-        # minus the balance; binomial_cdf(r, n, p) = betaincc(r + 1, n - r, p) for r < n
-        return -((1.0 - float(betaincc(delta + 1, n - delta, p))) - float(
-            betaincc(delta, n - delta + 1, p)
-        ))
+    def residual(lam: float) -> float:
+        # F(d-1) + F(d) - 1; binomial_cdf(r, n, p) = betaincc(r + 1, n - r, p) for r < n
+        p = lam / (n + 1)
+        return float(betaincc(delta, n - delta + 1, p)) + float(
+            betaincc(delta + 1, n - delta, p)
+        ) - 1.0
 
-    return scalar_itp(residual, 0.0, 1.0, -1.0, tolerance)
+    return scalar_itp(residual, float(delta), tolerance) / (n + 1)
 
 
 # Frozen reference roots, five decimal places.
@@ -227,6 +227,16 @@ class TestArrayBisection:
         with pytest.raises(NumericError, match=r"no sign change on \[2.0, 3.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
 
+    def test_missing_finite_sign_change_names_its_imbalance(self, monkeypatch):
+        def flat_cdf(r, n, p):
+            return np.zeros(np.broadcast(r, n, p).shape)
+
+        monkeypatch.setattr(solver, "binomial_cdf", flat_cdf)
+        message = (r"^finite-crowd solver: no sign change on \[2.0, 3.0\] "
+                   r"for imbalance 2, crowd parameter 5$")
+        with pytest.raises(NumericError, match=message):
+            solve_p_finite(np.array([2, 3]), 5)
+
 
 # Steps each finite-crowd root took by bisection, the loop before ITP, at
 # tolerance 1e-12: imbalances down, crowd parameters across.
@@ -277,11 +287,14 @@ class TestRootLoopCost:
             for m in FINITE_MS:
                 calls.clear()
                 solve_p_finite(delta, m)
-                steps.append(len(calls) // 2)  # _balance evaluates two CDFs a step
+                # Two calls for the bracket check, then one a step.
+                steps.append(len(calls) - 2)
         bisection = np.ravel(BISECTION_STEPS)
         assert (np.array(steps) <= bisection + 1).all()
-        # ITP took 509 steps over the grid, bisection 1 435.
-        assert sum(steps) <= bisection.sum() // 2
+        # ITP on [0, 1] in p took 509 steps over the grid, bisection 1 435;
+        # on [d, d + 1] in lam it takes 188, at most 7 a root.
+        assert max(steps) <= 7
+        assert sum(steps) <= 200
 
 
 class TestBrentOracle:
@@ -364,6 +377,31 @@ class TestSolvePFinite:
                 p = solve_p_finite(delta, m, 1e-12)
                 errors.append(abs(p * (m + delta + 1) - limit))
             assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    def test_unit_bracket_holds_over_the_crowd_range(self):
+        # solve_p_finite's only bracket is lam = p * (m + delta + 1) in
+        # [delta, delta + 1]; the balance must change sign inside it for
+        # every delta <= m up to 300, and for delta <= min(m, 3000) in larger crowds.
+        deltas, ms = np.triu_indices(300)
+        deltas, ms = deltas + 1, ms + 1
+        for m in (10**3, 10**4, 10**5, 10**6, 10**7):
+            top = min(m, 3000)
+            deltas = np.append(deltas, np.arange(1, top + 1))
+            ms = np.append(ms, np.full(top, m))
+        scale = ms + deltas + 1
+        at_lo = finite_m_balance(deltas / scale, deltas, ms)
+        at_hi = finite_m_balance((deltas + 1.0) / scale, deltas, ms)
+        assert (at_lo < 0.0).all() and (at_hi > 0.0).all()
+
+    def test_tolerance_must_lie_within_the_rate_solvers_bound(self):
+        # The loop stops on the residual alone: at 0.9 and 0.1 it would stop
+        # at p * (m + 2) = 2.507 and 1.221 here, where the root is 1.146.
+        for tolerance in (0.9, 0.1, 1e-5, 0.0, -1e-12):
+            with pytest.raises(ValueError, match=r"tolerance must lie in \(0, 1e-06\]"):
+                solve_p_finite(1, 10**4, tolerance)
+        root = solve_p_finite(1, 10**4, MAX_TOLERANCE)
+        assert root == scalar_p_finite_root(1, 10**4, MAX_TOLERANCE)
+        assert root * (10**4 + 2) == pytest.approx(solve_lambda(1), abs=1e-3)
 
     def test_matches_the_scalar_bisection_bit_for_bit(self):
         deltas = np.array([1, 2, 3, 5, 10, 40])
