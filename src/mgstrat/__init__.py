@@ -6,7 +6,7 @@ The package splits into small, layered modules:
 - ``solver``  -- cheat-proof switch-rate root finders
 - ``payoff``  -- expected payoffs and the no-cheat check
 - ``engine``  -- crowd simulation over head counts, reset cycle by reset cycle
-- ``stats``   -- inefficiency, autocorrelations, episode statistics
+- ``stats``   -- inefficiency, autocorrelations, recovery-episode lengths
 - ``kpr``     -- the cyclic strategy for N agents on N ranked restaurants
 - ``cli``     -- ``mgstrat`` command-line front end
 """
@@ -28,7 +28,6 @@ from .payoff import (  # noqa: F401
 )
 from .engine import StrategyConfig, Trajectory, derive_rng, run  # noqa: F401
 from .stats import (  # noqa: F401
-    EpisodeStats,
     c_autocorrelation,
     episode_lengths,
     inefficiency_eta,

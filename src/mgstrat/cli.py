@@ -40,7 +40,6 @@ from .kpr import kpr_run
 from .payoff import expected_payoffs
 from .solver import ASYMPTOTIC_GAP, MAX_TOLERANCE, NumericError, solve_lambda
 from .stats import (
-    EpisodeStats,
     c_autocorrelation,
     delta_histogram,
     episode_lengths,
@@ -384,12 +383,11 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
     }
     episodes = episode_lengths(trajectory)
     if episodes.size:
-        summary = EpisodeStats.from_lengths(episodes)
         results["episodes"] = {
             "count": int(episodes.size),
-            "mean": summary.mean,
-            "median": summary.median,
-            "max": summary.max,
+            "mean": float(episodes.mean()),
+            "median": float(np.median(episodes)),
+            "max": int(episodes.max()),
         }
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])

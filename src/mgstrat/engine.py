@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import binary, count, number, positive
-from .solver import LambdaTable, default_delta_max
+from .solver import ASYMPTOTIC_GAP, LambdaTable, default_delta_max
 
 __all__ = [
     "RESTAURANT_A",
@@ -67,8 +67,8 @@ MODE_BASELINE = "random-baseline"
 MAX_RECORD_BYTES = 2**30
 
 # Bytes per agent that bound the arrays a run builds from n alone: one day
-# at n = 2 * 10**7 peaks at 293 MiB of RSS (313 MiB with the choice record,
-# its two rows included), against 54 MiB at n = 201, so about 12 (13) bytes
+# at n = 2 * 10**7 peaks at 270 MiB of RSS (289 MiB with the choice record,
+# its two rows included), against 40 MiB at n = 201, so about 12 (13) bytes
 # per agent.
 _AGENT_BYTES = 24
 
@@ -135,14 +135,17 @@ class StrategyConfig:
 def switch_probabilities(n: int) -> np.ndarray:
     """Per-agent flip probability for each excess e = 0..m of a crowd of n.
 
-    Entry e >= 1 is lam(e) / (m + e + 1), with lam from a ``LambdaTable`` of
-    the default depth for n; entry 0 is 0, since a marginal crowd never
-    switches.  Read-only, and cached for the last few n: one array at
-    n = 2 * 10**6 takes 8 MB.
+    Entry e >= 1 is lam(e) / (m + e + 1): lam(e) is a ``LambdaTable`` root
+    up to the default depth for n and the asymptote e + 1/6 past it, where
+    its error is far below simulation noise.  Entry 0 is 0, since a marginal
+    crowd never switches.  Read-only, and cached for the last few n: one
+    array at n = 2 * 10**6 takes 8 MB.
     """
     m = (int(n) - 1) // 2
     excess = np.arange(1, m + 1)
-    rates = LambdaTable(default_delta_max(n)).lookup(excess)
+    rates = excess + ASYMPTOTIC_GAP
+    roots = LambdaTable(default_delta_max(n)).roots[:m]
+    rates[: roots.size] = roots
     rates /= m + excess + 1
     probabilities = np.concatenate(([0.0], rates))
     probabilities.flags.writeable = False

@@ -12,8 +12,6 @@ and less variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._checks import binary, count
@@ -24,7 +22,6 @@ __all__ = [
     "delta_histogram",
     "s_autocorrelation",
     "c_autocorrelation",
-    "EpisodeStats",
     "episode_lengths",
 ]
 
@@ -170,29 +167,6 @@ def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndar
     out = sums / ((days - np.arange(tau_max + 1)) * n)
     out[0] = 1.0
     return out
-
-
-@dataclass(frozen=True)
-class EpisodeStats:
-    """Lengths of the recovery episodes that follow re-randomization nights."""
-
-    lengths: np.ndarray
-    mean: float
-    median: float
-    max: int
-
-    @classmethod
-    def from_lengths(cls, lengths: np.typing.ArrayLike) -> "EpisodeStats":
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.size == 0:
-            raise ValueError("no completed episodes")
-        # Integer sums are exact in float64, so the mean and median are too.
-        return cls(
-            lengths=lengths,
-            mean=float(lengths.mean()),
-            median=float(np.median(lengths)),
-            max=int(lengths.max()),
-        )
 
 
 def episode_lengths(trajectory: Trajectory) -> np.ndarray:

@@ -25,9 +25,10 @@ from mgstrat.cli import (
     main,
     parse_config,
 )
-from mgstrat.engine import derive_rng
+from mgstrat.engine import StrategyConfig, derive_rng, run
 from mgstrat.kpr import kpr_run
 from mgstrat.solver import NumericError
+from mgstrat.stats import episode_lengths
 
 
 class TestParseConfig:
@@ -456,6 +457,24 @@ class TestDispatch:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["results"]["days"] == 501
         assert summary["results"]["eta"] > 0
+
+    def test_episodes_summarize_the_run_and_baseline_has_none(self, tmp_path):
+        args = ["simulate", "--n", "201", "--steps", "3000", "--wait-t", "2", "--seed", "9"]
+        assert main(args + ["--outdir", str(tmp_path / "strategy")]) == 0
+        assert main(args + ["--mode", "baseline", "--outdir", str(tmp_path / "baseline")]) == 0
+
+        def results(name):
+            return json.loads((tmp_path / name / "summary.json").read_text())["results"]
+
+        lengths = episode_lengths(run(StrategyConfig(n=201, wait_t=2, seed=9), 3000))
+        assert lengths.size
+        assert results("strategy")["episodes"] == {
+            "count": lengths.size,
+            "mean": lengths.mean(),
+            "median": np.median(lengths),
+            "max": lengths.max(),
+        }
+        assert "episodes" not in results("baseline")
 
     def test_burn_in_reaches_eta_and_the_histogram_only(self, tmp_path):
         args = ["simulate", "--n", "201", "--steps", "50", "--stats", "--tau-max", "10"]

@@ -434,23 +434,10 @@ class TestLambdaTable:
         for delta, lam in enumerate(table.roots.tolist(), start=1):
             assert abs(indifference_residual(lam, delta)) < 1e-10
 
-    def test_lookup_exact_below_and_asymptote_above(self):
-        table = LambdaTable(delta_max=12)
-        assert table.lookup(3) == solve_lambda(3)
-        assert table.lookup(13) == 13 + ASYMPTOTIC_GAP
-        assert table.lookup(500) == 500 + ASYMPTOTIC_GAP
-
-    def test_lookup_elementwise(self):
-        table = LambdaTable(delta_max=12)
-        deltas = np.array([1, 12, 13, 500])
-        values = table.lookup(deltas)
-        assert values.dtype == np.float64 and values.shape == (4,)
-        assert values.tolist() == [table.lookup(d) for d in deltas.tolist()] == [
-            solve_lambda(1), solve_lambda(12), 13 + ASYMPTOTIC_GAP, 500 + ASYMPTOTIC_GAP
-        ]
-        assert type(table.lookup(np.int64(12))) is float
-        with pytest.raises(ValueError, match="got 0"):
-            table.lookup(np.array([3, 0, 13]))
+    def test_depth_is_the_checked_int(self):
+        table = LambdaTable(12.0)
+        assert type(table.delta_max) is int
+        assert table.delta_max == table.roots.size == 12
 
     def test_gap_above_zero_and_increasing(self):
         table = LambdaTable(delta_max=30)
@@ -459,10 +446,8 @@ class TestLambdaTable:
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     def test_asymptote_error_small_at_table_edge(self):
-        # The fallback jump at delta_max+1 is far below simulation noise.
-        table = LambdaTable(delta_max=60)
-        exact = solve_lambda(61)
-        assert abs(table.lookup(61) - exact) < 1e-3
+        # The asymptote's jump past a depth-60 table is far below simulation noise.
+        assert abs(61 + ASYMPTOTIC_GAP - solve_lambda(61)) < 1e-3
 
     def test_default_depth_covers_typical_population(self):
         assert default_delta_max(2001) >= 3 * 44
@@ -472,8 +457,6 @@ class TestLambdaTable:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             LambdaTable(delta_max=0)
-        with pytest.raises(ValueError):
-            LambdaTable(delta_max=5).lookup(0)
 
 
 class TestNumericErrorPath:

@@ -16,7 +16,6 @@ from mgstrat.engine import (
     run,
 )
 from mgstrat.stats import (
-    EpisodeStats,
     c_autocorrelation,
     delta_histogram,
     episode_lengths,
@@ -283,11 +282,11 @@ class TestConvergenceTime:
         trajectory = make_trajectory(
             5, [0, 3, 2, 0, 0, -2, -1], reset_days=[0, 3, 4]
         )
-        stats = EpisodeStats.from_lengths(episode_lengths(trajectory))
-        assert stats.lengths.tolist() == [3, 1, 2]
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.median == pytest.approx(2.0)
-        assert stats.max == 3
+        lengths = episode_lengths(trajectory)
+        assert lengths.tolist() == [3, 1, 2]
+        assert lengths.mean() == pytest.approx(2.0)
+        assert np.median(lengths) == pytest.approx(2.0)
+        assert lengths.max() == 3
 
     def test_unfinished_episode_dropped(self):
         trajectory = make_trajectory(5, [0, 4, 3, 2], reset_days=[0])
@@ -296,10 +295,10 @@ class TestConvergenceTime:
     def test_real_run_episode_sanity(self):
         config = StrategyConfig(n=201, epsilon=0.5, seed=58)
         trajectory = run(config, 3000)
-        stats = EpisodeStats.from_lengths(episode_lengths(trajectory))
-        assert stats.lengths.tolist()
-        assert all(length >= 1 for length in stats.lengths)
-        assert stats.median <= 8
+        lengths = episode_lengths(trajectory)
+        assert lengths.tolist()
+        assert all(length >= 1 for length in lengths)
+        assert np.median(lengths) <= 8
 
     @pytest.mark.parametrize("wait_t", [0, 3])
     def test_matches_per_reset_loop_on_real_runs(self, wait_t):
@@ -316,7 +315,3 @@ class TestConvergenceTime:
         )
         assert episode_lengths(trajectory).tolist() == [2, 2]
         assert per_reset_episode_lengths(trajectory) == [2, 2]
-
-    def test_episode_stats_requires_data(self):
-        with pytest.raises(ValueError):
-            EpisodeStats.from_lengths([])
