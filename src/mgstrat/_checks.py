@@ -3,6 +3,8 @@
 ``number`` is the one rule for a scalar, and ``count`` and ``positive`` build
 on it.  Each elementwise check takes a scalar or an array, raises
 ``ValueError`` naming the first bad entry, and returns the entries as an array.
+``derive_rng`` lives here too, so that ``engine`` and the ``kpr`` subcommand
+share it without loading the rate solver.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ def positive(value: Any, name: str, maximum: float = math.inf) -> float:
         bound = "be positive" if maximum == math.inf else f"lie in (0, {maximum:g}]"
         raise ValueError(f"{name} must {bound}, got {value}")
     return value
+
+
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for (master seed, run indices...)."""
+    return np.random.default_rng([count(seed, "seed", 0), *(count(k, "key", 0) for k in key)])
 
 
 def _first_bad(

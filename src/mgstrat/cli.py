@@ -22,30 +22,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
+import importlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from . import __version__
-from ._checks import number, positive
-from .engine import MODE_BASELINE, MODE_STRATEGY, StrategyConfig, check_record_size, derive_rng, run
-from .kpr import kpr_run
-from .payoff import expected_payoffs
-from .solver import ASYMPTOTIC_GAP, MAX_TOLERANCE, NumericError, solve_lambda
-from .stats import (
-    c_autocorrelation,
-    delta_histogram,
-    episode_lengths,
-    inefficiency_eta,
-    s_autocorrelation,
-)
+from . import MAX_TOLERANCE, MODE_BASELINE, MODE_STRATEGY, NumericError, __version__
 
 __all__ = [
     "RunManifest", "parse_config", "dispatch", "main", "cli_entry", "OUTDIR_ENV", "MAX_EPSILONS",
@@ -71,9 +56,36 @@ MAX_SEEDS = 10**6
 # so these stay below the engine's 1 GiB MAX_RECORD_BYTES.
 _KPR_MAX_N = 8 * 10**6
 
+# The names the runners call, by the mgstrat module that holds them.  ``cli``
+# imports none of these modules (nor numpy) with itself: ``dispatch`` binds the
+# names of the modules its subcommand declares, and any other first read of a
+# name binds it through the module ``__getattr__`` (PEP 562).  Each is bound
+# once and is an ordinary global from then on, so a name set from outside, by
+# a test's or a tracer's patch, stays as set, and a deleted one stays deleted.
+_LAZY = {
+    "derive_rng": "_checks",
+    "run": "engine",
+    "kpr_run": "kpr",
+    "expected_payoffs": "payoff",
+    "ASYMPTOTIC_GAP": "solver",
+    "solve_lambda": "solver",
+    **dict.fromkeys(("c_autocorrelation", "delta_histogram", "episode_lengths",
+                     "inefficiency_eta", "s_autocorrelation"), "stats"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY.pop(name)}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 def _epsilon_values(raw: Any) -> list[Any]:
     """The entries of a ``start:stop:step`` range, a comma list or a JSON list."""
+    from ._checks import number, positive
+
     if isinstance(raw, list):
         values = raw
     elif isinstance(raw, str):
@@ -100,8 +112,7 @@ def _epsilon_values(raw: Any) -> list[Any]:
     return values
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One parameter of a subcommand, declared once.
 
     The declaration builds the ``--flag``, names the config-file key, gives
@@ -134,6 +145,8 @@ class Param:
 
     def coerce(self, value: Any) -> Any:
         """``value`` as this parameter's type; ValueError naming the key otherwise."""
+        from ._checks import number
+
         if self.kind is bool:
             if not isinstance(value, bool):
                 raise ValueError(f"{self.name} must be true or false, got {value!r}")
@@ -167,8 +180,7 @@ _BURN_IN = Param(
 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Fully resolved description of one CLI run.
 
     The hash covers everything that determines output bytes -- subcommand,
@@ -196,6 +208,8 @@ class RunManifest:
         return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
     def document(self) -> dict[str, Any]:
@@ -268,6 +282,8 @@ def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
     if params.get("stats") and params["tau_max"] >= params["steps"]:
         raise ValueError(f"tau_max must be smaller than steps, got {params['tau_max']}")
     if "steps" in params:
+        from .engine import check_record_size
+
         check_record_size(params["n"], params["steps"], False)
     if "reset_prefactor" in params:
         # The reset probability, prefactor * m**(epsilon - 1), is monotone in epsilon.
@@ -321,6 +337,8 @@ def _write_csv(
     Each column is written by its numpy kind: floats with 12 significant
     digits, integers as they are, bools as 0/1.
     """
+    import numpy as np
+
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# mgstrat {manifest.subcommand} v{manifest.version}\n")
         handle.write(f"# manifest: {manifest.digest()}\n")
@@ -336,6 +354,8 @@ def _write_json(path: Path, document: dict[str, Any]) -> None:
 
 
 def _strategy_config(params: dict[str, Any], epsilon: float) -> StrategyConfig:
+    from .engine import StrategyConfig
+
     return StrategyConfig(
         n=params["n"],
         epsilon=epsilon,
@@ -350,6 +370,8 @@ _Result = tuple[list[Sequence[Sequence[Any]]], dict[str, Any]]
 
 
 def _run_solve_lambda(params: dict[str, Any]) -> _Result:
+    import numpy as np
+
     deltas = np.arange(1, params["delta_max"] + 1)
     lams = solve_lambda(deltas, params["tolerance"])
     gaps = lams - deltas
@@ -361,6 +383,8 @@ def _run_solve_lambda(params: dict[str, Any]) -> _Result:
 
 
 def _run_payoff_table(params: dict[str, Any]) -> _Result:
+    import numpy as np
+
     deltas = np.arange(1, params["delta_max"] + 1)
     lams = solve_lambda(deltas)
     q = expected_payoffs(deltas, lams)
@@ -370,6 +394,8 @@ def _run_payoff_table(params: dict[str, Any]) -> _Result:
 
 
 def _run_simulate(params: dict[str, Any]) -> _Result:
+    import numpy as np
+
     config = _strategy_config(params, params["epsilon"])
     trajectory = run(config, params["steps"])
     deltas, reset = trajectory.deltas, trajectory.reset
@@ -403,6 +429,8 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
 
 
 def _run_sweep(params: dict[str, Any]) -> _Result:
+    import numpy as np
+
     epsilons, seeds = params["epsilons"], params["seeds"]
     means, stderrs = [], []
     for i, epsilon in enumerate(epsilons):
@@ -426,6 +454,8 @@ def _run_sweep(params: dict[str, Any]) -> _Result:
 
 
 def _run_kpr(params: dict[str, Any]) -> _Result:
+    import numpy as np
+
     seeds = params["seeds"]
     days = np.empty(seeds, dtype=np.int64)
     utilization = np.empty(seeds)
@@ -453,13 +483,15 @@ class _Subcommand(NamedTuple):
     ``data`` maps each data file, in output order, to the bool parameter
     that turns it on (None for a file always written) and its CSV header.
     ``runner`` maps the resolved parameters to the columns of every data
-    file turned on, in that order, and the summary results.
+    file turned on, in that order, and the summary results.  ``modules``
+    names the mgstrat modules whose ``_LAZY`` names the runner calls.
     """
 
     help: str
     params: tuple[Param, ...]
     data: dict[str, tuple[str | None, tuple[str, ...]]]
     runner: Callable[[dict[str, Any]], _Result]
+    modules: tuple[str, ...]
 
 
 _SUBCOMMANDS = {
@@ -467,12 +499,12 @@ _SUBCOMMANDS = {
         Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
         Param("tolerance", float, 1e-10, "root search stops once |residual| is below this",
               lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
-    ), {"lambda_table.csv": (None, ("delta", "lambda", "gap"))}, _run_solve_lambda),
+    ), {"lambda_table.csv": (None, ("delta", "lambda", "gap"))}, _run_solve_lambda, ("solver",)),
     "payoff-table": _Subcommand("stay/switch winning probabilities at the solved rate", (
         Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
     ), {"payoff_table.csv": (None, (
         "delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch",
-    ))}, _run_payoff_table),
+    ))}, _run_payoff_table, ("solver", "payoff")),
     "simulate": _Subcommand("run the two-restaurant crowd simulation", (
         _N,
         Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
@@ -491,7 +523,7 @@ _SUBCOMMANDS = {
         "delta_hist.csv": ("stats", ("delta", "frequency")),
         "s_autocorr.csv": ("stats", ("lag", "value")),
         "c_autocorr.csv": ("stats", ("lag", "value")),
-    }, _run_simulate),
+    }, _run_simulate, ("engine", "stats")),
     "sweep": _Subcommand("inefficiency versus epsilon over many seeds", (
         _N,
         Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
@@ -502,14 +534,15 @@ _SUBCOMMANDS = {
         _WAIT_T,
         _PREFACTOR,
         _BURN_IN,
-    ), {"sweep.csv": (None, ("epsilon", "eta_mean", "eta_stderr", "seeds"))}, _run_sweep),
+    ), {"sweep.csv": (None, ("epsilon", "eta_mean", "eta_stderr", "seeds"))}, _run_sweep,
+        ("_checks", "engine", "stats")),
     "kpr": _Subcommand("ranked-restaurant cyclic-strategy convergence", (
         Param("n", int, 64, "agents and restaurants", lo=1, hi=_KPR_MAX_N),
         Param("seeds", int, 200, "independent runs", lo=1, hi=MAX_SEEDS),
         Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
         _SEED,
     ), {"kpr_runs.csv": (None, ("seed_index", "convergence_day", "final_utilization"))},
-        _run_kpr),
+        _run_kpr, ("_checks", "kpr")),
 }
 
 
@@ -521,6 +554,9 @@ def dispatch(manifest: RunManifest) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"outdir {outdir} cannot be created: {exc.strerror}") from None
+    for name, module in list(_LAZY.items()):
+        if module in entry.modules:
+            __getattr__(name)
     tables, results = entry.runner(manifest.params)
     names = [name for name in manifest.outputs if name in entry.data]
     for name, columns in zip(names, tables, strict=True):
@@ -545,7 +581,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return exc.code if isinstance(exc.code, int) else 2
     except NumericError as exc:
-        print(f"numeric failure in {exc.__class__.__module__}: {exc}", file=sys.stderr)
+        # Only the rate solver raises NumericError.
+        print(f"numeric failure in mgstrat.solver: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -553,13 +590,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def cli_entry() -> None:
-    # Every import is done by now.  Freezing moves the import-time heap
-    # (~22 000 objects after the numpy and mgstrat imports) out of the
-    # collector's reach, so neither the run's own collections nor the one
-    # at exit walk it.
+    # Freezing moves every object made so far out of the collector's reach,
+    # so no later collection walks it: first the interpreter's and cli's own
+    # start-up heap, then, once main() returns, what the subcommand imported
+    # (~22 000 objects with numpy and the rate stack), which the collection
+    # at exit would otherwise walk.
     # main() never freezes: tests and library callers keep normal collection.
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

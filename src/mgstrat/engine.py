@@ -40,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import binary, count, number, positive
+from . import MODE_BASELINE, MODE_STRATEGY
+from ._checks import binary, count, derive_rng, number, positive
 from .solver import ASYMPTOTIC_GAP, LambdaTable, default_delta_max
 
 __all__ = [
@@ -60,9 +61,6 @@ __all__ = [
 RESTAURANT_A = 0
 RESTAURANT_B = 1
 
-MODE_STRATEGY = "strategy"
-MODE_BASELINE = "random-baseline"
-
 # Largest trajectory record ``run`` allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
 
@@ -75,11 +73,6 @@ _AGENT_BYTES = 24
 # Most cycles (strategy) or days (baseline) one block of ``run`` draws at once,
 # so its temporaries (about 0.5 MB at most) stay flat however long the run.
 BLOCK_CYCLES = 1 << 11
-
-
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (master seed, run indices...)."""
-    return np.random.default_rng([count(seed, "seed", 0), *(count(k, "key", 0) for k in key)])
 
 
 @dataclass

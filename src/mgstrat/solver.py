@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import MAX_TOLERANCE, NumericError
 from ._checks import count, float_or_array, integers, means, positive
 from .dist import _poisson_cdf, binomial_cdf
 
@@ -56,20 +57,12 @@ __all__ = [
 # Large-imbalance limit of solve_lambda(d) - d.
 ASYMPTOTIC_GAP = 1.0 / 6.0
 
-# Loosest residual tolerance both solvers accept.  The root loop stops on the
-# residual alone, so a looser one would return a visibly wrong root.
-MAX_TOLERANCE = 1e-6
-
 # The root loop's step cap, and its ITP constants: the truncation is
 # _KAPPA1 * w**2 on a bracket of width w (kappa2 = 2, computed as w * w), and
 # the projection lets the bracket fall at most _N0 steps behind bisection's.
 _MAX_STEPS = 200
 _KAPPA1 = 0.1
 _N0 = 1
-
-
-class NumericError(ArithmeticError):
-    """A root finder failed to bracket a sign change or to converge."""
 
 
 def _check_delta(delta: np.typing.ArrayLike) -> np.ndarray:

@@ -684,17 +684,55 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def test_kpr_and_version_never_import_scipy(tmp_path):
+def _fresh_call(argv: list[str], entry: bool) -> tuple[int, str, set[str]]:
+    """Exit code, stderr and every module loaded, of one call in a fresh process.
+
+    With ``entry`` the call goes through ``cli_entry``, as the ``mgstrat``
+    script runs it; otherwise ``runpy`` runs ``mgstrat.cli`` as ``__main__``,
+    as ``python -m mgstrat.cli`` does.
+    """
+    call = ("from mgstrat import cli; cli.cli_entry()" if entry else
+            "import runpy; runpy.run_module('mgstrat.cli', run_name='__main__', alter_sys=True)")
     code = (
         "import sys\n"
-        "from mgstrat.cli import main\n"
-        "assert main(['--version']) == 0\n"
-        f"assert main(['kpr', '--n', '16', '--seeds', '3', '--outdir', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "try:\n"
+        f"    {call}\n"
+        "finally:\n"
+        "    print('modules:', *sys.modules, file=sys.stderr)\n"
     )
     result = _python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    lines = [line for line in result.stderr.splitlines() if line.startswith("modules: ")]
+    return result.returncode, result.stderr, set(lines[-1].split()[1:]) if lines else set()
+
+
+_RATE_STACK = {"mgstrat.solver", "mgstrat.dist", "mgstrat.payoff", "mgstrat.stats", "scipy"}
+_CROWD_STACK = {"mgstrat.engine", "mgstrat.kpr", "mgstrat.stats"}
+
+
+def test_kpr_and_version_never_import_scipy(tmp_path):
+    # Each call imports only what its subcommand runs: argv, exit code, a
+    # module it must load, and the modules (a top-level name covers its
+    # submodules) it must leave out.
+    calls = [
+        (["--version"], 0, "mgstrat", {"numpy", "scipy"}),
+        (["--help"], 0, "mgstrat", {"numpy", "scipy"}),
+        ([], 2, "mgstrat", {"numpy", "scipy"}),
+        (["kpr", "--n", "16", "--seeds", "3", "--outdir", str(tmp_path)], 0, "mgstrat.kpr",
+         _RATE_STACK),
+        (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK),
+        (["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.solver",
+         _CROWD_STACK),
+        (["payoff-table", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.payoff",
+         _CROWD_STACK),
+    ]
+    for argv, exit_code, needed, left_out in calls:
+        for entry in (False, True):
+            code, err, loaded = _fresh_call(argv, entry)
+            assert code == exit_code, (argv, entry, err)
+            assert needed in loaded, (argv, entry, sorted(loaded))
+            found = {name for name in loaded if {name, name.split(".")[0]} & left_out}
+            assert found == set(), (argv, entry)
 
 
 def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
@@ -758,9 +796,34 @@ class TestCliEntry:
             module_bytes = (tmp_path / "module" / name).read_bytes()
             assert module_bytes == (tmp_path / "main" / name).read_bytes(), name
 
-    def test_module_usage_error_exits_2(self, tmp_path):
-        result = _python(
-            "-m", "mgstrat.cli", "solve-lambda", "--delta-max", "0", "--outdir", str(tmp_path)
+    def test_cli_entry_freezes_what_main_made(self):
+        # The subcommand's imports happen inside main(), so cli_entry freezes
+        # again once it returns: the exit collection skips their heap too.
+        code = (
+            "import gc\n"
+            "from mgstrat import cli\n"
+            "def main():\n"
+            "    cli.made = [[] for _ in range(10_000)]\n"
+            "    print(gc.get_freeze_count())\n"
+            "    return 0\n"
+            "cli.main = main\n"
+            "try:\n"
+            "    cli.cli_entry()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count())\n"
         )
-        assert result.returncode == 2
-        assert "delta_max" in result.stderr
+        result = _python("-c", code)
+        assert result.returncode == 0, result.stderr
+        inside, ending = result.stdout.splitlines()
+        exit_code, after = ending.split()
+        assert exit_code == "0"
+        assert int(after) - int(inside) > 10_000
+
+    def test_module_usage_error_exits_2(self, tmp_path):
+        for argv, named in [
+            (["solve-lambda", "--delta-max", "0"], "delta_max"),
+            (["kpr", "--n", "0"], "error: n must"),
+        ]:
+            result = _python("-m", "mgstrat.cli", *argv, "--outdir", str(tmp_path))
+            assert result.returncode == 2
+            assert named in result.stderr

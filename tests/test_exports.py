@@ -1,15 +1,22 @@
 """Every exported name resolves, so a deletion cannot leave one dangling."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
 import mgstrat
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mgstrat.__path__))
+
+# The package's exports as of 0.9.0; a name leaves only by a deliberate edit.
+PACKAGE_EXPORTS = {
+    "LambdaTable", "NumericError", "indifference_residual", "solve_lambda", "solve_p_finite",
+    "CheatCheck", "PayoffQuadruple", "expected_payoffs", "verify_no_cheat",
+    "StrategyConfig", "Trajectory", "derive_rng", "run",
+    "c_autocorrelation", "episode_lengths", "inefficiency_eta", "s_autocorrelation",
+    "KPRRunResult", "KPRState", "kpr_run",
+}
 
 
 def test_every_module_is_found():
@@ -25,13 +32,20 @@ def test_all_names_resolve(name):
 
 
 def test_package_reexports_resolve():
-    # Read from the source, so a name is checked against the module it is
-    # imported from, not only against the package namespace.
-    tree = ast.parse(Path(mgstrat.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"mgstrat.{node.module}")
-        for alias in node.names:
-            assert hasattr(module, alias.name), (node.module, alias.name)
-            assert getattr(mgstrat, alias.asname or alias.name) is getattr(module, alias.name)
+    # Each lazy export is the very object the module it names holds.
+    assert set(mgstrat.__all__) == PACKAGE_EXPORTS
+    for name, module_name in mgstrat._EXPORTS.items():
+        module = importlib.import_module(f"mgstrat.{module_name}")
+        assert getattr(mgstrat, name) is getattr(module, name), (module_name, name)
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from mgstrat import *", namespace)
+    unbound = [n for n in mgstrat.__all__ if namespace.get(n) is not getattr(mgstrat, n)]
+    assert unbound == []
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mgstrat.no_such_name  # noqa: B018
