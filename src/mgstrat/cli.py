@@ -208,9 +208,16 @@ class RunManifest(NamedTuple):
         return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
+        # The interpreter's own SHA-256, as random.py takes its sha512:
+        # hashlib loads OpenSSL's libcrypto (3.6 MB of RSS) for ~200 bytes.
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # Python 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
+        return sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
     def document(self) -> dict[str, Any]:
         return {"manifest_hash": self.digest(), **self._payload()}
@@ -323,9 +330,10 @@ def parse_config(argv: Sequence[str] | None = None) -> RunManifest:
     )
 
 
-# Rows a CSV block formats at once: one ``tolist`` per column and one
-# format call per row, instead of one call per cell.  A block's Python
-# objects take about 150 bytes a row, so 2.4 MB at most.
+# Rows a CSV block formats at once, with one ``%`` call over a template of
+# the block's rows.  A block's cells, as Python objects plus the object
+# array, list and tuple that hold them, take about 50 bytes each, so
+# 0.8 MB per column.
 CSV_BLOCK_ROWS = 1 << 14
 
 
@@ -335,7 +343,9 @@ def _write_csv(
     """Write equal-length ``columns`` as CSV rows under the manifest comments.
 
     Each column is written by its numpy kind: floats with 12 significant
-    digits, integers as they are, bools as 0/1.
+    digits (``%.12g``), integers as they are and bools as 0/1 (``%d``).
+    Pass an index column as ``np.arange``: a ``range`` slice converts one
+    Python int at a time.
     """
     import numpy as np
 
@@ -344,9 +354,14 @@ def _write_csv(
         handle.write(f"# manifest: {manifest.digest()}\n")
         handle.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [np.asarray(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
-            line = ",".join("{:.12g}" if b.dtype.kind == "f" else "{:d}" for b in block)
-            handle.write("".join(map((line + "\n").format, *(b.tolist() for b in block))))
+            blocks = [np.asarray(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
+            # Row-major Python objects: filling an object array converts each
+            # column once, and its ravel interleaves the cells row by row.
+            cells = np.empty((len(blocks[0]), len(blocks)), dtype=object)
+            for index, block in enumerate(blocks):
+                cells[:, index] = block
+            line = ",".join("%.12g" if b.dtype.kind == "f" else "%d" for b in blocks) + "\n"
+            handle.write(line * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def _write_json(path: Path, document: dict[str, Any]) -> None:
@@ -399,7 +414,6 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
     config = _strategy_config(params, params["epsilon"])
     trajectory = run(config, params["steps"])
     deltas, reset = trajectory.deltas, trajectory.reset
-    tables = [(range(trajectory.days), deltas, trajectory.minority_side, reset)]
     results: dict[str, Any] = {
         "eta": inefficiency_eta(trajectory, burn_in=params["burn_in"]),
         "days": trajectory.days,
@@ -415,17 +429,21 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
             "median": float(np.median(episodes)),
             "max": int(episodes.max()),
         }
+    stats_tables = []
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])
         s_acf = s_autocorrelation(trajectory, params["tau_max"])
         c_acf = c_autocorrelation(trajectory, params["tau_max"])
-        tables += [
+        stats_tables = [
             list(zip(*sorted(hist.items()))),
-            (range(s_acf.size), s_acf),
-            (range(c_acf.size), c_acf),
+            (np.arange(s_acf.size), s_acf),
+            (np.arange(c_acf.size), c_acf),
         ]
         results["c_at_tau_max"] = float(c_acf[-1])
-    return tables, results
+    # The day-long columns are made last, once the statistics' day-long
+    # temporaries are freed, so that they do not add to those peaks.
+    days = np.arange(trajectory.days)
+    return [(days, deltas, trajectory.minority_side, reset), *stats_tables], results
 
 
 def _run_sweep(params: dict[str, Any]) -> _Result:
@@ -474,7 +492,7 @@ def _run_kpr(params: dict[str, Any]) -> _Result:
         results["mean_convergence_day"] = float(np.mean(convergence_days))
         results["median_convergence_day"] = float(np.median(convergence_days))
         results["max_convergence_day"] = int(np.max(convergence_days))
-    return [(range(seeds), days, utilization)], results
+    return [(np.arange(seeds), days, utilization)], results
 
 
 class _Subcommand(NamedTuple):
@@ -559,17 +577,26 @@ def dispatch(manifest: RunManifest) -> int:
             __getattr__(name)
     tables, results = entry.runner(manifest.params)
     names = [name for name in manifest.outputs if name in entry.data]
-    for name, columns in zip(names, tables, strict=True):
-        _write_csv(outdir / name, manifest, entry.data[name][1], columns)
-    _write_json(outdir / "manifest.json", manifest.document())
-    _write_json(
-        outdir / "summary.json",
-        {
+    data = dict(zip(names, tables, strict=True))
+    documents = {
+        "manifest.json": manifest.document(),
+        "summary.json": {
             "manifest_hash": manifest.digest(),
             "subcommand": manifest.subcommand,
             "results": results,
         },
-    )
+    }
+    for name in manifest.outputs:
+        path = outdir / name
+        try:
+            if name in data:
+                _write_csv(path, manifest, entry.data[name][1], data[name])
+            else:
+                _write_json(path, documents[name])
+        except OSError as exc:
+            raise ValueError(
+                f"outdir {outdir} cannot be written: {path}: {exc.strerror or exc}"
+            ) from None
     for name in manifest.outputs:
         print(f"wrote {outdir / name}")
     return 0

@@ -1,14 +1,16 @@
 """Command-line front-end tests: parsing, precedence, dispatch, determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 import pytest
@@ -248,6 +250,17 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, flag, relative, key):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {key} {path} "), err
+
+
+@pytest.mark.parametrize("name", ["lambda_table.csv", "summary.json"])
+def test_unwritable_output_exits_2_naming_outdir_and_file(tmp_path, capsys, name):
+    outdir = tmp_path / "out"
+    (outdir / name).mkdir(parents=True)
+    code = main(["solve-lambda", "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: outdir {outdir} "), err
+    assert f" {outdir / name}: " in err, err
 
 
 # 24 bytes per agent must stay within 1 GiB: 2**30 // 24 = 44 739 242, so
@@ -610,6 +623,33 @@ class TestManifest:
         b = RunManifest("kpr", {"seeds": 2, "n": 8}, 1, "0.1.0", ("x.csv",), None)
         assert a.digest() == b.digest()
 
+    # Where digest() takes SHA-256 from, and the imports it must find missing
+    # first.  Each route but the interpreter's own gets a recording stand-in.
+    ROUTES = {
+        "interpreter": (),
+        "_sha2": (),
+        "_sha256": ("_sha2",),
+        "hashlib": ("_sha2", "_sha256"),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+    def test_digest_is_the_sha256_prefix(self, tmp_path, monkeypatch, subcommand, route):
+        manifest = parse_config([subcommand, "--outdir", str(tmp_path)])
+        payload = manifest.canonical().encode("utf-8")
+        hashed = []
+
+        def sha256(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        for missing in self.ROUTES[route]:
+            monkeypatch.setitem(sys.modules, missing, None)
+        if route != "interpreter":
+            monkeypatch.setitem(sys.modules, route, types.SimpleNamespace(sha256=sha256))
+        assert manifest.digest() == hashlib.sha256(payload).hexdigest()[:16]
+        assert hashed == ([] if route == "interpreter" else [payload])
+
 
 def _format_value(value: Any) -> str:
     """The former one-cell-at-a-time CSV formatter, kept as the oracle."""
@@ -620,6 +660,13 @@ def _format_value(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
     return str(value)
+
+
+def _per_row_csv(columns: Sequence[Sequence[Any]]) -> str:
+    """The former data rows of ``_write_csv``, one format call per row, kept as the oracle."""
+    blocks = [np.asarray(column) for column in columns]
+    line = ",".join("{:.12g}" if b.dtype.kind == "f" else "{:d}" for b in blocks) + "\n"
+    return "".join(map(line.format, *(b.tolist() for b in blocks)))
 
 
 class TestCsvBlocks:
@@ -644,6 +691,29 @@ class TestCsvBlocks:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[2] == "a,b,c,d,e,f"
         assert lines[3:] == [",".join(_format_value(v) for v in row) for row in zip(*columns)]
+
+    def test_blocks_match_the_per_row_formatter_for_every_column_kind(self, tmp_path, monkeypatch):
+        # 7 rows in blocks of 3: two full blocks and a one-row tail.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        int64, int32 = np.iinfo(np.int64), np.iinfo(np.int32)
+        columns = (
+            range(7),
+            np.arange(7),
+            np.array([int64.min, int64.max, 0, -1, 1, int64.min + 1, int64.max - 1]),
+            np.array([int32.min, int32.max, 0, -1, 1, 7, -7], dtype=np.int32),
+            np.array([-128, 127, 0, -1, 1, 2, -2], dtype=np.int8),
+            np.array([True, False, True, True, False, False, True]),
+            np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3, -1.7976931348623157e308, 0.0]),
+            [0.1, 0.2, 0.3, 1e-300, 2.5, -3.0, 1e21],
+            (1, 2, 3, 4, 5, 6, 7),
+        )
+        header = [f"c{i}" for i in range(len(columns))]
+        manifest = parse_config(["kpr", "--outdir", str(tmp_path)])
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, manifest, header, columns)
+        expected = (f"# mgstrat kpr v{__version__}\n# manifest: {manifest.digest()}\n"
+                    + ",".join(header) + "\n" + _per_row_csv(columns))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestRateTables:
@@ -708,6 +778,9 @@ def _fresh_call(argv: list[str], entry: bool) -> tuple[int, str, set[str]]:
 
 _RATE_STACK = {"mgstrat.solver", "mgstrat.dist", "mgstrat.payoff", "mgstrat.stats", "scipy"}
 _CROWD_STACK = {"mgstrat.engine", "mgstrat.kpr", "mgstrat.stats"}
+# The manifest hash takes the interpreter's own SHA-256: OpenSSL's libcrypto,
+# which hashlib loads, would cost a rate subcommand 3.6 MB of RSS.
+_RATE_CALL_LEFT_OUT = _CROWD_STACK | {"_hashlib", "hashlib"}
 
 
 def test_kpr_and_version_never_import_scipy(tmp_path):
@@ -722,9 +795,9 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
          _RATE_STACK),
         (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK),
         (["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.solver",
-         _CROWD_STACK),
+         _RATE_CALL_LEFT_OUT),
         (["payoff-table", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.payoff",
-         _CROWD_STACK),
+         _RATE_CALL_LEFT_OUT),
     ]
     for argv, exit_code, needed, left_out in calls:
         for entry in (False, True):
