@@ -9,8 +9,8 @@ Subcommands: ``solve-lambda`` (tabulate cheat-proof switch-rate means),
 Every run resolves flags over config-file values over built-in defaults
 into a manifest.  Each subcommand declares its data files, with their CSV
 headers, in one table; its runner maps the parameters to the files'
-columns, and ``dispatch`` writes them into one directory: CSV whose first
-lines are ``#`` comments embedding the manifest hash, plus
+columns, and ``dispatch`` writes them, all or none, into one directory:
+CSV whose first lines are ``#`` comments embedding the manifest hash, plus
 ``manifest.json`` and ``summary.json`` whose first key is that same hash.
 Outputs are byte-deterministic: same subcommand, parameters, and package
 version give identical files, whatever the output directory.
@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import importlib
 import json
@@ -180,6 +181,22 @@ _BURN_IN = Param(
 )
 
 
+def _builtin_sha256() -> Callable[[bytes], Any] | None:
+    """The interpreter's own SHA-256 constructor, or None in a build without one.
+
+    random.py takes its sha512 the same way: hashlib would load OpenSSL's
+    libcrypto (3.6 MB of RSS) to hash a ~200-byte manifest.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            return None
+    return sha256
+
+
 class RunManifest(NamedTuple):
     """Fully resolved description of one CLI run.
 
@@ -208,15 +225,9 @@ class RunManifest(NamedTuple):
         return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        # The interpreter's own SHA-256, as random.py takes its sha512:
-        # hashlib loads OpenSSL's libcrypto (3.6 MB of RSS) for ~200 bytes.
-        try:
-            from _sha2 import sha256  # Python 3.12+
-        except ImportError:
-            try:
-                from _sha256 import sha256  # Python 3.10-3.11
-            except ImportError:
-                from hashlib import sha256
+        sha256 = _builtin_sha256()
+        if sha256 is None:
+            from hashlib import sha256
         return sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
     def document(self) -> dict[str, Any]:
@@ -586,17 +597,28 @@ def dispatch(manifest: RunManifest) -> int:
             "results": results,
         },
     }
-    for name in manifest.outputs:
-        path = outdir / name
-        try:
+    # Each file is written under a temporary name and moved into place only
+    # once all are written, so a failure leaves the outdir as it was.
+    staged = {outdir / name: outdir / f".{name}.{os.getpid()}.tmp" for name in manifest.outputs}
+    try:
+        for name, (path, temporary) in zip(manifest.outputs, staged.items()):
             if name in data:
-                _write_csv(path, manifest, entry.data[name][1], data[name])
+                _write_csv(temporary, manifest, entry.data[name][1], data[name])
             else:
-                _write_json(path, documents[name])
-        except OSError as exc:
-            raise ValueError(
-                f"outdir {outdir} cannot be written: {path}: {exc.strerror or exc}"
-            ) from None
+                _write_json(temporary, documents[name])
+        # A file cannot replace a directory; find one before any file moves.
+        for path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, temporary in staged.items():
+            temporary.replace(path)
+    except OSError as exc:
+        raise ValueError(
+            f"outdir {outdir} cannot be written: {path}: {exc.strerror or exc}"
+        ) from None
+    finally:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
     for name in manifest.outputs:
         print(f"wrote {outdir / name}")
     return 0
@@ -623,6 +645,13 @@ def cli_entry() -> None:
     # (~22 000 objects with numpy and the rate stack), which the collection
     # at exit would otherwise walk.
     # main() never freezes: tests and library callers keep normal collection.
+    # Nor does it block _hashlib.  Here, when the interpreter has its own
+    # SHA-256 for the manifest hash, the None marker makes hmac and hashlib
+    # (which numpy.random imports through secrets) take their built-in
+    # fallbacks, so no subcommand maps OpenSSL's libcrypto (3.5 MB of RSS),
+    # which none calls.
+    if _builtin_sha256() is not None:
+        sys.modules.setdefault("_hashlib", None)
     gc.freeze()
     code = main()
     gc.freeze()

@@ -50,6 +50,7 @@ __all__ = [
     "MODE_STRATEGY",
     "MODE_BASELINE",
     "MAX_RECORD_BYTES",
+    "MAX_WAIT_T",
     "StrategyConfig",
     "Trajectory",
     "check_record_size",
@@ -63,6 +64,10 @@ RESTAURANT_B = 1
 
 # Largest trajectory record ``run`` allocates: 1 GiB.
 MAX_RECORD_BYTES = 2**30
+
+# Largest wait_t: a run adds wait_t + 1 to int64 day counts, and 2**62 leaves
+# room for any run the record guard allows (~8.3 * 10**7 days) without a wrap.
+MAX_WAIT_T = 2**62
 
 # Bytes per agent that bound the arrays a run builds from n alone: one day
 # at n = 2 * 10**7 peaks at 270 MiB of RSS (289 MiB with the choice record,
@@ -99,6 +104,8 @@ class StrategyConfig:
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         self.wait_t = count(self.wait_t, "wait_t", 0)
+        if self.wait_t > MAX_WAIT_T:
+            raise ValueError(f"wait_t must be at most 2**62 = {MAX_WAIT_T}, got {self.wait_t}")
         self.reset_prefactor = positive(self.reset_prefactor, "reset_prefactor")
         self.seed = count(self.seed, "seed", 0)
         if self.mode not in (MODE_STRATEGY, MODE_BASELINE):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -27,7 +28,7 @@ from mgstrat.cli import (
     main,
     parse_config,
 )
-from mgstrat.engine import StrategyConfig, derive_rng, run
+from mgstrat.engine import MAX_WAIT_T, StrategyConfig, derive_rng, run
 from mgstrat.kpr import kpr_run
 from mgstrat.solver import NumericError
 from mgstrat.stats import episode_lengths
@@ -254,13 +255,23 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, flag, relative, key):
 
 @pytest.mark.parametrize("name", ["lambda_table.csv", "summary.json"])
 def test_unwritable_output_exits_2_naming_outdir_and_file(tmp_path, capsys, name):
+    # An older run's files, one of them replaced by a directory: the failed
+    # run must leave every one of them, and nothing else, as it was.
     outdir = tmp_path / "out"
-    (outdir / name).mkdir(parents=True)
+    assert main(["solve-lambda", "--delta-max", "3", "--outdir", str(outdir)]) == 0
+    (outdir / name).unlink()
+    (outdir / name).mkdir()
+    (outdir / name / "kept").write_text("x")
+    before = {path.name: path.is_dir() or path.read_bytes() for path in outdir.iterdir()}
+    capsys.readouterr()
     code = main(["solve-lambda", "--outdir", str(outdir)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: outdir {outdir} "), err
     assert f" {outdir / name}: " in err, err
+    after = {path.name: path.is_dir() or path.read_bytes() for path in outdir.iterdir()}
+    assert after == before
+    assert [path.name for path in (outdir / name).iterdir()] == ["kept"]
 
 
 # 24 bytes per agent must stay within 1 GiB: 2**30 // 24 = 44 739 242, so
@@ -323,6 +334,42 @@ class TestSeedsBound:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: seeds must lie in [1, 1e+06], got {seeds}"), err
+        assert not (tmp_path / "out").exists()
+
+
+class TestWaitBound:
+    """wait_t stops at 2**62, so the engine's int64 day counts cannot wrap."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_bound_runs_like_a_wait_past_the_horizon(self, tmp_path, seed):
+        # No reset falls inside 200 days at wait_t = 200, nor at the bound.
+        rows = {}
+        for wait_t in (MAX_WAIT_T, 200):
+            outdir = tmp_path / str(wait_t)
+            argv = ["simulate", "--n", "201", "--steps", "200", "--seed", str(seed),
+                    "--wait-t", str(wait_t), "--outdir", str(outdir)]
+            assert main(argv) == 0
+            rows[wait_t] = (outdir / "trajectory.csv").read_text(encoding="utf-8").splitlines()[3:]
+        assert len(rows[200]) == 201
+        assert rows[MAX_WAIT_T] == rows[200]
+
+    @pytest.mark.usefixtures("never_dispatch")
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
+    def test_one_past_the_bound_exits_2_naming_wait_t(self, tmp_path, capsys, subcommand, source):
+        wait_t = MAX_WAIT_T + 1
+        argv = [subcommand, "--outdir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--wait-t", str(wait_t)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(f'{{"wait_t": {wait_t}}}')
+            argv += ["--config", str(config)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        message = f"error: wait_t must be at most 2**62 = {MAX_WAIT_T}, got {wait_t}"
+        assert err.startswith(message), err
         assert not (tmp_path / "out").exists()
 
 
@@ -754,22 +801,28 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
-def _fresh_call(argv: list[str], entry: bool) -> tuple[int, str, set[str]]:
+def _fresh_call(
+    argv: list[str], entry: bool, blocked: Sequence[str] = ()
+) -> tuple[int, str, set[str]]:
     """Exit code, stderr and every module loaded, of one call in a fresh process.
 
     With ``entry`` the call goes through ``cli_entry``, as the ``mgstrat``
     script runs it; otherwise ``runpy`` runs ``mgstrat.cli`` as ``__main__``,
-    as ``python -m mgstrat.cli`` does.
+    as ``python -m mgstrat.cli`` does.  The ``blocked`` modules are set to
+    None in ``sys.modules`` first, so that importing them fails.  A None
+    entry is a refusal, not a module, and is not counted as loaded.
     """
     call = ("from mgstrat import cli; cli.cli_entry()" if entry else
             "import runpy; runpy.run_module('mgstrat.cli', run_name='__main__', alter_sys=True)")
     code = (
         "import sys\n"
+        f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
         f"sys.argv[1:] = {argv!r}\n"
         "try:\n"
         f"    {call}\n"
         "finally:\n"
-        "    print('modules:', *sys.modules, file=sys.stderr)\n"
+        "    loaded = [name for name, module in sys.modules.items() if module is not None]\n"
+        "    print('modules:', *loaded, file=sys.stderr)\n"
     )
     result = _python("-c", code)
     lines = [line for line in result.stderr.splitlines() if line.startswith("modules: ")]
@@ -778,8 +831,11 @@ def _fresh_call(argv: list[str], entry: bool) -> tuple[int, str, set[str]]:
 
 _RATE_STACK = {"mgstrat.solver", "mgstrat.dist", "mgstrat.payoff", "mgstrat.stats", "scipy"}
 _CROWD_STACK = {"mgstrat.engine", "mgstrat.kpr", "mgstrat.stats"}
-# The manifest hash takes the interpreter's own SHA-256: OpenSSL's libcrypto,
-# which hashlib loads, would cost a rate subcommand 3.6 MB of RSS.
+# OpenSSL's libcrypto, which _hashlib maps, costs a process 3.6 MB of RSS.
+# The manifest hash takes the interpreter's own SHA-256, so a rate
+# subcommand never imports hashlib.  A seeded one does, through numpy.random
+# (secrets, hmac), but the console entry points block _hashlib, so hashlib
+# falls back to the interpreter's own hashes too.
 _RATE_CALL_LEFT_OUT = _CROWD_STACK | {"_hashlib", "hashlib"}
 
 
@@ -791,21 +847,35 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
         (["--version"], 0, "mgstrat", {"numpy", "scipy"}),
         (["--help"], 0, "mgstrat", {"numpy", "scipy"}),
         ([], 2, "mgstrat", {"numpy", "scipy"}),
-        (["kpr", "--n", "16", "--seeds", "3", "--outdir", str(tmp_path)], 0, "mgstrat.kpr",
-         _RATE_STACK),
+        (["kpr", "--n", "16", "--seeds", "3"], 0, "mgstrat.kpr", _RATE_STACK | {"_hashlib"}),
         (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK),
-        (["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.solver",
-         _RATE_CALL_LEFT_OUT),
-        (["payoff-table", "--delta-max", "5", "--outdir", str(tmp_path)], 0, "mgstrat.payoff",
-         _RATE_CALL_LEFT_OUT),
+        (["solve-lambda", "--delta-max", "5"], 0, "mgstrat.solver", _RATE_CALL_LEFT_OUT),
+        (["payoff-table", "--delta-max", "5"], 0, "mgstrat.payoff", _RATE_CALL_LEFT_OUT),
+        (["simulate", "--n", "21", "--steps", "20"], 0, "mgstrat.engine",
+         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"}),
+        (["sweep", "--n", "21", "--epsilons", "0.5", "--seeds", "2", "--steps", "20"], 0,
+         "mgstrat.engine", {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"}),
     ]
-    for argv, exit_code, needed, left_out in calls:
-        for entry in (False, True):
-            code, err, loaded = _fresh_call(argv, entry)
-            assert code == exit_code, (argv, entry, err)
-            assert needed in loaded, (argv, entry, sorted(loaded))
-            found = {name for name in loaded if {name, name.split(".")[0]} & left_out}
-            assert found == set(), (argv, entry)
+    jobs = [
+        (argv, entry, exit_code, needed, left_out)
+        for argv, exit_code, needed, left_out in calls
+        for entry in (False, True)
+    ]
+
+    def call(job):
+        argv, entry, exit_code = job[:3]
+        if exit_code == 0 and argv[0] in cli._SUBCOMMANDS:
+            argv = [*argv, "--outdir", str(tmp_path / f"{argv[0]}-{entry}")]
+        return _fresh_call(argv, entry)
+
+    # Two fresh processes at a time, one per vCPU of the machine the suite is timed on.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(call, jobs))
+    for (argv, entry, exit_code, needed, left_out), (code, err, loaded) in zip(jobs, results):
+        assert code == exit_code, (argv, entry, err)
+        assert needed in loaded, (argv, entry, sorted(loaded))
+        found = {name for name in loaded if {name, name.split(".")[0]} & left_out}
+        assert found == set(), (argv, entry)
 
 
 def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
@@ -891,6 +961,33 @@ class TestCliEntry:
         exit_code, after = ending.split()
         assert exit_code == "0"
         assert int(after) - int(inside) > 10_000
+
+    def test_main_leaves_the_hashlib_entry_as_it_found_it(self, tmp_path):
+        # Only cli_entry blocks _hashlib; main() keeps the caller's hashlib.
+        missing = object()
+        before = sys.modules.get("_hashlib", missing)
+        assert main(["kpr", "--n", "16", "--seeds", "3", "--outdir", str(tmp_path / "k")]) == 0
+        assert sys.modules.get("_hashlib", missing) is before
+        assert main(["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path / "s")]) == 0
+        assert sys.modules.get("_hashlib", missing) is before
+
+    @pytest.mark.parametrize("argv", [
+        ["kpr", "--n", "16", "--seeds", "3"],
+        ["solve-lambda", "--delta-max", "5"],
+    ])
+    def test_without_a_builtin_sha256_openssl_stays_and_hashes(self, tmp_path, argv):
+        # A build without the interpreter's own SHA-256 (FIPS builds, say)
+        # keeps _hashlib, and the manifest hash comes from hashlib's.
+        code, err, loaded = _fresh_call([*argv, "--outdir", str(tmp_path)], True,
+                                        blocked=("_sha2", "_sha256"))
+        assert code == 0, err
+        assert "_hashlib" in loaded
+        document = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        digest = document.pop("manifest_hash")
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert summary["manifest_hash"] == digest
 
     def test_module_usage_error_exits_2(self, tmp_path):
         for argv, named in [

@@ -24,6 +24,7 @@ from scipy import stats as sps
 from mgstrat.dist import poisson_cdf
 from mgstrat.engine import (
     MAX_RECORD_BYTES,
+    MAX_WAIT_T,
     MODE_BASELINE,
     MODE_STRATEGY,
     RESTAURANT_A,
@@ -205,6 +206,9 @@ class TestStrategyConfig:
     def test_bad_wait_and_mode(self):
         with pytest.raises(ValueError):
             StrategyConfig(n=5, wait_t=-1)
+        assert StrategyConfig(n=5, wait_t=MAX_WAIT_T).wait_t == MAX_WAIT_T
+        with pytest.raises(ValueError, match="^wait_t must be at most 2"):
+            StrategyConfig(n=5, wait_t=MAX_WAIT_T + 1)
         with pytest.raises(ValueError):
             StrategyConfig(n=5, mode="chaotic")
 
