@@ -40,8 +40,8 @@ _EXPORTS = {
         ("payoff", ("CheatCheck", "PayoffQuadruple", "expected_payoffs", "verify_no_cheat")),
         ("engine", ("StrategyConfig", "Trajectory", "run")),
         ("_checks", ("derive_rng",)),
-        ("stats", ("c_autocorrelation", "episode_lengths", "inefficiency_eta",
-                   "s_autocorrelation")),
+        ("stats", ("c_autocorrelation", "delta_histogram", "episode_lengths",
+                   "inefficiency_eta", "s_autocorrelation")),
         ("kpr", ("KPRRunResult", "KPRState", "kpr_run")),
     )
     for name in names

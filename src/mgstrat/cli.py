@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import gc
-import importlib
 import json
 import math
 import os
@@ -57,30 +57,32 @@ MAX_SEEDS = 10**6
 # so these stay below the engine's 1 GiB MAX_RECORD_BYTES.
 _KPR_MAX_N = 8 * 10**6
 
-# The names the runners call, by the mgstrat module that holds them.  ``cli``
-# imports none of these modules (nor numpy) with itself: ``dispatch`` binds the
-# names of the modules its subcommand declares, and any other first read of a
-# name binds it through the module ``__getattr__`` (PEP 562).  Each is bound
-# once and is an ordinary global from then on, so a name set from outside, by
-# a test's or a tracer's patch, stays as set, and a deleted one stays deleted.
-_LAZY = {
-    "derive_rng": "_checks",
-    "run": "engine",
-    "kpr_run": "kpr",
-    "expected_payoffs": "payoff",
-    "ASYMPTOTIC_GAP": "solver",
-    "solve_lambda": "solver",
-    **dict.fromkeys(("c_autocorrelation", "delta_histogram", "episode_lengths",
-                     "inefficiency_eta", "s_autocorrelation"), "stats"),
-}
+def _export(name: str) -> Callable[..., Any]:
+    """A stand-in for the package export ``name``, resolved on each call.
+
+    The package imports the defining module on first use (PEP 562), so
+    ``cli`` loads none of them, nor numpy, with itself.  The runners call
+    these module globals, so a name set from outside, by a test's or a
+    tracer's patch, is the one they call, and a deleted one stays deleted.
+    """
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY.pop(name)}", __package__)
-    value = globals()[name] = getattr(module, name)
-    return value
+derive_rng = _export("derive_rng")
+run = _export("run")
+kpr_run = _export("kpr_run")
+expected_payoffs = _export("expected_payoffs")
+solve_lambda = _export("solve_lambda")
+c_autocorrelation = _export("c_autocorrelation")
+delta_histogram = _export("delta_histogram")
+episode_lengths = _export("episode_lengths")
+inefficiency_eta = _export("inefficiency_eta")
+s_autocorrelation = _export("s_autocorrelation")
 
 
 def _epsilon_values(raw: Any) -> list[Any]:
@@ -181,11 +183,13 @@ _BURN_IN = Param(
 )
 
 
+@functools.cache
 def _builtin_sha256() -> Callable[[bytes], Any] | None:
     """The interpreter's own SHA-256 constructor, or None in a build without one.
 
     random.py takes its sha512 the same way: hashlib would load OpenSSL's
-    libcrypto (3.6 MB of RSS) to hash a ~200-byte manifest.
+    libcrypto (3.6 MB of RSS) to hash a ~200-byte manifest.  The probe runs
+    once a process: a failed import walks ``sys.path`` again each time.
     """
     try:
         from _sha2 import sha256  # Python 3.12+
@@ -289,10 +293,8 @@ def _load_config_file(path: Path, allowed: Iterable[str]) -> dict[str, Any]:
     return out
 
 
-def _apply_cross_key_rules(subcommand: str, params: dict[str, Any]) -> None:
-    """The rules that tie a key to another key or to the subcommand."""
-    if "n" in params and subcommand != "kpr" and params["n"] % 2 == 0:
-        raise ValueError(f"n must be odd, got {params['n']}")
+def _apply_cross_key_rules(params: dict[str, Any]) -> None:
+    """The rules that tie a key to another key; ``StrategyConfig`` checks the rest."""
     if params.get("mode") == "baseline":
         params["mode"] = MODE_BASELINE
     if "burn_in" in params and params["burn_in"] >= params["steps"]:
@@ -328,7 +330,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunManifest:
         if flag_value is not None:
             raw[param.name] = flag_value
     params = {param.name: param.coerce(raw[param.name]) for param in entry.params}
-    _apply_cross_key_rules(subcommand, params)
+    _apply_cross_key_rules(params)
     outdir = namespace.outdir or Path(os.environ.get(OUTDIR_ENV) or "out")
     return RunManifest(
         subcommand=subcommand,
@@ -397,6 +399,8 @@ _Result = tuple[list[Sequence[Sequence[Any]]], dict[str, Any]]
 
 def _run_solve_lambda(params: dict[str, Any]) -> _Result:
     import numpy as np
+
+    from .solver import ASYMPTOTIC_GAP
 
     deltas = np.arange(1, params["delta_max"] + 1)
     lams = solve_lambda(deltas, params["tolerance"])
@@ -512,15 +516,13 @@ class _Subcommand(NamedTuple):
     ``data`` maps each data file, in output order, to the bool parameter
     that turns it on (None for a file always written) and its CSV header.
     ``runner`` maps the resolved parameters to the columns of every data
-    file turned on, in that order, and the summary results.  ``modules``
-    names the mgstrat modules whose ``_LAZY`` names the runner calls.
+    file turned on, in that order, and the summary results.
     """
 
     help: str
     params: tuple[Param, ...]
     data: dict[str, tuple[str | None, tuple[str, ...]]]
     runner: Callable[[dict[str, Any]], _Result]
-    modules: tuple[str, ...]
 
 
 _SUBCOMMANDS = {
@@ -528,12 +530,12 @@ _SUBCOMMANDS = {
         Param("delta_max", int, 10, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
         Param("tolerance", float, 1e-10, "root search stops once |residual| is below this",
               lo=0.0, hi=MAX_TOLERANCE, lo_open=True),
-    ), {"lambda_table.csv": (None, ("delta", "lambda", "gap"))}, _run_solve_lambda, ("solver",)),
+    ), {"lambda_table.csv": (None, ("delta", "lambda", "gap"))}, _run_solve_lambda),
     "payoff-table": _Subcommand("stay/switch winning probabilities at the solved rate", (
         Param("delta_max", int, 50, "largest imbalance tabulated", lo=1, hi=MAX_DELTA_MAX),
     ), {"payoff_table.csv": (None, (
         "delta", "lambda", "thin_stay", "thin_switch", "crowd_stay", "crowd_switch",
-    ))}, _run_payoff_table, ("solver", "payoff")),
+    ))}, _run_payoff_table),
     "simulate": _Subcommand("run the two-restaurant crowd simulation", (
         _N,
         Param("epsilon", float, 0.5, "reset exponent", lo=0.0, hi=1.0),
@@ -552,7 +554,7 @@ _SUBCOMMANDS = {
         "delta_hist.csv": ("stats", ("delta", "frequency")),
         "s_autocorr.csv": ("stats", ("lag", "value")),
         "c_autocorr.csv": ("stats", ("lag", "value")),
-    }, _run_simulate, ("engine", "stats")),
+    }, _run_simulate),
     "sweep": _Subcommand("inefficiency versus epsilon over many seeds", (
         _N,
         Param("epsilons", list, "0.1:0.9:0.1", "start:stop:step or comma list",
@@ -563,15 +565,14 @@ _SUBCOMMANDS = {
         _WAIT_T,
         _PREFACTOR,
         _BURN_IN,
-    ), {"sweep.csv": (None, ("epsilon", "eta_mean", "eta_stderr", "seeds"))}, _run_sweep,
-        ("_checks", "engine", "stats")),
+    ), {"sweep.csv": (None, ("epsilon", "eta_mean", "eta_stderr", "seeds"))}, _run_sweep),
     "kpr": _Subcommand("ranked-restaurant cyclic-strategy convergence", (
         Param("n", int, 64, "agents and restaurants", lo=1, hi=_KPR_MAX_N),
         Param("seeds", int, 200, "independent runs", lo=1, hi=MAX_SEEDS),
         Param("max_steps", int, 10000, "days before a run counts as unconverged", lo=1),
         _SEED,
     ), {"kpr_runs.csv": (None, ("seed_index", "convergence_day", "final_utilization"))},
-        _run_kpr, ("_checks", "kpr")),
+        _run_kpr),
 }
 
 
@@ -583,9 +584,6 @@ def dispatch(manifest: RunManifest) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"outdir {outdir} cannot be created: {exc.strerror}") from None
-    for name, module in list(_LAZY.items()):
-        if module in entry.modules:
-            __getattr__(name)
     tables, results = entry.runner(manifest.params)
     names = [name for name in manifest.outputs if name in entry.data]
     data = dict(zip(names, tables, strict=True))

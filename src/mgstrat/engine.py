@@ -99,7 +99,7 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         self.n = count(self.n, "n", 1)
         if self.n % 2 == 0:
-            raise ValueError(f"population size must be a positive odd integer, got {self.n}")
+            raise ValueError(f"n must be odd, got {self.n}")
         self.epsilon = number(self.epsilon, "epsilon")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")

@@ -681,7 +681,9 @@ class TestManifest:
 
     @pytest.mark.parametrize("route", list(ROUTES))
     @pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
-    def test_digest_is_the_sha256_prefix(self, tmp_path, monkeypatch, subcommand, route):
+    def test_digest_is_the_sha256_prefix(
+        self, tmp_path, monkeypatch, request, subcommand, route
+    ):
         manifest = parse_config([subcommand, "--outdir", str(tmp_path)])
         payload = manifest.canonical().encode("utf-8")
         hashed = []
@@ -694,6 +696,10 @@ class TestManifest:
             monkeypatch.setitem(sys.modules, missing, None)
         if route != "interpreter":
             monkeypatch.setitem(sys.modules, route, types.SimpleNamespace(sha256=sha256))
+        # The probe runs once a process; clear it so it meets this route, and
+        # again afterwards so no later test meets this route's stand-in.
+        cli._builtin_sha256.cache_clear()
+        request.addfinalizer(cli._builtin_sha256.cache_clear)
         assert manifest.digest() == hashlib.sha256(payload).hexdigest()[:16]
         assert hashed == ([] if route == "interpreter" else [payload])
 
@@ -903,6 +909,42 @@ def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
     result = _python("-c", code)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [[], True, [True, True]]
+
+
+def test_runners_read_only_names_the_import_binds():
+    # Every global a runner reads (its LOAD_GLOBAL names, nested code
+    # included) is bound by a bare ``import mgstrat.cli``, which loads no
+    # numpy.  The package exports among them are stand-ins named after the
+    # export they forward to: the names the benchmark's tracer and the tests
+    # patch on ``cli``.
+    code = (
+        "import builtins, dis, json, sys\n"
+        "import mgstrat.cli as cli\n"
+        "def reads(code):\n"
+        "    names = {i.argval for i in dis.get_instructions(code) if i.opname == 'LOAD_GLOBAL'}\n"
+        "    for const in code.co_consts:\n"
+        "        if hasattr(const, 'co_code'):\n"
+        "            names |= reads(const)\n"
+        "    return names - set(vars(builtins))\n"
+        "unbound = {s: sorted(reads(e.runner.__code__) - set(vars(cli)))\n"
+        "           for s, e in cli._SUBCOMMANDS.items()}\n"
+        "numpy_loaded = 'numpy' in sys.modules\n"
+        "import mgstrat\n"
+        "read = set().union(*(reads(e.runner.__code__) for e in cli._SUBCOMMANDS.values()))\n"
+        "stand_ins = {n: [getattr(cli, n).__name__, hasattr(mgstrat, n)]\n"
+        "             for n in sorted(read & set(mgstrat._EXPORTS))}\n"
+        "print(json.dumps([unbound, numpy_loaded, stand_ins]))\n"
+    )
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    unbound, numpy_loaded, stand_ins = json.loads(result.stdout)
+    assert unbound == {name: [] for name in cli._SUBCOMMANDS}
+    assert not numpy_loaded
+    assert stand_ins == {name: [name, True] for name in (
+        "c_autocorrelation", "delta_histogram", "derive_rng", "episode_lengths",
+        "expected_payoffs", "inefficiency_eta", "kpr_run", "run", "s_autocorrelation",
+        "solve_lambda",
+    )}
 
 
 class TestCliEntry:

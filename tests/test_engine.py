@@ -156,7 +156,7 @@ def six_day_runs(n: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, np.nda
 
 class TestStrategyConfig:
     def test_even_population_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be odd, got 2000$"):
             StrategyConfig(n=2000)
 
     def test_epsilon_bounds(self):

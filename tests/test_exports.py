@@ -9,12 +9,13 @@ import mgstrat
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mgstrat.__path__))
 
-# The package's exports as of 0.9.0; a name leaves only by a deliberate edit.
+# The package's exports as of 0.9.0; a name joins or leaves only by a deliberate edit.
 PACKAGE_EXPORTS = {
     "LambdaTable", "NumericError", "indifference_residual", "solve_lambda", "solve_p_finite",
     "CheatCheck", "PayoffQuadruple", "expected_payoffs", "verify_no_cheat",
     "StrategyConfig", "Trajectory", "derive_rng", "run",
-    "c_autocorrelation", "episode_lengths", "inefficiency_eta", "s_autocorrelation",
+    "c_autocorrelation", "delta_histogram", "episode_lengths", "inefficiency_eta",
+    "s_autocorrelation",
     "KPRRunResult", "KPRState", "kpr_run",
 }
 

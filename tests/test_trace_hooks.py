@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import mgstrat.cli as cli
 import mgstrat.engine as engine
 
@@ -49,3 +51,17 @@ def test_every_workload_records_its_expected_spans(monkeypatch, tmp_path):
         for argv in argvs:
             assert workloads.check_outputs(argv, Path(argv[-1])) == [], argv
         spans.check_coverage(recorder, workload.expect)
+
+
+def test_a_deleted_entry_point_fails_patching(monkeypatch):
+    # A name the tracer wraps that cli no longer binds raises at patch time,
+    # and the entry points wrapped before it are restored, not left wrapped.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    main = cli.main
+    monkeypatch.delattr(cli, "run")
+    with pytest.raises(AttributeError, match="run"):
+        with spans.patched(spans.SpanRecorder()):
+            pass
+    assert cli.main is main
