@@ -648,8 +648,13 @@ def cli_entry() -> None:
     # (which numpy.random imports through secrets) take their built-in
     # fallbacks, so no subcommand maps OpenSSL's libcrypto (3.5 MB of RSS),
     # which none calls.
+    # Nor does main() set OPENBLAS_NUM_THREADS.  Here it defaults to 1:
+    # mgstrat makes no BLAS call, yet numpy's and scipy's OpenBLAS each start
+    # a pool of worker threads when they load, and each pool can spin for
+    # up to ~0.09 s of CPU.  A value the caller set is kept.
     if _builtin_sha256() is not None:
         sys.modules.setdefault("_hashlib", None)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.freeze()
     code = main()
     gc.freeze()

@@ -7,8 +7,9 @@ over arrays, name the first bad entry in their ``ValueError`` and give a
 float for scalar input.  The two ufuncs are loaded on the first call
 (``_special``), straight from ``scipy.special._ufuncs``: subcommands that
 never evaluate a CDF (``kpr``, ``--version``) load no scipy at all, and the
-rest skip the ``scipy.special`` package start-up, whose array-API layer
-imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` (~0.2 s).
+rest run none of scipy's package start-ups: ``scipy.special``'s array-API
+layer alone imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``
+(~0.2 s).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from functools import cache
+from importlib.machinery import PathFinder
 from types import ModuleType
 
 import numpy as np
@@ -30,25 +32,37 @@ __all__ = [
 
 @cache
 def _special() -> ModuleType:
-    """``scipy.special._ufuncs``, loaded once without running ``scipy.special``'s ``__init__``.
+    """``scipy.special._ufuncs``, loaded once without running a scipy package ``__init__``.
 
-    The package start-up (~0.2 s, most of it an array-API layer) buys the
-    kernels nothing: ``scipy.special.pdtr`` and ``betaincc`` are these very
-    ufunc objects.  Unless the real package is loaded already, the extension
-    is imported under a placeholder parent made from the package's spec,
-    which runs no package code, and the placeholder is removed again; a
-    later ``import scipy.special`` reuses the loaded extension.  A cached
-    call costs ~0.1 us, and one after ``cache_clear`` a dict lookup.
+    The package start-ups buy the kernels nothing: ``scipy``'s own (~8 ms)
+    loads ``scipy.__config__`` and ``scipy._lib``'s test utilities, and
+    through them ``subprocess``; ``scipy.special``'s is covered above.
+    ``scipy.special.pdtr`` and ``betaincc`` are these very ufunc objects.
+    Each parent package not loaded yet stands in as a placeholder made from
+    its spec, which runs no package code, and is removed again once the
+    extension is loaded.  ``scipy._distributor_init``, the one hook scipy's
+    start-up gives a distribution for setting up its libraries, still runs
+    first.  A later ``import scipy.special`` reuses the loaded extension.
+    A cached call costs ~0.1 us, and one after ``cache_clear`` a dict lookup.
     """
     name = "scipy.special._ufuncs"
-    if name not in sys.modules and "scipy.special" not in sys.modules:
-        spec = importlib.util.find_spec("scipy.special")
-        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        try:
-            return importlib.import_module(name)
-        finally:
-            del sys.modules[spec.name]
-    return sys.modules.get(name) or importlib.import_module(name)
+    if name in sys.modules:
+        return sys.modules[name]
+    placeholders = []
+    try:
+        for parent in ("scipy", "scipy._lib", "scipy.special"):
+            if parent not in sys.modules:
+                package = parent.rpartition(".")[0]
+                path = sys.modules[package].__path__ if package else None
+                sys.modules[parent] = importlib.util.module_from_spec(
+                    PathFinder.find_spec(parent, path)
+                )
+                placeholders.append(parent)
+        importlib.import_module("scipy._distributor_init")
+        return importlib.import_module(name)
+    finally:
+        for parent in placeholders:
+            del sys.modules[parent]
 
 
 def _poisson_cdf(r: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -807,25 +807,31 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+# A fresh process's CLI call, by whether it goes through ``cli_entry``, as
+# the ``mgstrat`` script runs it, or has ``runpy`` run ``mgstrat.cli`` as
+# ``__main__``, as ``python -m mgstrat.cli`` does.
+_ENTRY_CALLS = {
+    True: "from mgstrat import cli; cli.cli_entry()",
+    False: "import runpy; runpy.run_module('mgstrat.cli', run_name='__main__', alter_sys=True)",
+}
+
+
 def _fresh_call(
     argv: list[str], entry: bool, blocked: Sequence[str] = ()
 ) -> tuple[int, str, set[str]]:
     """Exit code, stderr and every module loaded, of one call in a fresh process.
 
-    With ``entry`` the call goes through ``cli_entry``, as the ``mgstrat``
-    script runs it; otherwise ``runpy`` runs ``mgstrat.cli`` as ``__main__``,
-    as ``python -m mgstrat.cli`` does.  The ``blocked`` modules are set to
-    None in ``sys.modules`` first, so that importing them fails.  A None
-    entry is a refusal, not a module, and is not counted as loaded.
+    ``entry`` picks the route, as in ``_ENTRY_CALLS``.  The ``blocked``
+    modules are set to None in ``sys.modules`` first, so that importing them
+    fails.  A None entry is a refusal, not a module, and is not counted as
+    loaded.
     """
-    call = ("from mgstrat import cli; cli.cli_entry()" if entry else
-            "import runpy; runpy.run_module('mgstrat.cli', run_name='__main__', alter_sys=True)")
     code = (
         "import sys\n"
         f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
         f"sys.argv[1:] = {argv!r}\n"
         "try:\n"
-        f"    {call}\n"
+        f"    {_ENTRY_CALLS[entry]}\n"
         "finally:\n"
         "    loaded = [name for name, module in sys.modules.items() if module is not None]\n"
         "    print('modules:', *loaded, file=sys.stderr)\n"
@@ -1012,6 +1018,69 @@ class TestCliEntry:
         assert sys.modules.get("_hashlib", missing) is before
         assert main(["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path / "s")]) == 0
         assert sys.modules.get("_hashlib", missing) is before
+
+    def test_main_leaves_the_environment_as_it_found_it(self, tmp_path):
+        # Only cli_entry defaults OPENBLAS_NUM_THREADS; main() sets nothing.
+        before = dict(os.environ)
+        assert main(["kpr", "--n", "16", "--seeds", "3", "--outdir", str(tmp_path / "k")]) == 0
+        assert dict(os.environ) == before
+        assert main(["solve-lambda", "--delta-max", "5", "--outdir", str(tmp_path / "s")]) == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted in /proc/self/task")
+    def test_a_fresh_cli_process_runs_on_one_thread(self, tmp_path, monkeypatch):
+        # numpy's and scipy's OpenBLAS would each start a pool of worker
+        # threads as they load; no subcommand calls BLAS, so both console
+        # routes start none.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        jobs = [
+            (argv, entry)
+            for argv in (
+                ["solve-lambda", "--delta-max", "5"],
+                ["simulate", "--n", "21", "--steps", "20"],
+                ["kpr", "--n", "16", "--seeds", "3"],
+            )
+            for entry in (True, False)
+        ]
+
+        def call(job):
+            argv, entry = job
+            argv = [*argv, "--outdir", str(tmp_path / f"{argv[0]}-{entry}")]
+            return _python("-c", (
+                "import os, sys\n"
+                f"sys.argv[1:] = {argv!r}\n"
+                "try:\n"
+                f"    {_ENTRY_CALLS[entry]}\n"
+                "finally:\n"
+                "    print('threads:', len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+            ))
+
+        # Two fresh processes at a time, one per vCPU of the machine the suite is timed on.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(call, jobs))
+        for job, result in zip(jobs, results):
+            assert result.returncode == 0, (job, result.stderr)
+            assert result.stderr.splitlines()[-1] == "threads: 1", job
+
+    @pytest.mark.parametrize("value, seen", [(None, "1"), ("2", "2")])
+    def test_cli_entry_keeps_an_explicit_openblas_thread_count(self, monkeypatch, value, seen):
+        # The default is set before main() imports numpy, and only where the
+        # caller set nothing.
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        code = (
+            "import os, sys\n"
+            "from mgstrat import cli\n"
+            "cli.main = lambda: print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)"
+            " or 0\n"
+            "cli.cli_entry()\n"
+        )
+        result = _python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [seen, "False"]
 
     @pytest.mark.parametrize("argv", [
         ["kpr", "--n", "16", "--seeds", "3"],

@@ -5,18 +5,17 @@ used as an independent second implementation where a cross-library check
 adds value.
 """
 
-import os
-import subprocess
+import json
+import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from test_cli import _python
 
-import mgstrat
 from mgstrat.dist import _special, binomial_cdf, poisson_cdf
 
 # Frozen closed-form oracle at lam = 1.14619: cdf(1) = (1 + lam) e^-lam.
@@ -175,7 +174,51 @@ class TestBinomial:
             binomial_cdf(1, -2, 0.5)
 
 
+def _fresh_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run on the mgstrat under test in a fresh process."""
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 class TestSpecialLoader:
+    def test_a_rate_subcommand_runs_no_scipy_package_init(self, tmp_path):
+        # scipy's own start-up would load scipy.__config__ and scipy._lib's
+        # test utilities, and through them subprocess; its distributor hook
+        # still runs.  A later real import shares the loaded ufuncs.
+        code = (
+            "import json, sys\n"
+            "from mgstrat import dist\n"
+            "from mgstrat.cli import main\n"
+            f"assert main(['solve-lambda', '--delta-max', '5', '--outdir', {str(tmp_path)!r}]) == 0\n"
+            "names = ['scipy', 'scipy._lib', 'scipy.special', 'scipy.__config__',\n"
+            "         'scipy._lib._testutils', 'subprocess', 'scipy._distributor_init']\n"
+            "loaded = [name for name in names if name in sys.modules]\n"
+            "import scipy.special, scipy.stats\n"
+            "same = [getattr(scipy.special, name) is getattr(dist._special(), name)\n"
+            "        for name in ('pdtr', 'betaincc')]\n"
+            "print(json.dumps([loaded, same, scipy.stats.poisson.cdf(1, 1.0)]))\n"
+        )
+        loaded, same, cdf = json.loads(_fresh_lines(code)[-1])
+        assert loaded == ["scipy._distributor_init"]
+        assert same == [True, True]
+        assert cdf == pytest.approx(2 / math.e, rel=1e-15)
+
+    def test_only_the_missing_parents_get_placeholders(self, tmp_path):
+        # With scipy itself loaded, only scipy.special stands in: a
+        # placeholder over a loaded package would be dropped with it.
+        code = (
+            "import json, sys\n"
+            "import scipy\n"
+            "from mgstrat.cli import main\n"
+            "packages = {name: sys.modules[name] for name in ('scipy', 'scipy._lib')}\n"
+            f"assert main(['solve-lambda', '--delta-max', '5', '--outdir', {str(tmp_path)!r}]) == 0\n"
+            "kept = [sys.modules.get(name) is module for name, module in packages.items()]\n"
+            "print(json.dumps([kept, 'scipy.special' in sys.modules,\n"
+            "                  'scipy.special._ufuncs' in sys.modules]))\n"
+        )
+        assert json.loads(_fresh_lines(code)[-1]) == [[True, True], False, True]
+
     def test_keeps_an_already_loaded_scipy_special(self):
         import scipy.special
 
@@ -185,7 +228,6 @@ class TestSpecialLoader:
         assert ufuncs.pdtr is scipy.special.pdtr
 
     def test_failed_load_propagates_and_leaves_no_placeholder(self):
-        src = str(Path(mgstrat.__file__).resolve().parents[1])
         code = (
             "import sys\n"
             "class Refuse:\n"
@@ -200,9 +242,4 @@ class TestSpecialLoader:
             "    print(exc)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.splitlines() == ["refused", "[]"]
+        assert _fresh_lines(code) == ["refused", "[]"]
