@@ -44,7 +44,8 @@ OUTDIR_ENV = "MGSTRAT_OUTDIR"
 MAX_EPSILONS = 100_000
 
 # Largest imbalance solve-lambda and payoff-table tabulate: 10**6 rows take
-# 4-6 s and 0.17 GB on 2 vCPUs; a larger value could exhaust memory.
+# ~2 s (solve-lambda) or ~3 s (payoff-table) and 161 MB of max RSS on
+# 2 vCPUs; a larger value could exhaust memory.
 MAX_DELTA_MAX = 10**6
 
 # Most runs sweep (per epsilon) and kpr take: sweep keeps 8 bytes per seed
@@ -649,9 +650,11 @@ def cli_entry() -> None:
     # fallbacks, so no subcommand maps OpenSSL's libcrypto (3.5 MB of RSS),
     # which none calls.
     # Nor does main() set OPENBLAS_NUM_THREADS.  Here it defaults to 1:
-    # mgstrat makes no BLAS call, yet numpy's and scipy's OpenBLAS each start
-    # a pool of worker threads when they load, and each pool can spin for
-    # up to ~0.09 s of CPU.  A value the caller set is kept.
+    # mgstrat makes no BLAS call, yet numpy's OpenBLAS starts a pool of
+    # worker threads when it loads, and the pool can spin for up to ~0.09 s
+    # of CPU (no subcommand loads scipy's own OpenBLAS: dist takes its one
+    # kernel from an extension that does not link it).  A value the caller
+    # set is kept.
     if _builtin_sha256() is not None:
         sys.modules.setdefault("_hashlib", None)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

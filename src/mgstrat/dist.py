@@ -1,15 +1,19 @@
 """Poisson and binomial probability kernels.
 
 The cumulative distributions are validated wrappers over scipy's
-regularized incomplete gamma and beta functions (``pdtr`` and ``betaincc``),
-so each value costs O(1) whatever the count.  Both kernels are elementwise
-over arrays, name the first bad entry in their ``ValueError`` and give a
-float for scalar input.  The two ufuncs are loaded on the first call
-(``_special``), straight from ``scipy.special._ufuncs``: subcommands that
-never evaluate a CDF (``kpr``, ``--version``) load no scipy at all, and the
-rest run none of scipy's package start-ups: ``scipy.special``'s array-API
-layer alone imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``
-(~0.2 s).
+regularized incomplete gamma and beta functions, so each value costs O(1)
+whatever the count.  P(X <= r) for X ~ Poisson(lam) is ``gammaincc(r + 1,
+lam)``, which is how cephes evaluates ``pdtr``, so the two agree bit for
+bit.  Both kernels are elementwise over arrays, name the first bad entry in
+their ``ValueError`` and give a float for scalar input.  The ufuncs are
+loaded on first use (``_special``) straight from scipy's compiled
+extensions, so ``kpr`` and ``--version`` load no scipy at all, and the rest
+run none of scipy's package start-ups: ``scipy.special``'s array-API layer
+alone imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` (~0.2 s).
+``gammaincc`` comes from ``_special_ufuncs``, which links only the C++
+runtime and libm; ``betaincc`` and ``pdtr`` live in ``_ufuncs``, which links
+scipy's own OpenBLAS and libgfortran and loads six more extensions, so only
+``binomial_cdf`` (which no CLI subcommand calls) loads it.
 """
 
 from __future__ import annotations
@@ -31,21 +35,22 @@ __all__ = [
 
 
 @cache
-def _special() -> ModuleType:
-    """``scipy.special._ufuncs``, loaded once without running a scipy package ``__init__``.
+def _special(extension: str) -> ModuleType:
+    """``scipy.special.<extension>``, loaded once without running a scipy package ``__init__``.
 
     The package start-ups buy the kernels nothing: ``scipy``'s own (~8 ms)
     loads ``scipy.__config__`` and ``scipy._lib``'s test utilities, and
     through them ``subprocess``; ``scipy.special``'s is covered above.
-    ``scipy.special.pdtr`` and ``betaincc`` are these very ufunc objects.
-    Each parent package not loaded yet stands in as a placeholder made from
-    its spec, which runs no package code, and is removed again once the
-    extension is loaded.  ``scipy._distributor_init``, the one hook scipy's
-    start-up gives a distribution for setting up its libraries, still runs
-    first.  A later ``import scipy.special`` reuses the loaded extension.
-    A cached call costs ~0.1 us, and one after ``cache_clear`` a dict lookup.
+    ``scipy.special.gammaincc`` and ``betaincc`` are these very ufunc
+    objects.  Each parent package not loaded yet stands in as a placeholder
+    made from its spec, which runs no package code, and is removed again
+    once the extension is loaded.  ``scipy._distributor_init``, the one hook
+    scipy's start-up gives a distribution for setting up its libraries,
+    still runs first.  A later ``import scipy.special`` reuses the loaded
+    extension.  A cached call costs ~0.1 us, and one after ``cache_clear``
+    a dict lookup.
     """
-    name = "scipy.special._ufuncs"
+    name = f"scipy.special.{extension}"
     if name in sys.modules:
         return sys.modules[name]
     placeholders = []
@@ -65,15 +70,33 @@ def _special() -> ModuleType:
             del sys.modules[parent]
 
 
-def _poisson_cdf(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``poisson_cdf`` without its checks, for callers that checked r and lam once."""
-    return _special().pdtr(r, lam)
+@cache
+def _gammaincc() -> np.ufunc:
+    """scipy's ``gammaincc``, from ``_special_ufuncs``, or else from ``_ufuncs``.
+
+    An older scipy whose ``_special_ufuncs`` is missing or has no
+    ``gammaincc`` still has the same kernel in ``_ufuncs``.
+    """
+    try:
+        return _special("_special_ufuncs").gammaincc
+    except (ModuleNotFoundError, AttributeError):
+        return _special("_ufuncs").gammaincc
+
+
+def _upper_gamma(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Q(a, lam), the regularized upper incomplete gamma function, unchecked.
+
+    At a = r + 1 for a whole r this is P(X <= r) for X ~ Poisson(lam).
+    Callers form the shapes as ``r + 1.0``, in double as ``pdtr`` does:
+    ``r + 1`` would wrap at int64 r = 2**63 - 1, where ``pdtr`` gives 1.
+    """
+    return _gammaincc()(a, lam)
 
 
 def poisson_cdf(r: np.typing.ArrayLike, lam: np.typing.ArrayLike) -> float | np.ndarray:
     """P(X <= r) for X ~ Poisson(lam), elementwise; a float for scalar input."""
-    integers(r, "r", 0)
-    return float_or_array(_poisson_cdf(r, means(lam)))
+    r = integers(r, "r", 0)
+    return float_or_array(_upper_gamma(r + 1.0, means(lam)))
 
 
 def binomial_cdf(
@@ -88,5 +111,5 @@ def binomial_cdf(
     # masked-out evaluations valid).  scipy's bdtr evaluates
     # I_{1-p}(n - r, r + 1) instead, and rounding 1 - p costs it ~n*eps of
     # relative accuracy when p is small (4.5e-10 at n = 1e6, p = 2e-6).
-    tail = _special().betaincc(r + 1, np.where(below, n - r, 1), p)
+    tail = _special("_ufuncs").betaincc(r + 1, np.where(below, n - r, 1), p)
     return float_or_array(np.where(below, tail, 1.0))

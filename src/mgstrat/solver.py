@@ -40,7 +40,7 @@ import numpy as np
 
 from . import MAX_TOLERANCE, NumericError
 from ._checks import count, float_or_array, integers, means, positive
-from .dist import _poisson_cdf, binomial_cdf
+from .dist import _upper_gamma, binomial_cdf
 
 __all__ = [
     "ASYMPTOTIC_GAP",
@@ -158,10 +158,21 @@ def _counts(delta: np.ndarray) -> np.ndarray:
     return np.stack((delta - 1, delta))
 
 
-def _residual(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _shapes(delta: np.ndarray) -> np.ndarray:
+    """d - 1 and d stacked over d, plus 1.0: the residual's two gamma shapes.
+
+    Q(r + 1, lam) = P(X <= r), and the 1 is added in double, as ``pdtr``
+    adds it, so the residual matches the ``pdtr`` formula bit for bit.
+    """
+    shapes = np.stack((delta - 1, delta), dtype=np.float64)
+    shapes += 1.0
+    return shapes
+
+
+def _residual(lam: np.ndarray, shapes: np.ndarray) -> np.ndarray:
     # 2 P(X <= d-1) - 1 + P(X = d), with P(X = d) = P(X <= d) - P(X <= d-1);
     # one CDF call gives both terms, unchecked: both callers checked the inputs.
-    cdf = _poisson_cdf(counts, lam)
+    cdf = _upper_gamma(shapes, lam)
     residual = cdf[0] + cdf[1]
     residual -= 1.0
     return residual
@@ -179,7 +190,7 @@ def indifference_residual(
     """
     delta = _check_delta(delta)
     lam, delta = np.broadcast_arrays(means(lam, positive=True), delta)
-    return float_or_array(_residual(lam, _counts(delta)))
+    return float_or_array(_residual(lam, _shapes(delta)))
 
 
 def solve_lambda(
@@ -199,7 +210,7 @@ def solve_lambda(
     roots = _itp(
         _residual,
         deltas.astype(np.float64),
-        (_counts(deltas),),
+        (_shapes(deltas),),
         tolerance,
         "switch-rate solver",
         lambda i: f"imbalance {deltas[i]}",

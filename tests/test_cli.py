@@ -818,16 +818,19 @@ _ENTRY_CALLS = {
 
 def _fresh_call(
     argv: list[str], entry: bool, blocked: Sequence[str] = ()
-) -> tuple[int, str, set[str]]:
-    """Exit code, stderr and every module loaded, of one call in a fresh process.
+) -> tuple[int, str, set[str], set[str] | None]:
+    """Exit code, stderr, every module loaded and scipy's mapped libraries, of one call.
 
-    ``entry`` picks the route, as in ``_ENTRY_CALLS``.  The ``blocked``
-    modules are set to None in ``sys.modules`` first, so that importing them
-    fails.  A None entry is a refusal, not a module, and is not counted as
-    loaded.
+    The call runs in a fresh process; ``entry`` picks the route, as in
+    ``_ENTRY_CALLS``.  The ``blocked`` modules are set to None in
+    ``sys.modules`` first, so that importing them fails.  A None entry is a
+    refusal, not a module, and is not counted as loaded.  The last item
+    holds the files under a ``scipy.libs`` directory (the shared libraries
+    scipy's wheels bundle: OpenBLAS, libgfortran) that the process maps
+    once the call returns, or None where ``/proc/self/maps`` does not exist.
     """
     code = (
-        "import sys\n"
+        "import os, sys\n"
         f"sys.modules.update(dict.fromkeys({list(blocked)!r}))\n"
         f"sys.argv[1:] = {argv!r}\n"
         "try:\n"
@@ -835,10 +838,18 @@ def _fresh_call(
         "finally:\n"
         "    loaded = [name for name, module in sys.modules.items() if module is not None]\n"
         "    print('modules:', *loaded, file=sys.stderr)\n"
+        "    if os.path.exists('/proc/self/maps'):\n"
+        "        with open('/proc/self/maps') as maps:\n"
+        "            files = {line.split()[-1] for line in maps if '/scipy.libs/' in line}\n"
+        "        print('scipy.libs:', *sorted(files), file=sys.stderr)\n"
     )
     result = _python("-c", code)
-    lines = [line for line in result.stderr.splitlines() if line.startswith("modules: ")]
-    return result.returncode, result.stderr, set(lines[-1].split()[1:]) if lines else set()
+
+    def last(prefix: str) -> set[str] | None:
+        lines = [line for line in result.stderr.splitlines() if line.startswith(prefix)]
+        return set(lines[-1].split()[1:]) if lines else None
+
+    return result.returncode, result.stderr, last("modules: ") or set(), last("scipy.libs:")
 
 
 _RATE_STACK = {"mgstrat.solver", "mgstrat.dist", "mgstrat.payoff", "mgstrat.stats", "scipy"}
@@ -849,6 +860,12 @@ _CROWD_STACK = {"mgstrat.engine", "mgstrat.kpr", "mgstrat.stats"}
 # (secrets, hmac), but the console entry points block _hashlib, so hashlib
 # falls back to the interpreter's own hashes too.
 _RATE_CALL_LEFT_OUT = _CROWD_STACK | {"_hashlib", "hashlib"}
+# The CDFs take gammaincc from scipy.special._special_ufuncs, which links only
+# the C++ runtime and libm.  scipy.special._ufuncs, which holds pdtr and
+# betaincc, links scipy's own OpenBLAS and libgfortran and loads six more
+# extensions (_ufuncs_cxx among them) and scipy._lib._ccallback; only the
+# finite-crowd solver needs it.
+_UFUNCS = {"scipy.special._ufuncs", "scipy.special._ufuncs_cxx", "scipy._lib._ccallback"}
 
 
 def test_kpr_and_version_never_import_scipy(tmp_path):
@@ -861,12 +878,14 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
         ([], 2, "mgstrat", {"numpy", "scipy"}),
         (["kpr", "--n", "16", "--seeds", "3"], 0, "mgstrat.kpr", _RATE_STACK | {"_hashlib"}),
         (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK),
-        (["solve-lambda", "--delta-max", "5"], 0, "mgstrat.solver", _RATE_CALL_LEFT_OUT),
-        (["payoff-table", "--delta-max", "5"], 0, "mgstrat.payoff", _RATE_CALL_LEFT_OUT),
+        (["solve-lambda", "--delta-max", "5"], 0, "mgstrat.solver",
+         _RATE_CALL_LEFT_OUT | _UFUNCS),
+        (["payoff-table", "--delta-max", "5"], 0, "mgstrat.payoff",
+         _RATE_CALL_LEFT_OUT | _UFUNCS),
         (["simulate", "--n", "21", "--steps", "20"], 0, "mgstrat.engine",
-         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"}),
+         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS),
         (["sweep", "--n", "21", "--epsilons", "0.5", "--seeds", "2", "--steps", "20"], 0,
-         "mgstrat.engine", {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"}),
+         "mgstrat.engine", {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS),
     ]
     jobs = [
         (argv, entry, exit_code, needed, left_out)
@@ -883,11 +902,16 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
     # Two fresh processes at a time, one per vCPU of the machine the suite is timed on.
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(call, jobs))
-    for (argv, entry, exit_code, needed, left_out), (code, err, loaded) in zip(jobs, results):
+    for (argv, entry, exit_code, needed, left_out), (code, err, loaded, mapped) in zip(
+        jobs, results
+    ):
         assert code == exit_code, (argv, entry, err)
         assert needed in loaded, (argv, entry, sorted(loaded))
         found = {name for name in loaded if {name, name.split(".")[0]} & left_out}
         assert found == set(), (argv, entry)
+        # No call maps a library of scipy's own (numpy's OpenBLAS stays);
+        # unchecked where the process cannot list its mappings.
+        assert mapped is None or mapped == set(), (argv, entry, mapped)
 
 
 def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
@@ -904,17 +928,16 @@ def test_rate_subcommands_load_the_ufuncs_without_scipy_special(tmp_path):
         "from mgstrat.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "loaded = sorted({'scipy.special', 'scipy._lib._array_api', 'numpy.f2py'}"
-        " & set(sys.modules))\n"
-        "ufuncs_loaded = 'scipy.special._ufuncs' in sys.modules\n"
+        "loaded = sorted({'scipy.special', 'scipy._lib._array_api', 'numpy.f2py',\n"
+        "                 'scipy.special._special_ufuncs', 'scipy.special._ufuncs'}\n"
+        "                & set(sys.modules))\n"
         "import scipy.special\n"
-        "same = [getattr(scipy.special, name) is getattr(dist._special(), name)\n"
-        "        for name in ('pdtr', 'betaincc')]\n"
-        "print(json.dumps([loaded, ufuncs_loaded, same]))\n"
+        "same = scipy.special.gammaincc is dist._special('_special_ufuncs').gammaincc\n"
+        "print(json.dumps([loaded, same]))\n"
     )
     result = _python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [[], True, [True, True]]
+    assert json.loads(result.stdout.splitlines()[-1]) == [["scipy.special._special_ufuncs"], True]
 
 
 def test_runners_read_only_names_the_import_binds():
@@ -1030,9 +1053,9 @@ class TestCliEntry:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="threads are counted in /proc/self/task")
     def test_a_fresh_cli_process_runs_on_one_thread(self, tmp_path, monkeypatch):
-        # numpy's and scipy's OpenBLAS would each start a pool of worker
-        # threads as they load; no subcommand calls BLAS, so both console
-        # routes start none.
+        # numpy's OpenBLAS would start a pool of worker threads as it loads
+        # (a CLI process loads no scipy OpenBLAS); no subcommand calls BLAS,
+        # so both console routes start none.
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         jobs = [
             (argv, entry)
@@ -1089,8 +1112,8 @@ class TestCliEntry:
     def test_without_a_builtin_sha256_openssl_stays_and_hashes(self, tmp_path, argv):
         # A build without the interpreter's own SHA-256 (FIPS builds, say)
         # keeps _hashlib, and the manifest hash comes from hashlib's.
-        code, err, loaded = _fresh_call([*argv, "--outdir", str(tmp_path)], True,
-                                        blocked=("_sha2", "_sha256"))
+        code, err, loaded, _ = _fresh_call([*argv, "--outdir", str(tmp_path)], True,
+                                           blocked=("_sha2", "_sha256"))
         assert code == 0, err
         assert "_hashlib" in loaded
         document = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))

@@ -8,14 +8,18 @@ adds value.
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import pdtr
 from test_cli import _python
 
+from mgstrat import dist, solver
+from mgstrat.cli import MAX_DELTA_MAX
 from mgstrat.dist import _special, binomial_cdf, poisson_cdf
 
 # Frozen closed-form oracle at lam = 1.14619: cdf(1) = (1 + lam) e^-lam.
@@ -86,6 +90,78 @@ class TestPoissonCdf:
             poisson_cdf(np.r_[np.arange(12.0), 4.5], 1.0)
         lam[11] = 2.0
         assert poisson_cdf(np.arange(20.0), lam).tolist() == poisson_cdf(np.arange(20), lam).tolist()
+
+
+def assert_same_bits(values, expected):
+    """The very same doubles: float64 bit patterns compared, so -0.0 != 0.0."""
+    values, expected = (np.asarray(v, dtype=np.float64) for v in (values, expected))
+    assert values.shape == expected.shape
+    np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+# Counts past 2**53 round to a double on the way into the kernel, and
+# 2**63 - 1 is where an integer r + 1 wraps to -2**63.
+HUGE_COUNTS = (2**53, 2**53 + 1, 2**62, 2**63 - 1)
+
+
+class TestPdtrBitIdentity:
+    """gammaincc(r + 1.0, lam) is scipy's pdtr(r, lam), bit for bit."""
+
+    def test_the_cli_domain(self):
+        # Every count a table up to MAX_DELTA_MAX asks for, at the bracket
+        # ends, the large-d root d + 1/6, the midpoint and the zero mean.
+        r = np.arange(MAX_DELTA_MAX + 1)
+        for lam in (0.0, r, r + 1 / 6, r + 0.5, r + 1.0):
+            assert_same_bits(poisson_cdf(r, lam), pdtr(r, lam))
+
+    def test_the_solver_kernel_over_the_cli_domain(self):
+        d = np.arange(1, MAX_DELTA_MAX + 1)
+        counts = np.stack((d - 1, d))
+        for lam in (d, d + 1 / 6, d + 0.5, d + 1.0):
+            lam = lam.astype(np.float64)
+            assert_same_bits(dist._upper_gamma(solver._shapes(d), lam), pdtr(counts, lam))
+
+    def test_random_means(self):
+        rng = np.random.default_rng(20110222)
+        lam = rng.uniform(0.0, 50.0, 200_000)
+        r = rng.integers(0, 120, lam.size)
+        assert_same_bits(poisson_cdf(r, lam), pdtr(r, lam))
+
+    def test_integral_float_and_scalar_counts(self):
+        r = np.arange(0.0, 3000.0)
+        lam = np.linspace(0.0, 3100.0, r.size)
+        assert_same_bits(poisson_cdf(r, lam), pdtr(r, lam))
+        for count, mean in ((0, 0.0), (1, 1.14619), (7, 7.5), (1000, 1000.0), (5.0, 2.5)):
+            value = poisson_cdf(count, mean)
+            assert type(value) is float
+            assert_same_bits(value, pdtr(count, mean))
+
+    def test_counts_past_double_precision_and_the_int64_edge(self):
+        r = np.array(HUGE_COUNTS)
+        for lam in (0.0, 1.0, 1e7, 2.0**53, 2.0**62, 2.0**63):
+            assert_same_bits(poisson_cdf(r, lam), pdtr(r, lam))
+        for count in HUGE_COUNTS:
+            assert_same_bits(poisson_cdf(count, float(count)), pdtr(count, float(count)))
+
+    @given(
+        r=st.integers(min_value=0, max_value=2**63 - 1),
+        lam=st.floats(min_value=0.0, max_value=1e7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_int64_count(self, r, lam):
+        assert_same_bits(poisson_cdf(np.int64(r), lam), pdtr(np.int64(r), lam))
+
+    def test_indifference_residual_is_the_pdtr_formula(self):
+        d = np.r_[np.arange(1, 3001), 2**53 + 2, 2**62, 2**63 - 1]
+        for offset in (0.0, 1 / 6, 0.5, 1.0):
+            lam = d + offset
+            assert_same_bits(
+                solver.indifference_residual(lam, d), pdtr(d - 1, lam) + pdtr(d, lam) - 1.0
+            )
+        assert_same_bits(
+            solver.indifference_residual(2.0**63, 2**63 - 1),
+            pdtr(2**63 - 2, 2.0**63) + pdtr(2**63 - 1, 2.0**63) - 1.0,
+        )
 
 
 class TestBinomial:
@@ -195,13 +271,12 @@ class TestSpecialLoader:
             "         'scipy._lib._testutils', 'subprocess', 'scipy._distributor_init']\n"
             "loaded = [name for name in names if name in sys.modules]\n"
             "import scipy.special, scipy.stats\n"
-            "same = [getattr(scipy.special, name) is getattr(dist._special(), name)\n"
-            "        for name in ('pdtr', 'betaincc')]\n"
+            "same = scipy.special.gammaincc is dist._special('_special_ufuncs').gammaincc\n"
             "print(json.dumps([loaded, same, scipy.stats.poisson.cdf(1, 1.0)]))\n"
         )
         loaded, same, cdf = json.loads(_fresh_lines(code)[-1])
         assert loaded == ["scipy._distributor_init"]
-        assert same == [True, True]
+        assert same is True
         assert cdf == pytest.approx(2 / math.e, rel=1e-15)
 
     def test_only_the_missing_parents_get_placeholders(self, tmp_path):
@@ -215,24 +290,70 @@ class TestSpecialLoader:
             f"assert main(['solve-lambda', '--delta-max', '5', '--outdir', {str(tmp_path)!r}]) == 0\n"
             "kept = [sys.modules.get(name) is module for name, module in packages.items()]\n"
             "print(json.dumps([kept, 'scipy.special' in sys.modules,\n"
+            "                  'scipy.special._special_ufuncs' in sys.modules,\n"
             "                  'scipy.special._ufuncs' in sys.modules]))\n"
         )
-        assert json.loads(_fresh_lines(code)[-1]) == [[True, True], False, True]
+        assert json.loads(_fresh_lines(code)[-1]) == [[True, True], False, True, False]
 
     def test_keeps_an_already_loaded_scipy_special(self):
         import scipy.special
 
         _special.cache_clear()
-        ufuncs = _special()
+        extension = _special("_special_ufuncs")
         assert sys.modules["scipy.special"] is scipy.special
-        assert ufuncs.pdtr is scipy.special.pdtr
+        assert extension.gammaincc is scipy.special.gammaincc
+
+    def test_binomial_cdf_loads_the_ufuncs_on_its_first_call(self):
+        # Only betaincc needs scipy.special._ufuncs; the Poisson CDF leaves it
+        # out, and a later real import shares the one the first call loaded.
+        code = (
+            "import json, sys\n"
+            "from mgstrat import dist\n"
+            "dist.poisson_cdf(3, 2.0)\n"
+            "before = 'scipy.special._ufuncs' in sys.modules\n"
+            "value = dist.binomial_cdf(1, 3, 0.5)\n"
+            "after = 'scipy.special._ufuncs' in sys.modules\n"
+            "import scipy.special\n"
+            "same = scipy.special.betaincc is dist._special('_ufuncs').betaincc\n"
+            "print(json.dumps([before, after, same, value]))\n"
+        )
+        assert json.loads(_fresh_lines(code)[-1]) == [False, True, True, 0.5]
+
+    @pytest.mark.parametrize("refusal", ["missing", "without gammaincc"])
+    def test_the_fallback_gives_identical_values(self, monkeypatch, refusal):
+        # A scipy whose _special_ufuncs is missing, or has no gammaincc, takes
+        # gammaincc from _ufuncs.  (Here _ufuncs itself imports
+        # _special_ufuncs, so the refusal goes through the loader, not the
+        # import system.)
+        r = np.arange(0, 3000, 7)
+        lam = np.linspace(0.0, 3100.0, r.size)
+        expected = poisson_cdf(r, lam)
+        load = dist._special
+
+        def refusing(extension):
+            if extension != "_special_ufuncs":
+                return load(extension)
+            if refusal == "missing":
+                raise ModuleNotFoundError("no _special_ufuncs", name=extension)
+            return types.ModuleType(extension)
+
+        monkeypatch.setattr(dist, "_special", refusing)
+        dist._gammaincc.cache_clear()
+        try:
+            assert dist._gammaincc() is load("_ufuncs").gammaincc
+            assert_same_bits(poisson_cdf(r, lam), expected)
+            assert_same_bits(poisson_cdf(r, lam), pdtr(r, lam))
+        finally:
+            dist._gammaincc.cache_clear()
 
     def test_failed_load_propagates_and_leaves_no_placeholder(self):
+        # An extension that is there but fails to load is not missing: its
+        # error propagates, and no fallback hides it.
         code = (
             "import sys\n"
             "class Refuse:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name == 'scipy.special._ufuncs':\n"
+            "        if name == 'scipy.special._special_ufuncs':\n"
             "            raise ImportError('refused')\n"
             "sys.meta_path.insert(0, Refuse())\n"
             "from mgstrat.dist import poisson_cdf\n"

@@ -220,10 +220,10 @@ class TestArrayBisection:
             assert roots.dtype == np.float64 and roots.shape == (0,)
 
     def test_missing_sign_change_names_its_imbalance(self, monkeypatch):
-        def flat_cdf(r, lam):
-            return np.zeros(np.broadcast(r, lam).shape)
+        def flat_cdf(a, lam):
+            return np.zeros(np.broadcast(a, lam).shape)
 
-        monkeypatch.setattr(solver, "_poisson_cdf", flat_cdf)
+        monkeypatch.setattr(solver, "_upper_gamma", flat_cdf)
         with pytest.raises(NumericError, match=r"no sign change on \[2.0, 3.0\] for imbalance 2"):
             solve_lambda(np.array([2, 3]))
 
@@ -263,12 +263,13 @@ def brentq_lambda_root(delta: int) -> float:
 class TestRootLoopCost:
     def test_rate_roots_take_six_steps(self, monkeypatch):
         calls = []
+        upper_gamma = solver._upper_gamma
 
-        def counting_cdf(r, lam):
+        def counting_cdf(a, lam):
             calls.append(lam.size)
-            return pdtr(r, lam)
+            return upper_gamma(a, lam)
 
-        monkeypatch.setattr(solver, "_poisson_cdf", counting_cdf)
+        monkeypatch.setattr(solver, "_upper_gamma", counting_cdf)
         solve_lambda(np.arange(1, 3001))
         # Two for the bracket check, then one a step; bisection made 34.
         assert len(calls) <= 8
