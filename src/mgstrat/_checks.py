@@ -4,12 +4,21 @@
 on it.  Each elementwise check takes a scalar or an array, raises
 ``ValueError`` naming the first bad entry, and returns the entries as an array.
 ``derive_rng`` lives here too, so that ``engine`` and the ``kpr`` subcommand
-share it without loading the rate solver.
+share it without loading the rate solver.  So does ``import_bare``, the one
+loader that takes compiled modules out of a package without running the
+package's ``__init__``: ``derive_rng`` loads numpy's ``Generator``, ``PCG64``
+and ``SeedSequence`` through it, and ``dist`` scipy's kernels.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import sys
+from functools import cache
+from importlib.machinery import PathFinder
+from types import ModuleType
 from typing import Any, Callable
 
 import numpy as np
@@ -53,9 +62,66 @@ def positive(value: Any, name: str, maximum: float = math.inf) -> float:
     return value
 
 
+def import_bare(parents: tuple[str, ...], *names: str) -> list[ModuleType]:
+    """The modules ``names``, imported in order without running any ``parents`` ``__init__``.
+
+    Each parent package not loaded yet stands in as a placeholder made from
+    its spec, which runs no package code, and is removed again once the
+    modules are loaded or their load has failed.  A parent that is loaded
+    stays as it is, and modules that are all loaded already are returned at
+    once.  A later import of a parent runs its ``__init__``, which reuses
+    the loaded modules.
+    """
+    loaded = [sys.modules.get(name) for name in names]
+    if None not in loaded:
+        return loaded
+    placeholders = []
+    try:
+        for parent in parents:
+            if parent not in sys.modules:
+                package = parent.rpartition(".")[0]
+                path = sys.modules[package].__path__ if package else None
+                sys.modules[parent] = importlib.util.module_from_spec(
+                    PathFinder.find_spec(parent, path)
+                )
+                placeholders.append(parent)
+        return [importlib.import_module(name) for name in names]
+    finally:
+        for parent in placeholders:
+            del sys.modules[parent]
+
+
+@cache
+def _pcg64() -> tuple[type, type, type]:
+    """numpy's ``Generator``, ``PCG64`` and ``SeedSequence``, without ``numpy.random``'s start-up.
+
+    The package ``__init__`` also loads the legacy ``mtrand``, ``MT19937``,
+    ``Philox``, ``SFC64`` and ``_pickle``, which no run uses; these three
+    classes need only 5 of its 11 modules, ~1 MB less of a seeded process's
+    peak RSS.  They are ``numpy.random``'s own classes: a package imported
+    later reuses them, and one imported earlier lends its own.  A numpy
+    without these modules takes them from the package.
+    """
+    try:
+        generator, pcg64, seeds = import_bare(
+            ("numpy.random",),
+            "numpy.random._generator", "numpy.random._pcg64", "numpy.random.bit_generator",
+        )
+        return generator.Generator, pcg64.PCG64, seeds.SeedSequence
+    except ModuleNotFoundError:
+        from numpy import random
+
+        return random.Generator, random.PCG64, random.SeedSequence
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (master seed, run indices...)."""
-    return np.random.default_rng([count(seed, "seed", 0), *(count(k, "key", 0) for k in key)])
+    """Independent generator for (master seed, run indices...).
+
+    The stream of ``np.random.default_rng([seed, *key])``, bit for bit.
+    """
+    generator, pcg64, seeds = _pcg64()
+    entropy = [count(seed, "seed", 0), *(count(k, "key", 0) for k in key)]
+    return generator(pcg64(seeds(entropy)))
 
 
 def _first_bad(

@@ -646,9 +646,10 @@ def cli_entry() -> None:
     # main() never freezes: tests and library callers keep normal collection.
     # Nor does it block _hashlib.  Here, when the interpreter has its own
     # SHA-256 for the manifest hash, the None marker makes hmac and hashlib
-    # (which numpy.random imports through secrets) take their built-in
-    # fallbacks, so no subcommand maps OpenSSL's libcrypto (3.5 MB of RSS),
-    # which none calls.
+    # (which numpy.random.bit_generator, loaded by every seeded subcommand
+    # even without numpy.random's start-up, imports through secrets) take
+    # their built-in fallbacks, so no subcommand maps OpenSSL's libcrypto
+    # (3.5 MB of RSS), which none calls.
     # Nor does main() set OPENBLAS_NUM_THREADS.  Here it defaults to 1:
     # mgstrat makes no BLAS call, yet numpy's OpenBLAS starts a pool of
     # worker threads when it loads, and the pool can spin for up to ~0.09 s

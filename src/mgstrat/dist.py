@@ -7,9 +7,11 @@ lam)``, which is how cephes evaluates ``pdtr``, so the two agree bit for
 bit.  Both kernels are elementwise over arrays, name the first bad entry in
 their ``ValueError`` and give a float for scalar input.  The ufuncs are
 loaded on first use (``_special``) straight from scipy's compiled
-extensions, so ``kpr`` and ``--version`` load no scipy at all, and the rest
-run none of scipy's package start-ups: ``scipy.special``'s array-API layer
-alone imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` (~0.2 s).
+extensions, through the placeholder loader ``_checks.import_bare`` that
+``derive_rng`` shares, so ``kpr`` and ``--version`` load no scipy at all,
+and the rest run none of scipy's package start-ups: ``scipy.special``'s
+array-API layer alone imports ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma`` (~0.2 s).
 ``gammaincc`` comes from ``_special_ufuncs``, which links only the C++
 runtime and libm; ``betaincc`` and ``pdtr`` live in ``_ufuncs``, which links
 scipy's own OpenBLAS and libgfortran and loads six more extensions, so only
@@ -18,15 +20,12 @@ scipy's own OpenBLAS and libgfortran and loads six more extensions, so only
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from functools import cache
-from importlib.machinery import PathFinder
 from types import ModuleType
 
 import numpy as np
 
-from ._checks import float_or_array, integers, means, probabilities
+from ._checks import float_or_array, import_bare, integers, means, probabilities
 
 __all__ = [
     "poisson_cdf",
@@ -42,32 +41,18 @@ def _special(extension: str) -> ModuleType:
     loads ``scipy.__config__`` and ``scipy._lib``'s test utilities, and
     through them ``subprocess``; ``scipy.special``'s is covered above.
     ``scipy.special.gammaincc`` and ``betaincc`` are these very ufunc
-    objects.  Each parent package not loaded yet stands in as a placeholder
-    made from its spec, which runs no package code, and is removed again
-    once the extension is loaded.  ``scipy._distributor_init``, the one hook
-    scipy's start-up gives a distribution for setting up its libraries,
-    still runs first.  A later ``import scipy.special`` reuses the loaded
-    extension.  A cached call costs ~0.1 us, and one after ``cache_clear``
-    a dict lookup.
+    objects.  ``_checks.import_bare`` loads the extension under placeholder
+    ``scipy``, ``scipy._lib`` and ``scipy.special`` parents, as
+    ``derive_rng`` loads numpy's generator.  ``scipy._distributor_init``,
+    the one hook scipy's start-up gives a distribution for setting up its
+    libraries, still runs first.  A later ``import scipy.special`` reuses
+    the loaded extension.  A cached call costs ~0.1 us, and one after
+    ``cache_clear`` two dict lookups.
     """
-    name = f"scipy.special.{extension}"
-    if name in sys.modules:
-        return sys.modules[name]
-    placeholders = []
-    try:
-        for parent in ("scipy", "scipy._lib", "scipy.special"):
-            if parent not in sys.modules:
-                package = parent.rpartition(".")[0]
-                path = sys.modules[package].__path__ if package else None
-                sys.modules[parent] = importlib.util.module_from_spec(
-                    PathFinder.find_spec(parent, path)
-                )
-                placeholders.append(parent)
-        importlib.import_module("scipy._distributor_init")
-        return importlib.import_module(name)
-    finally:
-        for parent in placeholders:
-            del sys.modules[parent]
+    return import_bare(
+        ("scipy", "scipy._lib", "scipy.special"),
+        "scipy._distributor_init", f"scipy.special.{extension}",
+    )[-1]
 
 
 @cache

@@ -35,7 +35,8 @@ with a mean convergence time growing roughly logarithmically in n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,11 +158,20 @@ def kpr_step(state: KPRState, rng: np.random.Generator) -> KPRState:
 
 @dataclass(frozen=True)
 class KPRRunResult:
-    """Convergence day (None if never reached), per-day utilization, final state."""
+    """Convergence day (None if never reached), per-day utilization, final state.
+
+    The final state is built, and checked in full, when it is first read,
+    from the run's slots and unfed agents; ``_slot`` becomes its positions.
+    """
 
     convergence_day: int | None
     utilization: np.ndarray
-    final_state: KPRState
+    _slot: np.ndarray = field(repr=False, compare=False)
+    _unfed: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def final_state(self) -> KPRState:
+        return _state(self._slot.size, self._slot, self._unfed, self.utilization.size - 1)
 
 
 def kpr_run(
@@ -176,7 +186,7 @@ def kpr_run(
     comes first, and reports the utilization (fraction fed) of every day
     seen, day 0 included.  The positions form a permutation exactly when
     all n agents are fed.  A day costs O(unfed agents); the final state is
-    built once, at the end.
+    built only if it is read.
     """
     n = count(n, "n", 1)
     max_steps = count(max_steps, "max_steps", 0)
@@ -190,5 +200,6 @@ def kpr_run(
     return KPRRunResult(
         convergence_day=None if unfed.size else day,
         utilization=np.asarray(utilization),
-        final_state=_state(n, slot, unfed, day),
+        _slot=slot,
+        _unfed=unfed,
     )

@@ -856,9 +856,9 @@ _RATE_STACK = {"mgstrat.solver", "mgstrat.dist", "mgstrat.payoff", "mgstrat.stat
 _CROWD_STACK = {"mgstrat.engine", "mgstrat.kpr", "mgstrat.stats"}
 # OpenSSL's libcrypto, which _hashlib maps, costs a process 3.6 MB of RSS.
 # The manifest hash takes the interpreter's own SHA-256, so a rate
-# subcommand never imports hashlib.  A seeded one does, through numpy.random
-# (secrets, hmac), but the console entry points block _hashlib, so hashlib
-# falls back to the interpreter's own hashes too.
+# subcommand never imports hashlib.  A seeded one does, through
+# numpy.random.bit_generator (secrets, hmac), but the console entry points
+# block _hashlib, so hashlib falls back to the interpreter's own hashes too.
 _RATE_CALL_LEFT_OUT = _CROWD_STACK | {"_hashlib", "hashlib"}
 # The CDFs take gammaincc from scipy.special._special_ufuncs, which links only
 # the C++ runtime and libm.  scipy.special._ufuncs, which holds pdtr and
@@ -866,6 +866,12 @@ _RATE_CALL_LEFT_OUT = _CROWD_STACK | {"_hashlib", "hashlib"}
 # extensions (_ufuncs_cxx among them) and scipy._lib._ccallback; only the
 # finite-crowd solver needs it.
 _UFUNCS = {"scipy.special._ufuncs", "scipy.special._ufuncs_cxx", "scipy._lib._ccallback"}
+# A seeded subcommand loads numpy's Generator, PCG64 and SeedSequence without
+# numpy.random's package start-up, which would also load these.
+_NUMPY_RANDOM_INIT = {
+    "numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+    "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle",
+}
 
 
 def test_kpr_and_version_never_import_scipy(tmp_path):
@@ -876,16 +882,18 @@ def test_kpr_and_version_never_import_scipy(tmp_path):
         (["--version"], 0, "mgstrat", {"numpy", "scipy"}),
         (["--help"], 0, "mgstrat", {"numpy", "scipy"}),
         ([], 2, "mgstrat", {"numpy", "scipy"}),
-        (["kpr", "--n", "16", "--seeds", "3"], 0, "mgstrat.kpr", _RATE_STACK | {"_hashlib"}),
-        (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK),
+        (["kpr", "--n", "16", "--seeds", "3"], 0, "mgstrat.kpr",
+         _RATE_STACK | _NUMPY_RANDOM_INIT | {"_hashlib"}),
+        (["kpr", "--n", "0"], 2, "mgstrat._checks", _RATE_STACK | _NUMPY_RANDOM_INIT),
         (["solve-lambda", "--delta-max", "5"], 0, "mgstrat.solver",
          _RATE_CALL_LEFT_OUT | _UFUNCS),
         (["payoff-table", "--delta-max", "5"], 0, "mgstrat.payoff",
          _RATE_CALL_LEFT_OUT | _UFUNCS),
         (["simulate", "--n", "21", "--steps", "20"], 0, "mgstrat.engine",
-         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS),
+         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS | _NUMPY_RANDOM_INIT),
         (["sweep", "--n", "21", "--epsilons", "0.5", "--seeds", "2", "--steps", "20"], 0,
-         "mgstrat.engine", {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS),
+         "mgstrat.engine",
+         {"mgstrat.kpr", "mgstrat.payoff", "_hashlib"} | _UFUNCS | _NUMPY_RANDOM_INIT),
     ]
     jobs = [
         (argv, entry, exit_code, needed, left_out)

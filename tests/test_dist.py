@@ -18,7 +18,8 @@ from scipy import stats as sps
 from scipy.special import pdtr
 from test_cli import _python
 
-from mgstrat import dist, solver
+from mgstrat import _checks, dist, solver
+from mgstrat._checks import derive_rng
 from mgstrat.cli import MAX_DELTA_MAX
 from mgstrat.dist import _special, binomial_cdf, poisson_cdf
 
@@ -364,3 +365,66 @@ class TestSpecialLoader:
             "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
         )
         assert _fresh_lines(code) == ["refused", "[]"]
+
+
+class TestGeneratorLoader:
+    # derive_rng loads numpy's Generator, PCG64 and SeedSequence through the
+    # loader dist._special uses, without numpy.random's package start-up.
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("key", [(0,), (3, 2**40), (1, 0, 7)])
+    def test_draws_equal_default_rng(self, seed, key):
+        ours, theirs = derive_rng(seed, *key), np.random.default_rng([seed, *key])
+        assert np.array_equal(ours.integers(2**62, size=64), theirs.integers(2**62, size=64))
+        for child, twin in zip(ours.spawn(2), theirs.spawn(2)):
+            assert np.array_equal(child.random(16), twin.random(16))
+
+    def test_a_later_numpy_random_reuses_the_loaded_classes(self):
+        code = (
+            "import json, sys\n"
+            "from mgstrat._checks import derive_rng\n"
+            "rng = derive_rng(1)\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import numpy as np\n"
+            "import numpy.random\n"
+            "print(json.dumps([before, np.random.Generator is type(rng),\n"
+            "                  np.random.PCG64 is type(rng.bit_generator),\n"
+            "                  np.random.SeedSequence is type(rng.bit_generator.seed_seq),\n"
+            "                  rng.random() == np.random.default_rng(1).random()]))\n"
+        )
+        assert json.loads(_fresh_lines(code)[-1]) == [False, True, True, True, True]
+
+    def test_a_refused_module_takes_the_package_path(self, monkeypatch):
+        expected = np.random.default_rng([5, 1]).random(32)
+        load = _checks.import_bare
+
+        def refusing(parents, *names):
+            if "numpy.random._generator" in names:
+                raise ModuleNotFoundError("no _generator", name="numpy.random._generator")
+            return load(parents, *names)
+
+        monkeypatch.setattr(_checks, "import_bare", refusing)
+        _checks._pcg64.cache_clear()
+        try:
+            assert _checks._pcg64() == (
+                np.random.Generator, np.random.PCG64, np.random.SeedSequence
+            )
+            assert np.array_equal(derive_rng(5, 1).random(32), expected)
+        finally:
+            _checks._pcg64.cache_clear()
+
+    def test_failed_load_propagates_and_leaves_no_placeholder(self):
+        code = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy.random._pcg64':\n"
+            "            raise ImportError('refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from mgstrat._checks import derive_rng\n"
+            "try:\n"
+            "    derive_rng(1)\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert _fresh_lines(code) == ["refused", "False"]

@@ -393,8 +393,10 @@ class TestRun:
         monkeypatch.setattr(_checks, "number", counting(_checks.number))
         result = kpr_run(64, 10**4, rng, positions=np.ones(64))
         assert len(result.utilization) > 3
-        # n and max_steps, the given positions, then the final state's n
-        # and positions
+        # n and max_steps and the given positions; the final state, with its
+        # n and positions, is built and checked once, when it is first read
+        assert calls == ["n", "max_steps", "positions"]
+        assert result.final_state is result.final_state
         assert calls == ["n", "max_steps", "positions", "n", "positions"]
 
     def test_input_validation(self):
