@@ -57,14 +57,17 @@ def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float
 def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     """<S(t) S(t+tau)> for tau = 0..tau_max, S being the winning-side sign.
 
-    This is C(tau) of the one-column record of which side won, so it shares
-    c_autocorrelation's exact integer count.
+    It counts the days whose winning side differs tau days on, over the
+    series at one byte a day, with the exact count c_autocorrelation uses
+    for a record.
     """
-    return c_autocorrelation((trajectory.deltas < 0)[:, None], tau_max)
+    tau_max = count(tau_max, "tau_max", 1)
+    return _exact_autocorrelation((trajectory.deltas < 0).view(np.uint8), 1, tau_max)
 
 
-# Upper bound on the packed rows one block comparison in c_autocorrelation
-# XORs, so its memory stays flat however long the record is.
+# Upper bound on the rows one block comparison of the exact count XORs: the
+# packed rows of a choice record, or S(tau)'s one-byte days.  Its memory
+# stays flat however long the run is.
 COMPARE_BLOCK_BYTES = 4 << 20
 
 # Starting days one block of the count-path C(tau) takes, so its
@@ -94,17 +97,19 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
     """
     tau_max = count(tau_max, "tau_max", 1)
     if isinstance(choices, Trajectory):
-        days, words = choices.days, None
-    else:
-        matrix = np.asarray(choices)
-        if matrix.ndim != 2 or not matrix.shape[1]:
-            raise ValueError("choice matrix must be (days x agents), with at least one agent")
-        (days, agents), words = matrix.shape, _packed_words(binary(matrix))
+        return _count_path_autocorrelation(choices, tau_max)
+    matrix = np.asarray(choices)
+    if matrix.ndim != 2 or not matrix.shape[1]:
+        raise ValueError("choice matrix must be (days x agents), with at least one agent")
+    return _exact_autocorrelation(_packed_words(binary(matrix)), matrix.shape[1], tau_max)
+
+
+def _exact_autocorrelation(rows: np.ndarray, agents: int, tau_max: int) -> np.ndarray:
+    """(N - 2 changed) / N, as c_autocorrelation states, for rows of ``agents`` bits."""
+    days = rows.shape[0]
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    if words is None:
-        return _count_path_autocorrelation(choices, tau_max)
-    block = max(1, COMPARE_BLOCK_BYTES // words[0].nbytes)
+    block = max(1, COMPARE_BLOCK_BYTES // rows[0].nbytes)
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
@@ -112,7 +117,7 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
         for start in range(0, days - tau, block):
             stop = min(start + block, days - tau)
             changed += int(
-                np.bitwise_count(words[start:stop] ^ words[start + tau : stop + tau]).sum()
+                np.bitwise_count(rows[start:stop] ^ rows[start + tau : stop + tau]).sum()
             )
         pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs
@@ -134,6 +139,8 @@ def _packed_words(matrix: np.ndarray) -> np.ndarray:
 def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     """C(tau) given the head counts, ``COUNT_BLOCK_DAYS`` starting days at a time."""
     n, days = trajectory.n, trajectory.days
+    if days <= tau_max:
+        raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
     m = (n - 1) // 2
     sums = np.zeros(tau_max + 1)
     for start in range(0, days - 1, COUNT_BLOCK_DAYS):

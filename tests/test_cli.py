@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from scipy.special import pdtr
 from test_solver import scalar_lambda_root
 
 import mgstrat
-from mgstrat import __version__, cli
+from mgstrat import __version__, cli, engine, kpr, solver, stats
 from mgstrat.cli import (
     MAX_EPSILONS,
     OUTDIR_ENV,
@@ -982,6 +983,59 @@ def test_runners_read_only_names_the_import_binds():
         "expected_payoffs", "inefficiency_eta", "kpr_run", "run", "s_autocorrelation",
         "solve_lambda",
     )}
+
+
+# Names only the tests and the benchmark's probes reach: the per-agent
+# choice record's checks and packing, the KPR stepper, the finite-n solver
+# and the reset-day list.
+RECORD_ONLY = (
+    (stats, "_packed_words"), (stats, "binary"), (kpr, "kpr_init"), (kpr, "kpr_step"),
+    (kpr, "KPRState"), (solver, "solve_p_finite"), (solver, "binomial_cdf"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-lambda", "--delta-max", "50"],
+        ["payoff-table", "--delta-max", "20"],
+        ["simulate", "--n", "101", "--steps", "300", "--stats", "--tau-max", "10"],
+        ["simulate", "--n", "101", "--steps", "300", "--stats", "--tau-max", "10",
+         "--mode", "baseline"],
+        ["sweep", "--n", "201", "--epsilons", "0.3,0.5,0.7", "--seeds", "2", "--steps", "500"],
+        ["kpr", "--n", "32", "--seeds", "5"],
+    ],
+    ids=["solve-lambda", "payoff-table", "simulate-stats", "simulate-stats-baseline", "sweep",
+         "kpr"],
+)
+def test_no_cli_call_runs_record_only_code(tmp_path, monkeypatch, argv):
+    # Each stand-in notes that it was reached and forwards, so a failure
+    # names every record-only name the call ran.
+    reached = []
+
+    def noting(name, original):
+        def stand_in(*args, **kwargs):
+            reached.append(name)
+            return original(*args, **kwargs)
+
+        return stand_in
+
+    for module, name in RECORD_ONLY:
+        monkeypatch.setattr(module, name, noting(name, getattr(module, name)))
+    reset_days = engine.Trajectory.reset_days.fget
+    monkeypatch.setattr(
+        engine.Trajectory, "reset_days", property(noting("Trajectory.reset_days", reset_days))
+    )
+    signature, forward = inspect.signature(engine.run), cli.run
+
+    def run_unrecorded(*args, **kwargs):
+        passed = signature.bind(*args, **kwargs).arguments
+        reached.extend(sorted({"record_choices", "initial_choices"} & passed.keys()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", run_unrecorded)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert reached == []
 
 
 class TestCliEntry:

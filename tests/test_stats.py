@@ -126,8 +126,17 @@ class TestSAutocorrelation:
         with pytest.raises(ValueError):
             s_autocorrelation(trajectory, 3)
 
-    @pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
-    def test_real_run_matches_float_mean_bit_for_bit(self, mode):
+    @pytest.mark.parametrize("mode, block_bytes", [
+        pytest.param(
+            mode, block, id=mode if block == stats.COMPARE_BLOCK_BYTES else f"{mode}-{block}"
+        )
+        for mode in (MODE_STRATEGY, MODE_BASELINE)
+        for block in (stats.COMPARE_BLOCK_BYTES, 1, 3)
+    ])
+    def test_real_run_matches_float_mean_bit_for_bit(self, monkeypatch, mode, block_bytes):
+        # S(tau) compares one byte a day, so blocks of 1 and 3 days: every
+        # lag spans many full blocks, and at 3 most lags end in a partial one
+        monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         trajectory = run(StrategyConfig(n=201, mode=mode, seed=62), 20_000)
         s = trajectory.minority_side.astype(np.float64)
         acf = s_autocorrelation(trajectory, 50)
