@@ -17,7 +17,7 @@ is imported from its module on first use (PEP 562).
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # Simulation modes of ``engine.StrategyConfig``.
 MODE_STRATEGY = "strategy"

@@ -344,34 +344,44 @@ def parse_config(argv: Sequence[str] | None = None) -> RunManifest:
     )
 
 
-# Rows a CSV block formats at once, with one ``%`` call over a template of
-# the block's rows.  A block's cells, as Python objects plus the object
-# array, list and tuple that hold them, take about 50 bytes each, so
-# 0.8 MB per column.
-CSV_BLOCK_ROWS = 1 << 14
+# Most cells a CSV block formats at once, with one ``%`` call over a
+# template of the block's rows.  A cell, as a Python object plus its share
+# of the object array, list and tuple that hold it, takes about 50 bytes, so
+# a block takes about 0.4 MB however many columns the file has.
+CSV_BLOCK_CELLS = 1 << 13
 
 
 def _write_csv(
-    path: Path, manifest: RunManifest, header: Sequence[str], columns: Sequence[Sequence[Any]]
+    path: Path,
+    manifest: RunManifest,
+    header: Sequence[str],
+    columns: Sequence[Sequence[Any] | Callable[[int, int], Any]],
 ) -> None:
     """Write equal-length ``columns`` as CSV rows under the manifest comments.
 
     Each column is written by its numpy kind: floats with 12 significant
     digits (``%.12g``), integers as they are and bools as 0/1 (``%d``).
-    Pass an index column as ``np.arange``: a ``range`` slice converts one
-    Python int at a time.
+    A column may also be a function of ``(start, stop)`` that makes rows
+    start .. stop - 1 of it, so that it is built one block at a time
+    (``np.arange`` for an index); the sequences give the number of rows.
     """
     import numpy as np
 
+    rows = len(next(column for column in columns if not callable(column)))
+    step = max(1, CSV_BLOCK_CELLS // len(columns))
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"# mgstrat {manifest.subcommand} v{manifest.version}\n")
         handle.write(f"# manifest: {manifest.digest()}\n")
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            blocks = [np.asarray(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            blocks = [
+                np.asarray(column(start, stop) if callable(column) else column[start:stop])
+                for column in columns
+            ]
             # Row-major Python objects: filling an object array converts each
             # column once, and its ravel interleaves the cells row by row.
-            cells = np.empty((len(blocks[0]), len(blocks)), dtype=object)
+            cells = np.empty((stop - start, len(blocks)), dtype=object)
             for index, block in enumerate(blocks):
                 cells[:, index] = block
             line = ",".join("%.12g" if b.dtype.kind == "f" else "%d" for b in blocks) + "\n"
@@ -442,9 +452,11 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
         results["episodes"] = {
             "count": int(episodes.size),
             "mean": float(episodes.mean()),
-            "median": float(np.median(episodes)),
+            # Partitioned in place, not copied: the max does not depend on the order.
+            "median": float(np.median(episodes, overwrite_input=True)),
             "max": int(episodes.max()),
         }
+    del episodes  # freed before S(tau)'s series is built
     stats_tables = []
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])
@@ -456,10 +468,12 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
             (np.arange(c_acf.size), c_acf),
         ]
         results["c_at_tau_max"] = float(c_acf[-1])
-    # The day-long columns are made last, once the statistics' day-long
-    # temporaries are freed, so that they do not add to those peaks.
-    days = np.arange(trajectory.days)
-    return [(days, deltas, trajectory.minority_side, reset), *stats_tables], results
+
+    def minority_side(start: int, stop: int) -> Any:
+        # Trajectory.minority_side, one block of rows at a time.
+        return np.where(deltas[start:stop] >= 0, np.int8(1), np.int8(-1))
+
+    return [(np.arange, deltas, minority_side, reset), *stats_tables], results
 
 
 def _run_sweep(params: dict[str, Any]) -> _Result:
@@ -471,9 +485,11 @@ def _run_sweep(params: dict[str, Any]) -> _Result:
         config = _strategy_config(params, epsilon)
         etas = np.empty(seeds)
         for j in range(seeds):
+            # No run's record outlives its eta, so the next run does not
+            # allocate beside it.
             stream = derive_rng(params["seed"], i, j)
-            trajectory = run(config, params["steps"], rng=stream)
-            etas[j] = inefficiency_eta(trajectory, burn_in=params["burn_in"])
+            etas[j] = inefficiency_eta(run(config, params["steps"], rng=stream),
+                                       burn_in=params["burn_in"])
         means.append(float(etas.mean()))
         stderrs.append(float(etas.std(ddof=1) / math.sqrt(seeds)) if seeds > 1 else 0.0)
     increases = sum(1 for a, b in zip(means, means[1:]) if b > a)

@@ -34,24 +34,42 @@ def _burned(values: np.ndarray, burn_in: int, what: str) -> np.ndarray:
     return out
 
 
+# Most days one block of a day-by-day scan takes: eta's int64 partial sums,
+# the histogram's counts and the recovery episodes.  Its temporaries stay
+# flat however long the run is.
+SCAN_BLOCK_DAYS = 1 << 15
+
+
 def inefficiency_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
     """(4/n) * mean over days of (imbalance + 1/2)^2.
 
     Equivalent to (4/n) * mean of (attendance_A - n/2)^2, since the signed
     imbalance is M - attendance_A and n = 2M + 1 is the trajectory's
-    population size.
+    population size.  Over N days it is (4 sum d^2 + 4 sum d + N) / (n N),
+    from exact integer sums rounded once.  Each int64 partial sum covers
+    few enough days that it cannot wrap at the run's largest |d|.
     """
-    shifted = _burned(trajectory.deltas, burn_in, "days") + 0.5
-    np.square(shifted, out=shifted)
-    return float(4.0 / trajectory.n * np.mean(shifted))
+    deltas = _burned(trajectory.deltas, burn_in, "days")
+    reach = max(int(deltas.max()), -int(deltas.min()), 1)
+    block = max(1, min(SCAN_BLOCK_DAYS, np.iinfo(np.int64).max // reach**2))
+    squares = total = 0
+    for start in range(0, deltas.size, block):
+        part = deltas[start : start + block]
+        squares += int(np.dot(part, part))
+        total += int(part.sum())
+    days = deltas.size
+    return (4 * squares + 4 * total + days) / (trajectory.n * days)
 
 
 def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float]:
     """Empirical distribution of the signed imbalance, as {value: frequency}."""
     deltas = _burned(trajectory.deltas, burn_in, "days")
-    values, counts = np.unique(deltas, return_counts=True)
-    total = counts.sum()
-    return {int(v): float(c) / total for v, c in zip(values, counts)}
+    low = int(deltas.min())
+    counts = np.zeros(int(deltas.max()) - low + 1, dtype=np.int64)
+    for start in range(0, deltas.size, SCAN_BLOCK_DAYS):
+        counts += np.bincount(deltas[start : start + SCAN_BLOCK_DAYS] - low, minlength=counts.size)
+    values = np.flatnonzero(counts)
+    return {int(v) + low: int(c) / deltas.size for v, c in zip(values, counts[values])}
 
 
 def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
@@ -65,13 +83,13 @@ def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     return _exact_autocorrelation((trajectory.deltas < 0).view(np.uint8), 1, tau_max)
 
 
-# Upper bound on the rows one block comparison of the exact count XORs: the
-# packed rows of a choice record, or S(tau)'s one-byte days.  Its memory
-# stays flat however long the run is.
-COMPARE_BLOCK_BYTES = 4 << 20
+# Upper bound on the rows one block comparison of the exact count XORs, into
+# one reused buffer: the packed rows of a choice record, or S(tau)'s one-byte
+# days.  Its memory stays flat however long the run is.
+COMPARE_BLOCK_BYTES = 1 << 16
 
 # Starting days one block of the count-path C(tau) takes, so its
-# temporaries (~15 float64 a day) stay flat however long the run is.
+# temporaries (seven float64 a day) stay flat however long the run is.
 COUNT_BLOCK_DAYS = 1 << 14
 
 
@@ -110,15 +128,16 @@ def _exact_autocorrelation(rows: np.ndarray, agents: int, tau_max: int) -> np.nd
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
     block = max(1, COMPARE_BLOCK_BYTES // rows[0].nbytes)
+    differ = np.empty_like(rows[: min(block, days)])
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
         changed = 0
         for start in range(0, days - tau, block):
             stop = min(start + block, days - tau)
-            changed += int(
-                np.bitwise_count(rows[start:stop] ^ rows[start + tau : stop + tau]).sum()
-            )
+            part = np.bitwise_xor(rows[start:stop], rows[start + tau : stop + tau],
+                                  out=differ[: stop - start])
+            changed += int(np.bitwise_count(part, out=part).sum())
         pairs = (days - tau) * agents
         out[tau] = (pairs - 2 * changed) / pairs
     return out
@@ -141,39 +160,56 @@ def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndar
     n, days = trajectory.n, trajectory.days
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    m = (n - 1) // 2
     sums = np.zeros(tau_max + 1)
     for start in range(0, days - 1, COUNT_BLOCK_DAYS):
-        stop = min(start + COUNT_BLOCK_DAYS, days - 1)
-        # The nights after days start .. last - 1 reach lag tau_max.
-        last = min(stop + tau_max - 1, days - 1)
-        before = trajectory.deltas[start:last]
-        rise = before - trajectory.deltas[start + 1 : last + 1]  # of the head count at A
-        thin = trajectory.thin_movers[start:last]
-        # The crowd, at B when the imbalance is nonnegative, loses the thin
-        # side's movers plus the net change.
-        crowd_at_b = before >= 0
-        crowd = thin + np.where(crowd_at_b, rise, -rise)
-        at_a = m - before
-        pa = np.where(crowd_at_b, thin, crowd) / np.maximum(at_a, 1)
-        pb = np.where(crowd_at_b, crowd, thin) / np.maximum(n - at_a, 1)
-        r = 1 - (pa + pb)
-        d = pb - pa
-        spread = 2 * at_a[: stop - start] - n  # a_t - b_t
-        product = np.ones(stop - start)
-        h = np.zeros(stop - start)
-        for tau in range(1, tau_max + 1):
-            size = min(stop, days - tau) - start
-            if size <= 0:
-                break
-            product, h = product[:size], h[:size]
-            product *= r[tau - 1 : tau - 1 + size]
-            h *= r[tau - 1 : tau - 1 + size]
-            h += d[tau - 1 : tau - 1 + size]
-            sums[tau] += np.sum(n * product + spread[:size] * h)
+        _add_block_sums(sums, trajectory, start, min(start + COUNT_BLOCK_DAYS, days - 1))
     out = sums / ((days - np.arange(tau_max + 1)) * n)
     out[0] = 1.0
     return out
+
+
+def _add_block_sums(sums: np.ndarray, trajectory: Trajectory, start: int, stop: int) -> None:
+    """Add the (T - tau) n C(tau) terms of starting days start .. stop - 1 to ``sums``.
+
+    Seven block arrays are live at most, and all are freed on return.
+    """
+    n, deltas, tau_max = trajectory.n, trajectory.deltas, sums.size - 1
+    days, m = deltas.size, (n - 1) // 2
+    # The nights after days start .. last - 1 reach lag tau_max.
+    last = min(stop + tau_max - 1, days - 1)
+    before = deltas[start:last]
+    thin = trajectory.thin_movers[start:last]
+    # The head count at A rises by the movers off B less those off A, and
+    # the thin side, at A when the imbalance is nonnegative, loses ``thin``.
+    rise = before - deltas[start + 1 : last + 1]
+    off_a = thin - rise
+    np.copyto(off_a, thin, where=before >= 0)
+    off_b = np.add(rise, off_a, out=rise)
+    heads = np.maximum(m - before, 1)  # at A
+    pa = off_a / heads
+    del off_a
+    np.add(before, m + 1, out=heads)  # at B
+    pb = off_b / np.maximum(heads, 1, out=heads)
+    del rise, off_b, heads
+    r = pa + pb
+    np.subtract(1, r, out=r)
+    d = np.subtract(pb, pa, out=pb)
+    del pa, pb
+    spread = before[: stop - start] * -2.0 - 1.0  # a_t - b_t
+    product = np.ones(stop - start)
+    h = np.zeros(stop - start)
+    term, spread_h = np.empty(stop - start), np.empty(stop - start)
+    for tau in range(1, tau_max + 1):
+        size = min(stop, days - tau) - start
+        if size <= 0:
+            break
+        product, h = product[:size], h[:size]
+        product *= r[tau - 1 : tau - 1 + size]
+        h *= r[tau - 1 : tau - 1 + size]
+        h += d[tau - 1 : tau - 1 + size]
+        total = np.multiply(n, product, out=term[:size])
+        total += np.multiply(spread[:size], h, out=spread_h[:size])
+        sums[tau] += np.sum(total)
 
 
 def episode_lengths(trajectory: Trajectory) -> np.ndarray:
@@ -181,11 +217,23 @@ def episode_lengths(trajectory: Trajectory) -> np.ndarray:
 
     An episode runs from a recorded reset day to the first later day whose
     excess is zero (imbalance 0 or -1).  Episodes still open when the record
-    ends are dropped rather than guessed at.
+    ends are dropped rather than guessed at.  The days are scanned
+    ``SCAN_BLOCK_DAYS`` at a time: each reset day waits in the output until
+    a marginal day closes it, and the episodes close in reset order.
     """
-    marginal_days = np.flatnonzero(trajectory.excess() == 0)
-    reset_days = np.flatnonzero(trajectory.reset)
-    following = np.searchsorted(marginal_days, reset_days, side="right")
-    closed = following < marginal_days.size
-    return marginal_days[following[closed]] - reset_days[closed]
-
+    deltas, reset = trajectory.deltas, trajectory.reset
+    out = np.empty(int(np.count_nonzero(reset)), dtype=np.int64)
+    opened = closed = 0
+    for start in range(0, deltas.size, SCAN_BLOCK_DAYS):
+        block = deltas[start : start + SCAN_BLOCK_DAYS]
+        resets = np.flatnonzero(reset[start : start + SCAN_BLOCK_DAYS])
+        out[opened : opened + resets.size] = resets + start
+        opened += resets.size
+        marginal = np.flatnonzero((block == 0) | (block == -1))
+        marginal += start
+        waiting = out[closed:opened]
+        following = np.searchsorted(marginal, waiting, side="right")
+        ends = marginal[following[following < marginal.size]]
+        waiting[: ends.size] = ends - waiting[: ends.size]
+        closed += ends.size
+    return out[:closed]

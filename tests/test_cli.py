@@ -393,6 +393,39 @@ def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
     assert (peaks[1] - peaks[0]) / 100_000 <= 64, peaks
 
 
+@pytest.mark.parametrize("n", [5, 2001])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--stats", "--tau-max", "5"],
+    ["simulate", "--stats", "--tau-max", "5", "--mode", "baseline"],
+    ["sweep", "--epsilons", "0.5", "--seeds", "1"],
+], ids=["simulate", "simulate-baseline", "sweep"])
+def test_dispatch_holds_the_record_plus_a_fixed_block(tmp_path, argv, n):
+    # Beyond the 13 bytes a day the record guard counts, simulate --stats
+    # keeps S(tau)'s one-byte winning-side series and 8 bytes per recovery
+    # episode, and sweep nothing; every other stage works in fixed blocks.
+    def manifest(steps):
+        return parse_config([*argv, "--n", str(n), "--steps", str(steps),
+                             "--outdir", str(tmp_path)])
+
+    dispatch(manifest(10))  # imports and the rate table, outside the measurement
+    excess = []
+    for days in (10**5, 10**6):
+        planned = manifest(days)
+        tracemalloc.start()
+        try:
+            dispatch(planned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 13 * (days + 1)
+        if argv[0] == "simulate":
+            resets = json.loads((tmp_path / "summary.json").read_text())["results"]["resets"]
+            held += days + 1 + 8 * resets
+        excess.append(peak - held)
+    assert max(excess) <= 2**22, excess
+    assert excess[1] <= excess[0] + 2**18, excess
+
+
 def test_kpr_rows_are_per_seed(tmp_path):
     # Row i depends on stream i alone: more seeds keep the first rows, and
     # each row is a lone kpr_run, unconverged ones (-1) included.  Seed 10
@@ -724,9 +757,10 @@ def _per_row_csv(columns: Sequence[Sequence[Any]]) -> str:
 
 
 class TestCsvBlocks:
-    @pytest.mark.parametrize("block_rows", [1, 7, cli.CSV_BLOCK_ROWS])
-    def test_blocks_match_the_per_cell_formatter(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("block_cells", [1, 7, cli.CSV_BLOCK_CELLS])
+    def test_blocks_match_the_per_cell_formatter(self, tmp_path, monkeypatch, block_cells):
+        # 6 columns: 1 and 7 cells make one-row blocks
+        monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", block_cells)
         rng = derive_rng(400)
         rows = 50
         floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
@@ -747,8 +781,8 @@ class TestCsvBlocks:
         assert lines[3:] == [",".join(_format_value(v) for v in row) for row in zip(*columns)]
 
     def test_blocks_match_the_per_row_formatter_for_every_column_kind(self, tmp_path, monkeypatch):
-        # 7 rows in blocks of 3: two full blocks and a one-row tail.
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        # 7 rows of 9 cells in blocks of 3 rows: two full blocks and a one-row tail.
+        monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", 3 * 9)
         int64, int32 = np.iinfo(np.int64), np.iinfo(np.int32)
         columns = (
             range(7),
@@ -768,6 +802,25 @@ class TestCsvBlocks:
         expected = (f"# mgstrat kpr v{__version__}\n# manifest: {manifest.digest()}\n"
                     + ",".join(header) + "\n" + _per_row_csv(columns))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("mode", [engine.MODE_STRATEGY, engine.MODE_BASELINE])
+    @pytest.mark.parametrize("block_cells", [4, 12, cli.CSV_BLOCK_CELLS],
+                             ids=["rows-1", "rows-3", "default"])
+    def test_trajectory_rows_match_the_whole_run_columns(
+        self, tmp_path, monkeypatch, mode, block_cells
+    ):
+        # The day index and the winning side are made a block at a time.
+        # Four columns make blocks of 1, 3 and 2 048 rows; at 3 and 2 048
+        # the last block is a partial one.
+        steps = 5_000 if block_cells == cli.CSV_BLOCK_CELLS else 300
+        monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", block_cells)
+        assert main(["simulate", "--n", "201", "--steps", str(steps), "--mode", mode,
+                     "--seed", "5", "--outdir", str(tmp_path)]) == 0
+        trajectory = run(StrategyConfig(n=201, seed=5, mode=mode), steps)
+        columns = (np.arange(trajectory.days), trajectory.deltas, trajectory.minority_side,
+                   trajectory.reset)
+        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines(True)
+        assert "".join(lines[3:]) == _per_row_csv(columns)
 
 
 class TestRateTables:

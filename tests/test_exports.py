@@ -9,7 +9,7 @@ import mgstrat
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mgstrat.__path__))
 
-# The package's exports as of 0.9.0; a name joins or leaves only by a deliberate edit.
+# The package's exports as of 0.10.0; a name joins or leaves only by a deliberate edit.
 PACKAGE_EXPORTS = {
     "LambdaTable", "NumericError", "indifference_residual", "solve_lambda", "solve_p_finite",
     "CheatCheck", "PayoffQuadruple", "expected_payoffs", "verify_no_cheat",

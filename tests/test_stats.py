@@ -43,6 +43,77 @@ def per_reset_episode_lengths(trajectory: Trajectory) -> list[int]:
     return lengths
 
 
+def unique_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float]:
+    """Oracle: the former histogram, ``np.unique`` over a sorted copy of the run."""
+    values, counts = np.unique(trajectory.deltas[burn_in:], return_counts=True)
+    total = counts.sum()
+    return {int(v): float(c) / total for v, c in zip(values, counts)}
+
+
+def excess_episode_lengths(trajectory: Trajectory) -> np.ndarray:
+    """Oracle: the former episodes, from the whole run's ``excess()`` at once."""
+    marginal_days = np.flatnonzero(trajectory.excess() == 0)
+    reset_days = np.flatnonzero(trajectory.reset)
+    following = np.searchsorted(marginal_days, reset_days, side="right")
+    closed = following < marginal_days.size
+    return marginal_days[following[closed]] - reset_days[closed]
+
+
+def former_count_path(trajectory: Trajectory, tau_max: int) -> np.ndarray:
+    """Oracle: the former count-path C(tau), its temporaries all live at once.
+
+    Its sums, like the new ones, depend on ``stats.COUNT_BLOCK_DAYS``.
+    """
+    n, days = trajectory.n, trajectory.days
+    m = (n - 1) // 2
+    sums = np.zeros(tau_max + 1)
+    for start in range(0, days - 1, stats.COUNT_BLOCK_DAYS):
+        stop = min(start + stats.COUNT_BLOCK_DAYS, days - 1)
+        last = min(stop + tau_max - 1, days - 1)
+        before = trajectory.deltas[start:last]
+        rise = before - trajectory.deltas[start + 1 : last + 1]
+        thin = trajectory.thin_movers[start:last]
+        crowd_at_b = before >= 0
+        crowd = thin + np.where(crowd_at_b, rise, -rise)
+        at_a = m - before
+        pa = np.where(crowd_at_b, thin, crowd) / np.maximum(at_a, 1)
+        pb = np.where(crowd_at_b, crowd, thin) / np.maximum(n - at_a, 1)
+        r = 1 - (pa + pb)
+        d = pb - pa
+        spread = 2 * at_a[: stop - start] - n
+        product = np.ones(stop - start)
+        h = np.zeros(stop - start)
+        for tau in range(1, tau_max + 1):
+            size = min(stop, days - tau) - start
+            if size <= 0:
+                break
+            product, h = product[:size], h[:size]
+            product *= r[tau - 1 : tau - 1 + size]
+            h *= r[tau - 1 : tau - 1 + size]
+            h += d[tau - 1 : tau - 1 + size]
+            sums[tau] += np.sum(n * product + spread[:size] * h)
+    out = sums / ((days - np.arange(tau_max + 1)) * n)
+    out[0] = 1.0
+    return out
+
+
+def exact_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
+    """Oracle: (4/n) mean (d + 1/2)^2 as a Fraction, rounded once."""
+    deltas = [int(d) for d in trajectory.deltas[burn_in:]]
+    mean = sum(Fraction(2 * d + 1, 2) ** 2 for d in deltas) / len(deltas)
+    return float(4 * mean / trajectory.n)
+
+
+MODES = pytest.mark.parametrize("mode", [MODE_STRATEGY, MODE_BASELINE])
+
+
+def block_sizes(default):
+    """Block sizes 1, 3 and the module's default."""
+    return pytest.mark.parametrize(
+        "block", [1, 3, default], ids=["block-1", "block-3", "default"]
+    )
+
+
 class TestInefficiency:
     def test_perfectly_marginal_trajectory(self):
         trajectory = make_trajectory(2001, np.zeros(100))
@@ -71,6 +142,28 @@ class TestInefficiency:
         assert full > tail
         with pytest.raises(ValueError):
             inefficiency_eta(trajectory, burn_in=4)
+
+    @MODES
+    @pytest.mark.parametrize("n", [201, 2001])
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    def test_equals_the_exact_fraction_rounded_once(self, mode, n, burn_in):
+        trajectory = run(StrategyConfig(n=n, epsilon=0.3, seed=80, mode=mode), 20_000)
+        assert inefficiency_eta(trajectory, burn_in=burn_in) == exact_eta(trajectory, burn_in)
+
+    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    def test_partial_sums_do_not_wrap_at_the_population_cap(self, monkeypatch, block):
+        # At the CLI's largest n every day's d^2 is about 5.0e14, so an int64
+        # sum of squares wraps past about 18 400 days: 40 000 days take three
+        # partial sums even at the default block.
+        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        n = 44_739_241
+        m = (n - 1) // 2
+        signs = derive_rng(81).integers(0, 2, size=40_000) * 2 - 1
+        trajectory = make_trajectory(n, signs * (m + 1))
+        days, total = signs.size, int(signs.sum()) * (m + 1)
+        exact = Fraction(4 * days * (m + 1) ** 2 + 4 * total + days, n * days)
+        assert inefficiency_eta(trajectory) == float(exact)
+        assert inefficiency_eta(trajectory, burn_in=7) == exact_eta(trajectory, 7)
 
 
 class TestDeltaHistogram:
@@ -103,6 +196,17 @@ class TestDeltaHistogram:
         near = sum(f for d, f in hist.items() if abs(d) <= 1)
         far = sum(f for d, f in hist.items() if abs(d) > 5)
         assert near > far
+
+    @MODES
+    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    def test_blocks_match_the_unique_oracle_bit_for_bit(self, monkeypatch, mode, block):
+        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=82, mode=mode), 100_000)
+        for burn_in in (0, 777):
+            hist = delta_histogram(trajectory, burn_in=burn_in)
+            expected = unique_histogram(trajectory, burn_in)
+            assert list(hist) == list(expected)
+            assert [f.hex() for f in hist.values()] == [f.hex() for f in expected.values()]
 
 
 class TestSAutocorrelation:
@@ -270,6 +374,16 @@ class TestCountPathAutocorrelation:
         monkeypatch.setattr(stats, "COUNT_BLOCK_DAYS", block_days)
         assert np.allclose(c_autocorrelation(trajectory, 40), whole, rtol=0, atol=1e-13)
 
+    @MODES
+    @block_sizes(stats.COUNT_BLOCK_DAYS)
+    def test_blocks_match_the_former_formula_bit_for_bit(self, monkeypatch, mode, block):
+        # one-day blocks take a Python loop per day, so they get a short run
+        steps = 40_000 if block == stats.COUNT_BLOCK_DAYS else 1_500
+        monkeypatch.setattr(stats, "COUNT_BLOCK_DAYS", block)
+        trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=83, mode=mode), steps)
+        acf = c_autocorrelation(trajectory, 25)
+        assert acf.tobytes() == former_count_path(trajectory, 25).tobytes()
+
     def test_memory_does_not_grow_with_the_run(self):
         peaks = []
         for days in (10**5, 10**6):
@@ -281,7 +395,8 @@ class TestCountPathAutocorrelation:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**16, peaks
-        assert peaks[1] <= 16 * 8 * (stats.COUNT_BLOCK_DAYS + 10), peaks
+        # seven live block arrays of float64 or int64, and small change
+        assert peaks[1] <= 7 * 8 * (stats.COUNT_BLOCK_DAYS + 10) + 2**14, peaks
 
 
 class TestConvergenceTime:
@@ -316,6 +431,29 @@ class TestConvergenceTime:
         assert lengths.dtype == np.int64
         assert lengths.size > 100
         assert lengths.tolist() == per_reset_episode_lengths(trajectory)
+
+    @pytest.mark.parametrize("kind", [{}, {"mode": MODE_BASELINE}, {"wait_t": 3}],
+                             ids=["strategy", "baseline", "wait"])
+    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    def test_blocks_match_the_excess_oracle(self, monkeypatch, kind, block):
+        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=84, **kind), 100_000)
+        lengths = episode_lengths(trajectory)
+        expected = excess_episode_lengths(trajectory)
+        assert lengths.dtype == expected.dtype == np.int64
+        assert np.array_equal(lengths, expected)
+        assert (lengths.size > 1000) == (kind.get("mode") != MODE_BASELINE)
+
+    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    def test_blocks_close_resets_on_days_that_are_not_marginal(self, monkeypatch, block):
+        # resets on imbalanced days, several waiting at once, close at the
+        # next marginal day (2 or 6 here) in reset order; those on days 7, 8
+        # and 9 have no later marginal day and stay open
+        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        deltas = [3, 2, 0, 5, 4, 4, -1, 0, 7, -3, 2]
+        trajectory = make_trajectory(5, deltas, reset_days=[0, 1, 2, 3, 5, 7, 8, 9])
+        assert episode_lengths(trajectory).tolist() == [2, 1, 4, 3, 1]
+        assert excess_episode_lengths(trajectory).tolist() == [2, 1, 4, 3, 1]
 
     def test_open_final_episode_matches_per_reset_loop(self):
         # resets at days 0, 3 and 5; day 5's episode is still open at the end
