@@ -470,7 +470,7 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
         results["c_at_tau_max"] = float(c_acf[-1])
 
     def minority_side(start: int, stop: int) -> Any:
-        # Trajectory.minority_side, one block of rows at a time.
+        # +1 on days A held the smaller crowd, -1 otherwise, one block of rows at a time.
         return np.where(deltas[start:stop] >= 0, np.int8(1), np.int8(-1))
 
     return [(np.arange, deltas, minority_side, reset), *stats_tables], results

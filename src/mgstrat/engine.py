@@ -173,18 +173,9 @@ class Trajectory:
     choice_matrix: np.ndarray | None = None
 
     @property
-    def minority_side(self) -> np.ndarray:
-        """+1 on days A held the smaller crowd, -1 otherwise (int8)."""
-        return np.where(self.deltas >= 0, np.int8(1), np.int8(-1))
-
-    @property
     def reset_days(self) -> list[int]:
         """The marginal days whose following night re-randomized the population."""
         return np.flatnonzero(self.reset).tolist()
-
-    def excess(self) -> np.ndarray:
-        """Majority head count beyond the marginal M + 1, per day."""
-        return np.where(self.deltas >= 0, self.deltas, -self.deltas - 1)
 
     @property
     def days(self) -> int:

@@ -80,12 +80,13 @@ def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     for a record.
     """
     tau_max = count(tau_max, "tau_max", 1)
-    return _exact_autocorrelation((trajectory.deltas < 0).view(np.uint8), 1, tau_max)
+    return _exact_autocorrelation(trajectory.deltas < 0, tau_max)
 
 
-# Upper bound on the rows one block comparison of the exact count XORs, into
-# one reused buffer: the packed rows of a choice record, or S(tau)'s one-byte
-# days.  Its memory stays flat however long the run is.
+# Upper bound on the one-byte flags one block comparison of the exact count
+# writes into one reused buffer, one per entry of the rows it compares: a
+# choice record's agent-days, or S(tau)'s days.  Its memory stays flat
+# however long the run is.
 COMPARE_BLOCK_BYTES = 1 << 16
 
 # Starting days one block of the count-path C(tau) takes, so its
@@ -109,8 +110,8 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
     relabeling A and B exact.
 
     For a (days x agents) record of 0s and 1s it is the exact count of
-    changed choices, the set bits of row XOR row-tau over packed rows
-    compared ``COMPARE_BLOCK_BYTES`` at a time, as (N - 2 changed) / N over
+    changed choices, row against row-tau as stored, at most
+    ``COMPARE_BLOCK_BYTES`` entries at a time, as (N - 2 changed) / N over
     the N = (days - tau) * agents pairs, rounded once.
     """
     tau_max = count(tau_max, "tau_max", 1)
@@ -119,40 +120,29 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
     matrix = np.asarray(choices)
     if matrix.ndim != 2 or not matrix.shape[1]:
         raise ValueError("choice matrix must be (days x agents), with at least one agent")
-    return _exact_autocorrelation(_packed_words(binary(matrix)), matrix.shape[1], tau_max)
+    return _exact_autocorrelation(binary(matrix), tau_max)
 
 
-def _exact_autocorrelation(rows: np.ndarray, agents: int, tau_max: int) -> np.ndarray:
-    """(N - 2 changed) / N, as c_autocorrelation states, for rows of ``agents`` bits."""
+def _exact_autocorrelation(rows: np.ndarray, tau_max: int) -> np.ndarray:
+    """(N - 2 changed) / N, as c_autocorrelation states, over 0/1 rows as stored."""
     days = rows.shape[0]
     if days <= tau_max:
         raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    block = max(1, COMPARE_BLOCK_BYTES // rows[0].nbytes)
-    differ = np.empty_like(rows[: min(block, days)])
+    entries = rows[0].size
+    block = max(1, COMPARE_BLOCK_BYTES // entries)
+    differ = np.empty((min(block, days), *rows.shape[1:]), dtype=bool)
     out = np.empty(tau_max + 1)
     out[0] = 1.0
     for tau in range(1, tau_max + 1):
         changed = 0
         for start in range(0, days - tau, block):
             stop = min(start + block, days - tau)
-            part = np.bitwise_xor(rows[start:stop], rows[start + tau : stop + tau],
-                                  out=differ[: stop - start])
-            changed += int(np.bitwise_count(part, out=part).sum())
-        pairs = (days - tau) * agents
+            changed += np.count_nonzero(np.not_equal(
+                rows[start:stop], rows[start + tau : stop + tau], out=differ[: stop - start]
+            ))
+        pairs = (days - tau) * entries
         out[tau] = (pairs - 2 * changed) / pairs
     return out
-
-
-def _packed_words(matrix: np.ndarray) -> np.ndarray:
-    """Each row of a 0/1 matrix as uint64 words, one bit per entry.
-
-    Entry j is bit j % 8 of byte j // 8, and a row is zero-padded to whole
-    words, so the set bits of one row XOR another count where they differ.
-    """
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    rows = np.zeros((matrix.shape[0], 8 * -(-matrix.shape[1] // 64)), dtype=np.uint8)
-    rows[:, : packed.shape[1]] = packed
-    return rows.view(np.uint64)
 
 
 def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:

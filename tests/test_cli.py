@@ -113,9 +113,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="^epsilons range .* more than"):
             parse_config(["sweep", "--epsilons", "0:1:1e-5"])
 
-    def test_stats_implies_choice_recording(self):
-        manifest = parse_config(["simulate", "--stats"])
-        assert "c_autocorr.csv" in manifest.outputs
+    def test_stats_plans_its_three_files_and_only_with_the_flag(self):
+        stats_files = {"delta_hist.csv", "s_autocorr.csv", "c_autocorr.csv"}
+        assert stats_files <= set(parse_config(["simulate", "--stats"]).outputs)
+        assert not stats_files & set(parse_config(["simulate"]).outputs)
 
     def test_choice_recording_is_no_longer_a_key(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -817,8 +818,8 @@ class TestCsvBlocks:
         assert main(["simulate", "--n", "201", "--steps", str(steps), "--mode", mode,
                      "--seed", "5", "--outdir", str(tmp_path)]) == 0
         trajectory = run(StrategyConfig(n=201, seed=5, mode=mode), steps)
-        columns = (np.arange(trajectory.days), trajectory.deltas, trajectory.minority_side,
-                   trajectory.reset)
+        minority_side = np.where(trajectory.deltas >= 0, 1, -1)
+        columns = (np.arange(trajectory.days), trajectory.deltas, minority_side, trajectory.reset)
         lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines(True)
         assert "".join(lines[3:]) == _per_row_csv(columns)
 
@@ -1039,11 +1040,11 @@ def test_runners_read_only_names_the_import_binds():
 
 
 # Names only the tests and the benchmark's probes reach: the per-agent
-# choice record's checks and packing, the KPR stepper, the finite-n solver
-# and the reset-day list.
+# choice record's check, the KPR stepper, the finite-n solver and the
+# reset-day list.
 RECORD_ONLY = (
-    (stats, "_packed_words"), (stats, "binary"), (kpr, "kpr_init"), (kpr, "kpr_step"),
-    (kpr, "KPRState"), (solver, "solve_p_finite"), (solver, "binomial_cdf"),
+    (stats, "binary"), (kpr, "kpr_init"), (kpr, "kpr_step"), (kpr, "KPRState"),
+    (solver, "solve_p_finite"), (solver, "binomial_cdf"),
 )
 
 

@@ -47,6 +47,12 @@ def start_with_attendance(n: int, attendance_a: int) -> np.ndarray:
     return choices
 
 
+def excess_of(trajectory: Trajectory) -> np.ndarray:
+    """Majority head count beyond the marginal m + 1, per day."""
+    deltas = trajectory.deltas
+    return np.where(deltas >= 0, deltas, -deltas - 1)
+
+
 def one_day(config: StrategyConfig, start, rng=None, record=False) -> Trajectory:
     return run(config, 1, record_choices=record, rng=rng, initial_choices=start)
 
@@ -219,7 +225,8 @@ class TestClassify:
     @staticmethod
     def day_zero(n, attendance):
         trajectory = one_day(StrategyConfig(n=n), start_with_attendance(n, attendance))
-        return trajectory.deltas[0], trajectory.excess()[0], trajectory.minority_side[0]
+        delta = trajectory.deltas[0]
+        return delta, excess_of(trajectory)[0], 1 if delta >= 0 else -1
 
     def test_all_in_majority_a(self):
         assert self.day_zero(5, 5) == (-3, 2, -1)
@@ -252,7 +259,7 @@ class TestInitPopulation:
 
     def test_degenerate_single_agent(self):
         trajectory = run(StrategyConfig(n=1), 1, rng=derive_rng(0))
-        assert trajectory.excess()[0] == 0
+        assert excess_of(trajectory)[0] == 0
 
     def test_mean_attendance(self):
         config = StrategyConfig(n=2001)
@@ -327,7 +334,7 @@ class TestStep:
         imbalanced_then_marginal = 0
         for trial in range(20):
             trajectory = run(config, 500, rng=derive_rng(14, trial), initial_choices=start)
-            excess = trajectory.excess()
+            excess = excess_of(trajectory)
             assert trajectory.reset_days == replay_resets(excess, 3)
             imbalanced_then_marginal += int(((excess[:-1] >= 1) & (excess[1:] == 0)).sum())
         assert imbalanced_then_marginal > 100
@@ -368,7 +375,7 @@ class TestStep:
             rng = derive_rng(18, e0)
             total = 0.0
             for _ in range(10**4):
-                total += one_day(config, start, rng).excess()[1]
+                total += excess_of(one_day(config, start, rng))[1]
             mean_excess = total / 10**4
             assert 0.5 * math.sqrt(e0) <= mean_excess <= 2.0 * math.sqrt(e0)
 
@@ -579,14 +586,14 @@ class TestRun:
         trajectory = run(config, 300)
         assert trajectory.days == 301
         assert trajectory.deltas.shape == (301,)
-        expected_side = np.where(trajectory.deltas >= 0, 1, -1)
-        assert np.array_equal(trajectory.minority_side, expected_side)
+        m = config.m
+        assert ((-(m + 1) <= trajectory.deltas) & (trajectory.deltas <= m)).all()
         assert trajectory.choice_matrix is None
 
     def test_reset_days_are_marginal_days(self):
         config = StrategyConfig(n=201, seed=9)
         trajectory = run(config, 400)
-        excess = trajectory.excess()
+        excess = excess_of(trajectory)
         assert len(trajectory.reset_days) > 0
         for day in trajectory.reset_days:
             assert excess[day] == 0
@@ -597,7 +604,7 @@ class TestRun:
     def test_wait_t_delays_resets(self):
         config = StrategyConfig(n=201, seed=9, wait_t=5)
         trajectory = run(config, 400)
-        excess = trajectory.excess()
+        excess = excess_of(trajectory)
         for day in trajectory.reset_days:
             # the five preceding days must also have been marginal
             assert (excess[day - 5 : day + 1] == 0).all()
@@ -648,7 +655,7 @@ class TestRun:
         config = StrategyConfig(n=5, epsilon=0.7, **KINDS[kind])
         trajectory = run(config, 10**6, rng=derive_rng(22, list(KINDS).index(kind)))
         m, deltas, thin = config.m, trajectory.deltas, trajectory.thin_movers
-        excess = trajectory.excess()[:-1]
+        excess = excess_of(trajectory)[:-1]
         net = np.where(deltas[:-1] >= 0, deltas[:-1] - deltas[1:], deltas[1:] - deltas[:-1])
         assert ((thin[:-1] >= 0) & (thin[:-1] <= m - excess)).all()
         assert ((thin[:-1] + net >= 0) & (thin[:-1] + net <= m + excess + 1)).all()
@@ -682,7 +689,7 @@ class TestRun:
     def test_win_stay_across_whole_run(self):
         config = StrategyConfig(n=101, seed=6)
         trajectory = run(config, 300, record_choices=True)
-        excess = trajectory.excess()
+        excess = excess_of(trajectory)
         matrix = trajectory.choice_matrix
         for t in range(300):
             if excess[t] >= 1:
@@ -694,7 +701,7 @@ class TestRun:
 
     def test_single_agent_population(self):
         trajectory = run(StrategyConfig(n=1, seed=2), 50)
-        assert (trajectory.excess() == 0).all()
+        assert (excess_of(trajectory) == 0).all()
         assert set(np.unique(trajectory.deltas)) <= {-1, 0}
 
     def test_recovery_from_typical_post_reset_offset(self):
@@ -709,7 +716,7 @@ class TestRun:
             trajectory = run(
                 config, 10, rng=derive_rng(200, i), initial_choices=start
             )
-            back = np.flatnonzero(trajectory.excess()[1:] == 0)
+            back = np.flatnonzero(excess_of(trajectory)[1:] == 0)
             if back.size and back[0] + 1 <= 8:
                 hits += 1
         assert hits / trials >= 0.99
@@ -832,15 +839,6 @@ class TestDeriveRng:
 
 
 class TestTrajectory:
-    def test_excess_definition(self):
-        trajectory = Trajectory(
-            n=5,
-            deltas=np.array([2, 0, -1, -3]),
-            reset=np.zeros(4, dtype=bool),
-            thin_movers=np.zeros(4, dtype=np.int32),
-        )
-        assert np.array_equal(trajectory.excess(), np.array([2, 0, 0, 2]))
-
     @pytest.mark.parametrize("record", [False, True], ids=["plain", "choices"])
     def test_record_holds_exactly_what_the_guard_counts(self, record):
         trajectory = run(StrategyConfig(n=101, seed=5), 500, record_choices=record)

@@ -32,12 +32,18 @@ def make_trajectory(n: int, deltas, reset_days=()) -> Trajectory:
     return Trajectory(n=n, deltas=deltas, reset=reset, thin_movers=thin_movers)
 
 
+def marginal_days(trajectory: Trajectory) -> np.ndarray:
+    """The days whose majority is the marginal m + 1, from the whole run at once."""
+    deltas = trajectory.deltas
+    return np.flatnonzero(np.where(deltas >= 0, deltas, -deltas - 1) == 0)
+
+
 def per_reset_episode_lengths(trajectory: Trajectory) -> list[int]:
     """Oracle: the next marginal day after each reset, one reset at a time."""
-    marginal_days = np.flatnonzero(trajectory.excess() == 0)
+    marginal = marginal_days(trajectory)
     lengths = []
     for day in trajectory.reset_days:
-        later = marginal_days[np.searchsorted(marginal_days, day + 1):]
+        later = marginal[np.searchsorted(marginal, day + 1):]
         if later.size:
             lengths.append(int(later[0] - day))
     return lengths
@@ -51,12 +57,12 @@ def unique_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, floa
 
 
 def excess_episode_lengths(trajectory: Trajectory) -> np.ndarray:
-    """Oracle: the former episodes, from the whole run's ``excess()`` at once."""
-    marginal_days = np.flatnonzero(trajectory.excess() == 0)
+    """Oracle: the former episodes, from the whole run's marginal days at once."""
+    marginal = marginal_days(trajectory)
     reset_days = np.flatnonzero(trajectory.reset)
-    following = np.searchsorted(marginal_days, reset_days, side="right")
-    closed = following < marginal_days.size
-    return marginal_days[following[closed]] - reset_days[closed]
+    following = np.searchsorted(marginal, reset_days, side="right")
+    closed = following < marginal.size
+    return marginal[following[closed]] - reset_days[closed]
 
 
 def former_count_path(trajectory: Trajectory, tau_max: int) -> np.ndarray:
@@ -242,7 +248,7 @@ class TestSAutocorrelation:
         # lag spans many full blocks, and at 3 most lags end in a partial one
         monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         trajectory = run(StrategyConfig(n=201, mode=mode, seed=62), 20_000)
-        s = trajectory.minority_side.astype(np.float64)
+        s = np.where(trajectory.deltas >= 0, 1.0, -1.0)
         acf = s_autocorrelation(trajectory, 50)
         assert acf[0] == 1.0
         for tau in range(1, 51):
@@ -268,8 +274,8 @@ class TestCAutocorrelation:
 
     @pytest.mark.parametrize("low, high", [(-1, 1), (0, 2)], ids=["plus-minus-one", "zero-two"])
     def test_entries_other_than_zero_and_one_are_refused(self, low, high):
-        # packed as bits, every nonzero entry would read as 1: the +/-1
-        # record below would give C(1) = 1.0 where the true value is -2/3
+        # compared as stored, any two distinct entries count as a change,
+        # so only the record's 0 (A) and 1 (B) have a +/-1 reading
         matrix = np.array([[low, high], [high, low], [low, high], [high, high]])
         first_bad = low if low else high
         with pytest.raises(ValueError, match=rf"only 0 \(A\) and 1 \(B\), got {first_bad}$"):
@@ -304,19 +310,48 @@ class TestCAutocorrelation:
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
     def test_packed_record_matches_oracle_bit_for_bit(self):
-        # a recorded run's choices, packed and counted
+        # a recorded run's choices, counted as stored
         trajectory = run(StrategyConfig(n=257, epsilon=0.7, seed=64), 2999, record_choices=True)
         matrix = trajectory.choice_matrix
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
-    @pytest.mark.parametrize("block_bytes", [1, 3 * 40 + 39, 40 * 64 + 5])
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 257 + 256, 64 * 257 + 5])
     def test_row_blocks_match_oracle_bit_for_bit(self, monkeypatch, block_bytes):
-        # c_autocorrelation packs 257 agents into 40-byte rows, so blocks of
+        # one flag per agent-day makes 257-byte rows of flags, so blocks of
         # 1, 3 and 64 rows: every lag spans many blocks, and the last block
         # of a lag is a partial one
         monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "block-1"])
+    @pytest.mark.parametrize("layout", ["bool", "int64", "float64", "column-view"])
+    def test_record_dtypes_match_oracle_bit_for_bit(self, monkeypatch, layout, block_bytes):
+        # the int8 record is the case of the two tests above; other int and
+        # bool records are compared as stored, a float one as int8, and a
+        # view that skips every other column without a copy
+        if block_bytes is not None:
+            monkeypatch.setattr(stats, "COMPARE_BLOCK_BYTES", block_bytes)
+        matrix = self._sticky_matrix()
+        if layout == "column-view":
+            wide = np.ones((3000, 2 * 257), dtype=np.int8)
+            wide[:, ::2] = matrix
+            record = wide[:, ::2]
+            assert not record.flags.c_contiguous
+        else:
+            record = matrix.astype(layout)
+        self._assert_matches_oracle(matrix, c_autocorrelation(record, 40))
+
+    def test_record_is_compared_without_a_copy(self):
+        # beyond the record, only one block of flags and small change
+        trajectory = run(StrategyConfig(n=2001, seed=65), 2000, record_choices=True)
+        tracemalloc.start()
+        try:
+            c_autocorrelation(trajectory.choice_matrix, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stats.COMPARE_BLOCK_BYTES + 2**16, peak
 
 
 RUN_KINDS = pytest.mark.parametrize(
