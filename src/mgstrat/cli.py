@@ -137,9 +137,10 @@ class Param(NamedTuple):
     choices: tuple[str, ...] = ()
 
     def bounds_text(self) -> str:
+        spec = "d" if self.kind is int else "g"
         if self.hi is not None:
-            return f"lie in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"
-        return f"be {'greater than' if self.lo_open else 'at least'} {self.lo:g}"
+            return f"lie in {'(' if self.lo_open else '['}{self.lo:{spec}}, {self.hi:{spec}}]"
+        return f"be {'greater than' if self.lo_open else 'at least'} {self.lo:{spec}}"
 
     def _bounded(self, value: int | float) -> int | float:
         low = self.lo is not None and (value <= self.lo if self.lo_open else value < self.lo)

@@ -190,17 +190,20 @@ def check_record_size(n: int, steps: int, record_choices: bool) -> None:
     are recorded.  The switch probabilities, the agents' choices and their
     temporaries take at most ``_AGENT_BYTES`` per agent.
     """
-    need = (steps + 1) * (13 + (n if record_choices else 0))
+    per_day = 13 + (n if record_choices else 0)
+    need = (steps + 1) * per_day
     if need > MAX_RECORD_BYTES:
         raise ValueError(
             f"steps {steps} at n {n}{' with recorded choices' if record_choices else ''} "
             f"needs a {need / 2**30:.3g} GiB record, above the "
-            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit"
+            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit; at most "
+            f"{max(MAX_RECORD_BYTES // per_day - 1, 0)} steps fit at that n"
         )
     if n * _AGENT_BYTES > MAX_RECORD_BYTES:
         raise ValueError(
             f"n {n} needs {n * _AGENT_BYTES / 2**30:.3g} GiB of per-agent arrays, above the "
-            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit"
+            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit; the largest odd n is "
+            f"{(MAX_RECORD_BYTES // _AGENT_BYTES - 1) | 1}"
         )
 
 

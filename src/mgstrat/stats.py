@@ -35,9 +35,10 @@ def _burned(values: np.ndarray, burn_in: int, what: str) -> np.ndarray:
 
 
 # Most days one block of a day-by-day scan takes: eta's int64 partial sums,
-# the histogram's counts and the recovery episodes.  Its temporaries stay
+# the histogram's counts, the recovery episodes and the starting days of the
+# count-path C(tau), whose temporaries are seven float64 a day.  They stay
 # flat however long the run is.
-SCAN_BLOCK_DAYS = 1 << 15
+BLOCK_DAYS = 1 << 14
 
 
 def inefficiency_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
@@ -51,7 +52,7 @@ def inefficiency_eta(trajectory: Trajectory, burn_in: int = 0) -> float:
     """
     deltas = _burned(trajectory.deltas, burn_in, "days")
     reach = max(int(deltas.max()), -int(deltas.min()), 1)
-    block = max(1, min(SCAN_BLOCK_DAYS, np.iinfo(np.int64).max // reach**2))
+    block = max(1, min(BLOCK_DAYS, np.iinfo(np.int64).max // reach**2))
     squares = total = 0
     for start in range(0, deltas.size, block):
         part = deltas[start : start + block]
@@ -66,8 +67,8 @@ def delta_histogram(trajectory: Trajectory, burn_in: int = 0) -> dict[int, float
     deltas = _burned(trajectory.deltas, burn_in, "days")
     low = int(deltas.min())
     counts = np.zeros(int(deltas.max()) - low + 1, dtype=np.int64)
-    for start in range(0, deltas.size, SCAN_BLOCK_DAYS):
-        counts += np.bincount(deltas[start : start + SCAN_BLOCK_DAYS] - low, minlength=counts.size)
+    for start in range(0, deltas.size, BLOCK_DAYS):
+        counts += np.bincount(deltas[start : start + BLOCK_DAYS] - low, minlength=counts.size)
     values = np.flatnonzero(counts)
     return {int(v) + low: int(c) / deltas.size for v, c in zip(values, counts[values])}
 
@@ -88,10 +89,6 @@ def s_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
 # choice record's agent-days, or S(tau)'s days.  Its memory stays flat
 # however long the run is.
 COMPARE_BLOCK_BYTES = 1 << 16
-
-# Starting days one block of the count-path C(tau) takes, so its
-# temporaries (seven float64 a day) stay flat however long the run is.
-COUNT_BLOCK_DAYS = 1 << 14
 
 
 def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndarray:
@@ -115,12 +112,20 @@ def c_autocorrelation(choices: Trajectory | np.ndarray, tau_max: int) -> np.ndar
     the N = (days - tau) * agents pairs, rounded once.
     """
     tau_max = count(tau_max, "tau_max", 1)
-    if isinstance(choices, Trajectory):
-        return _count_path_autocorrelation(choices, tau_max)
-    matrix = np.asarray(choices)
-    if matrix.ndim != 2 or not matrix.shape[1]:
-        raise ValueError("choice matrix must be (days x agents), with at least one agent")
-    return _exact_autocorrelation(binary(matrix), tau_max)
+    if not isinstance(choices, Trajectory):
+        matrix = np.asarray(choices)
+        if matrix.ndim != 2 or not matrix.shape[1]:
+            raise ValueError("choice matrix must be (days x agents), with at least one agent")
+        return _exact_autocorrelation(binary(matrix), tau_max)
+    n, days = choices.n, choices.days
+    if days <= tau_max:
+        raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
+    sums = np.zeros(tau_max + 1)
+    for start in range(0, days - 1, BLOCK_DAYS):
+        _add_block_sums(sums, choices, start, min(start + BLOCK_DAYS, days - 1))
+    out = sums / ((days - np.arange(tau_max + 1)) * n)
+    out[0] = 1.0
+    return out
 
 
 def _exact_autocorrelation(rows: np.ndarray, tau_max: int) -> np.ndarray:
@@ -145,19 +150,6 @@ def _exact_autocorrelation(rows: np.ndarray, tau_max: int) -> np.ndarray:
     return out
 
 
-def _count_path_autocorrelation(trajectory: Trajectory, tau_max: int) -> np.ndarray:
-    """C(tau) given the head counts, ``COUNT_BLOCK_DAYS`` starting days at a time."""
-    n, days = trajectory.n, trajectory.days
-    if days <= tau_max:
-        raise ValueError(f"trajectory of {days} days is too short for lag {tau_max}")
-    sums = np.zeros(tau_max + 1)
-    for start in range(0, days - 1, COUNT_BLOCK_DAYS):
-        _add_block_sums(sums, trajectory, start, min(start + COUNT_BLOCK_DAYS, days - 1))
-    out = sums / ((days - np.arange(tau_max + 1)) * n)
-    out[0] = 1.0
-    return out
-
-
 def _add_block_sums(sums: np.ndarray, trajectory: Trajectory, start: int, stop: int) -> None:
     """Add the (T - tau) n C(tau) terms of starting days start .. stop - 1 to ``sums``.
 
@@ -172,18 +164,12 @@ def _add_block_sums(sums: np.ndarray, trajectory: Trajectory, start: int, stop: 
     # The head count at A rises by the movers off B less those off A, and
     # the thin side, at A when the imbalance is nonnegative, loses ``thin``.
     rise = before - deltas[start + 1 : last + 1]
-    off_a = thin - rise
-    np.copyto(off_a, thin, where=before >= 0)
-    off_b = np.add(rise, off_a, out=rise)
-    heads = np.maximum(m - before, 1)  # at A
-    pa = off_a / heads
-    del off_a
-    np.add(before, m + 1, out=heads)  # at B
-    pb = off_b / np.maximum(heads, 1, out=heads)
-    del rise, off_b, heads
-    r = pa + pb
-    np.subtract(1, r, out=r)
-    d = np.subtract(pb, pa, out=pb)
+    off_a = np.where(before >= 0, thin, thin - rise)
+    pa = off_a / np.maximum(m - before, 1)
+    pb = (rise + off_a) / np.maximum(before + m + 1, 1)
+    del rise, off_a
+    r = 1 - (pa + pb)
+    d = pb - pa
     del pa, pb
     spread = before[: stop - start] * -2.0 - 1.0  # a_t - b_t
     product = np.ones(stop - start)
@@ -208,15 +194,15 @@ def episode_lengths(trajectory: Trajectory) -> np.ndarray:
     An episode runs from a recorded reset day to the first later day whose
     excess is zero (imbalance 0 or -1).  Episodes still open when the record
     ends are dropped rather than guessed at.  The days are scanned
-    ``SCAN_BLOCK_DAYS`` at a time: each reset day waits in the output until
+    ``BLOCK_DAYS`` at a time: each reset day waits in the output until
     a marginal day closes it, and the episodes close in reset order.
     """
     deltas, reset = trajectory.deltas, trajectory.reset
     out = np.empty(int(np.count_nonzero(reset)), dtype=np.int64)
     opened = closed = 0
-    for start in range(0, deltas.size, SCAN_BLOCK_DAYS):
-        block = deltas[start : start + SCAN_BLOCK_DAYS]
-        resets = np.flatnonzero(reset[start : start + SCAN_BLOCK_DAYS])
+    for start in range(0, deltas.size, BLOCK_DAYS):
+        block = deltas[start : start + BLOCK_DAYS]
+        resets = np.flatnonzero(reset[start : start + BLOCK_DAYS])
         out[opened : opened + resets.size] = resets + start
         opened += resets.size
         marginal = np.flatnonzero((block == 0) | (block == -1))

@@ -314,6 +314,31 @@ class TestPopulationBound:
 
 
 @pytest.mark.usefixtures("never_dispatch")
+@pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
+class TestSizeGuardsNameTheirLimits:
+    """A refused run names the largest value of the refused key that fits."""
+
+    def test_one_step_past_the_record_names_the_largest_steps(self, tmp_path, capsys, subcommand):
+        # 13 bytes a day, for days 0 .. steps: 2**30 // 13 - 1 = 82 595 523
+        argv = [subcommand, "--n", "2001", "--steps"]
+        assert parse_config([*argv, "82595523"]).params["steps"] == 82595523
+        code = main([*argv, "82595524", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: steps 82595524 at n 2001 needs a 1 GiB record, above "
+                              "the 1 GiB limit; at most 82595523 steps fit at that n\n"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_odd_n_past_the_arrays_names_the_largest_n(self, tmp_path, capsys, subcommand):
+        code = main([subcommand, "--n", "44739243", "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: n 44739243 needs 1 GiB of per-agent arrays, above the "
+                              "1 GiB limit; the largest odd n is 44739241\n"), err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.usefixtures("never_dispatch")
 class TestSeedsBound:
     """A seeds count past 10**6 is refused while parsing, before any run."""
 
@@ -335,7 +360,7 @@ class TestSeedsBound:
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: seeds must lie in [1, 1e+06], got {seeds}"), err
+        assert err.startswith(f"error: seeds must lie in [1, 1000000], got {seeds}"), err
         assert not (tmp_path / "out").exists()
 
 

@@ -68,13 +68,13 @@ def excess_episode_lengths(trajectory: Trajectory) -> np.ndarray:
 def former_count_path(trajectory: Trajectory, tau_max: int) -> np.ndarray:
     """Oracle: the former count-path C(tau), its temporaries all live at once.
 
-    Its sums, like the new ones, depend on ``stats.COUNT_BLOCK_DAYS``.
+    Its sums, like the new ones, depend on ``stats.BLOCK_DAYS``.
     """
     n, days = trajectory.n, trajectory.days
     m = (n - 1) // 2
     sums = np.zeros(tau_max + 1)
-    for start in range(0, days - 1, stats.COUNT_BLOCK_DAYS):
-        stop = min(start + stats.COUNT_BLOCK_DAYS, days - 1)
+    for start in range(0, days - 1, stats.BLOCK_DAYS):
+        stop = min(start + stats.BLOCK_DAYS, days - 1)
         last = min(stop + tau_max - 1, days - 1)
         before = trajectory.deltas[start:last]
         rise = before - trajectory.deltas[start + 1 : last + 1]
@@ -156,12 +156,16 @@ class TestInefficiency:
         trajectory = run(StrategyConfig(n=n, epsilon=0.3, seed=80, mode=mode), 20_000)
         assert inefficiency_eta(trajectory, burn_in=burn_in) == exact_eta(trajectory, burn_in)
 
-    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    @pytest.mark.parametrize(
+        "block", [1, 3, stats.BLOCK_DAYS, 1 << 15],
+        ids=["block-1", "block-3", "default", "block-32768"],
+    )
     def test_partial_sums_do_not_wrap_at_the_population_cap(self, monkeypatch, block):
         # At the CLI's largest n every day's d^2 is about 5.0e14, so an int64
-        # sum of squares wraps past about 18 400 days: 40 000 days take three
-        # partial sums even at the default block.
-        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        # sum of squares wraps past about 18 400 days.  The default block
+        # stays below that; a 32 768-day block would not, so there only the
+        # |d|-derived cap keeps 40 000 days in three partial sums.
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         n = 44_739_241
         m = (n - 1) // 2
         signs = derive_rng(81).integers(0, 2, size=40_000) * 2 - 1
@@ -204,9 +208,9 @@ class TestDeltaHistogram:
         assert near > far
 
     @MODES
-    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    @block_sizes(stats.BLOCK_DAYS)
     def test_blocks_match_the_unique_oracle_bit_for_bit(self, monkeypatch, mode, block):
-        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=82, mode=mode), 100_000)
         for burn_in in (0, 777):
             hist = delta_histogram(trajectory, burn_in=burn_in)
@@ -309,7 +313,7 @@ class TestCAutocorrelation:
         matrix = self._sticky_matrix()
         self._assert_matches_oracle(matrix, c_autocorrelation(matrix, 40))
 
-    def test_packed_record_matches_oracle_bit_for_bit(self):
+    def test_recorded_run_matches_oracle_bit_for_bit(self):
         # a recorded run's choices, counted as stored
         trajectory = run(StrategyConfig(n=257, epsilon=0.7, seed=64), 2999, record_choices=True)
         matrix = trajectory.choice_matrix
@@ -406,15 +410,15 @@ class TestCountPathAutocorrelation:
         # blocks shorter than, near and longer than the lag window
         trajectory = run(StrategyConfig(n=201, seed=75), 1000)
         whole = c_autocorrelation(trajectory, 40)
-        monkeypatch.setattr(stats, "COUNT_BLOCK_DAYS", block_days)
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block_days)
         assert np.allclose(c_autocorrelation(trajectory, 40), whole, rtol=0, atol=1e-13)
 
     @MODES
-    @block_sizes(stats.COUNT_BLOCK_DAYS)
+    @block_sizes(stats.BLOCK_DAYS)
     def test_blocks_match_the_former_formula_bit_for_bit(self, monkeypatch, mode, block):
         # one-day blocks take a Python loop per day, so they get a short run
-        steps = 40_000 if block == stats.COUNT_BLOCK_DAYS else 1_500
-        monkeypatch.setattr(stats, "COUNT_BLOCK_DAYS", block)
+        steps = 40_000 if block == stats.BLOCK_DAYS else 1_500
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=83, mode=mode), steps)
         acf = c_autocorrelation(trajectory, 25)
         assert acf.tobytes() == former_count_path(trajectory, 25).tobytes()
@@ -431,7 +435,7 @@ class TestCountPathAutocorrelation:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**16, peaks
         # seven live block arrays of float64 or int64, and small change
-        assert peaks[1] <= 7 * 8 * (stats.COUNT_BLOCK_DAYS + 10) + 2**14, peaks
+        assert peaks[1] <= 7 * 8 * (stats.BLOCK_DAYS + 10) + 2**14, peaks
 
 
 class TestConvergenceTime:
@@ -469,9 +473,9 @@ class TestConvergenceTime:
 
     @pytest.mark.parametrize("kind", [{}, {"mode": MODE_BASELINE}, {"wait_t": 3}],
                              ids=["strategy", "baseline", "wait"])
-    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    @block_sizes(stats.BLOCK_DAYS)
     def test_blocks_match_the_excess_oracle(self, monkeypatch, kind, block):
-        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=84, **kind), 100_000)
         lengths = episode_lengths(trajectory)
         expected = excess_episode_lengths(trajectory)
@@ -479,12 +483,12 @@ class TestConvergenceTime:
         assert np.array_equal(lengths, expected)
         assert (lengths.size > 1000) == (kind.get("mode") != MODE_BASELINE)
 
-    @block_sizes(stats.SCAN_BLOCK_DAYS)
+    @block_sizes(stats.BLOCK_DAYS)
     def test_blocks_close_resets_on_days_that_are_not_marginal(self, monkeypatch, block):
         # resets on imbalanced days, several waiting at once, close at the
         # next marginal day (2 or 6 here) in reset order; those on days 7, 8
         # and 9 have no later marginal day and stay open
-        monkeypatch.setattr(stats, "SCAN_BLOCK_DAYS", block)
+        monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         deltas = [3, 2, 0, 5, 4, 4, -1, 0, 7, -3, 2]
         trajectory = make_trajectory(5, deltas, reset_days=[0, 1, 2, 3, 5, 7, 8, 9])
         assert episode_lengths(trajectory).tolist() == [2, 1, 4, 3, 1]
