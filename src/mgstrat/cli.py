@@ -21,9 +21,11 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import bisect
 import errno
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -409,6 +411,27 @@ def _strategy_config(params: dict[str, Any], epsilon: float) -> StrategyConfig:
 _Result = tuple[list[Sequence[Sequence[Any]]], dict[str, Any]]
 
 
+def _tally_summary(tally: Any) -> dict[str, Any]:
+    """Count, mean, median and max of the values a tally counts, k ``tally[k]`` times.
+
+    It adds exact integers over the tally's entries and rounds each result
+    once, so while the values' sum stays below 2**53 each result equals
+    numpy's ``size``, ``mean``, ``median`` and ``max`` of the values
+    written out, bit for bit.  The tally counts at least one value.
+    """
+    counts = tally.tolist()
+    cumulative = list(itertools.accumulate(counts))
+    total = cumulative[-1]
+    # The values at sorted positions (total - 1) // 2 and total // 2.
+    low, high = (bisect.bisect_right(cumulative, rank) for rank in ((total - 1) // 2, total // 2))
+    return {
+        "count": total,
+        "mean": sum(value * count for value, count in enumerate(counts)) / total,
+        "median": (low + high) / 2,
+        "max": bisect.bisect_left(cumulative, total),
+    }
+
+
 def _run_solve_lambda(params: dict[str, Any]) -> _Result:
     import numpy as np
 
@@ -450,14 +473,7 @@ def _run_simulate(params: dict[str, Any]) -> _Result:
     }
     episodes = episode_lengths(trajectory)
     if episodes.size:
-        results["episodes"] = {
-            "count": int(episodes.size),
-            "mean": float(episodes.mean()),
-            # Partitioned in place, not copied: the max does not depend on the order.
-            "median": float(np.median(episodes, overwrite_input=True)),
-            "max": int(episodes.max()),
-        }
-    del episodes  # freed before S(tau)'s series is built
+        results["episodes"] = _tally_summary(episodes)
     stats_tables = []
     if params["stats"]:
         hist = delta_histogram(trajectory, burn_in=params["burn_in"])
@@ -515,16 +531,17 @@ def _run_kpr(params: dict[str, Any]) -> _Result:
         result = kpr_run(params["n"], params["max_steps"], stream)
         days[index] = -1 if result.convergence_day is None else result.convergence_day
         utilization[index] = result.utilization[-1]
-    convergence_days = days[days >= 0]
+    tally = np.bincount(days[days >= 0])
+    converged = int(tally.sum())
     results: dict[str, Any] = {
         "seeds": seeds,
-        "converged": convergence_days.size,
-        "unconverged": seeds - convergence_days.size,
+        "converged": converged,
+        "unconverged": seeds - converged,
     }
-    if convergence_days.size:
-        results["mean_convergence_day"] = float(np.mean(convergence_days))
-        results["median_convergence_day"] = float(np.median(convergence_days))
-        results["max_convergence_day"] = int(np.max(convergence_days))
+    if converged:
+        summary = _tally_summary(tally)
+        for key in ("mean", "median", "max"):
+            results[f"{key}_convergence_day"] = summary[key]
     return [(np.arange(seeds), days, utilization)], results
 
 

@@ -35,9 +35,10 @@ def _burned(values: np.ndarray, burn_in: int, what: str) -> np.ndarray:
 
 
 # Most days one block of a day-by-day scan takes: eta's int64 partial sums,
-# the histogram's counts, the recovery episodes and the starting days of the
-# count-path C(tau), whose temporaries are seven float64 a day.  They stay
-# flat however long the run is.
+# the histogram's counts, the recovery episodes' tally and the starting days
+# of the count-path C(tau), whose temporaries are seven float64 a day.  They
+# stay flat however long the run is: between blocks the episodes carry only
+# the reset days still open.
 BLOCK_DAYS = 1 << 14
 
 
@@ -189,27 +190,37 @@ def _add_block_sums(sums: np.ndarray, trajectory: Trajectory, start: int, stop: 
 
 
 def episode_lengths(trajectory: Trajectory) -> np.ndarray:
-    """Days from each re-randomization night back to the next marginal split.
+    """Recovery episodes tallied by length: entry k counts those of k days.
 
     An episode runs from a recorded reset day to the first later day whose
     excess is zero (imbalance 0 or -1).  Episodes still open when the record
-    ends are dropped rather than guessed at.  The days are scanned
-    ``BLOCK_DAYS`` at a time: each reset day waits in the output until
-    a marginal day closes it, and the episodes close in reset order.
+    ends are dropped rather than guessed at.  With none closed the tally is
+    empty; otherwise its last entry, the longest episode, is nonzero.  The
+    days are scanned ``BLOCK_DAYS`` at a time, and only the reset days still
+    open at a block's end are carried to the next: all of them close at the
+    first marginal day to come.
     """
     deltas, reset = trajectory.deltas, trajectory.reset
-    out = np.empty(int(np.count_nonzero(reset)), dtype=np.int64)
-    opened = closed = 0
+    tally = waiting = np.zeros(0, dtype=np.intp)
     for start in range(0, deltas.size, BLOCK_DAYS):
         block = deltas[start : start + BLOCK_DAYS]
         resets = np.flatnonzero(reset[start : start + BLOCK_DAYS])
-        out[opened : opened + resets.size] = resets + start
-        opened += resets.size
         marginal = np.flatnonzero((block == 0) | (block == -1))
-        marginal += start
-        waiting = out[closed:opened]
-        following = np.searchsorted(marginal, waiting, side="right")
-        ends = marginal[following[following < marginal.size]]
-        waiting[: ends.size] = ends - waiting[: ends.size]
-        closed += ends.size
-    return out[:closed]
+        if not marginal.size:
+            waiting = np.concatenate((waiting, resets + start))
+            continue
+        if waiting.size:
+            tally = _tallied(tally, marginal[0] + start - waiting)
+        # A reset on the block's last marginal day, or later, stays open.
+        closed = resets[: np.searchsorted(resets, marginal[-1])]
+        following = np.searchsorted(marginal, closed, side="right")
+        tally = _tallied(tally, marginal[following] - closed)
+        waiting = resets[closed.size :] + start
+    return tally
+
+
+def _tallied(tally: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``tally`` with ``lengths`` counted in, as long as the longest of either."""
+    counts = np.bincount(lengths, minlength=tally.size)
+    counts[: tally.size] += tally
+    return counts

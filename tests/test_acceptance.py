@@ -229,7 +229,8 @@ def test_criterion_08_fast_recovery_and_scaling(scaling_runs):
         ]
         assert len(jumps) > 100, f"too few resets at n={n}"
         jump_medians[n] = float(np.median(jumps))
-        return_lengths[n] = episode_lengths(trajectory)
+        tally = episode_lengths(trajectory)
+        return_lengths[n] = np.repeat(np.arange(tally.size), tally)
 
     # Post-reset displacement scales like m**(epsilon/2), order of magnitude.
     in_band = True

@@ -16,6 +16,8 @@ from typing import Any, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import pdtr
 from test_solver import scalar_lambda_root
 
@@ -419,6 +421,29 @@ def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
     assert (peaks[1] - peaks[0]) / 100_000 <= 64, peaks
 
 
+def _one_value_tally(value: int, count: int) -> list[int]:
+    return [0] * value + [count]
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@given(tally=st.one_of(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    st.builds(_one_value_tally, st.integers(0, 5000), st.integers(1, 40)),
+))
+@settings(max_examples=150, deadline=None)
+def test_tally_summary_is_numpy_of_the_values_bit_for_bit(parity, tally):
+    # Far below 2**53: no sum of the values here passes 5000 * 40.
+    assume(sum(tally) % 2 == parity and sum(tally))
+    values = np.repeat(np.arange(len(tally)), tally)
+    summary = cli._tally_summary(np.array(tally))
+    assert list(summary) == ["count", "mean", "median", "max"]
+    assert type(summary["count"]) is type(summary["max"]) is int
+    assert summary["count"] == values.size and summary["max"] == np.max(values)
+    for key, expected in (("mean", np.mean(values)), ("median", np.median(values))):
+        assert type(summary[key]) is float
+        assert summary[key].hex() == float(expected).hex(), key
+
+
 @pytest.mark.parametrize("n", [5, 2001])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--stats", "--tau-max", "5"],
@@ -427,8 +452,9 @@ def test_kpr_keeps_at_most_64_bytes_per_seed(tmp_path, monkeypatch):
 ], ids=["simulate", "simulate-baseline", "sweep"])
 def test_dispatch_holds_the_record_plus_a_fixed_block(tmp_path, argv, n):
     # Beyond the 13 bytes a day the record guard counts, simulate --stats
-    # keeps S(tau)'s one-byte winning-side series and 8 bytes per recovery
-    # episode, and sweep nothing; every other stage works in fixed blocks.
+    # keeps S(tau)'s one-byte winning-side series, and sweep nothing; every
+    # other stage, the tally of recovery episodes included, works in fixed
+    # blocks.
     def manifest(steps):
         return parse_config([*argv, "--n", str(n), "--steps", str(steps),
                              "--outdir", str(tmp_path)])
@@ -445,8 +471,7 @@ def test_dispatch_holds_the_record_plus_a_fixed_block(tmp_path, argv, n):
             tracemalloc.stop()
         held = 13 * (days + 1)
         if argv[0] == "simulate":
-            resets = json.loads((tmp_path / "summary.json").read_text())["results"]["resets"]
-            held += days + 1 + 8 * resets
+            held += days + 1
         excess.append(peak - held)
     assert max(excess) <= 2**22, excess
     assert excess[1] <= excess[0] + 2**18, excess
@@ -586,7 +611,8 @@ class TestDispatch:
         def results(name):
             return json.loads((tmp_path / name / "summary.json").read_text())["results"]
 
-        lengths = episode_lengths(run(StrategyConfig(n=201, wait_t=2, seed=9), 3000))
+        tally = episode_lengths(run(StrategyConfig(n=201, wait_t=2, seed=9), 3000))
+        lengths = np.repeat(np.arange(tally.size), tally)
         assert lengths.size
         assert results("strategy")["episodes"] == {
             "count": lengths.size,
@@ -672,6 +698,32 @@ class TestDispatch:
         assert len(lines) == 3 + 10
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["results"]["converged"] == 10
+
+    def test_kpr_summary_reads_the_converged_rows(self, tmp_path):
+        # Seed 6 leaves row 5 of 7 unconverged (-1); the other six converge
+        # on day 2 or 3, three each, so the median falls between two days.
+        assert main(["kpr", "--n", "32", "--max-steps", "3", "--seeds", "7", "--seed", "6",
+                     "--outdir", str(tmp_path)]) == 0
+        rows = (tmp_path / "kpr_runs.csv").read_text().splitlines()[3:]
+        days = np.array([int(row.split(",")[1]) for row in rows])
+        converged = days[days >= 0]
+        assert converged.size % 2 == 0 and days[5] == -1
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert results == {
+            "seeds": 7,
+            "converged": converged.size,
+            "unconverged": days.size - converged.size,
+            "mean_convergence_day": np.mean(converged),
+            "median_convergence_day": np.median(converged),
+            "max_convergence_day": np.max(converged),
+        }
+        assert results["median_convergence_day"] == 2.5
+
+    def test_kpr_summary_has_no_days_when_no_seed_converges(self, tmp_path):
+        assert main(["kpr", "--n", "16", "--max-steps", "1", "--seeds", "4", "--seed", "10",
+                     "--outdir", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert results == {"seeds": 4, "converged": 0, "unconverged": 4}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--n", "201", "--steps", "400", "--seed", "7", "--stats",

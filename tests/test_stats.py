@@ -438,6 +438,11 @@ class TestCountPathAutocorrelation:
         assert peaks[1] <= 7 * 8 * (stats.BLOCK_DAYS + 10) + 2**14, peaks
 
 
+def expanded(tally: np.ndarray) -> np.ndarray:
+    """The values a tally counts, value k ``tally[k]`` times, in order."""
+    return np.repeat(np.arange(tally.size), tally)
+
+
 class TestConvergenceTime:
     def test_synthetic_episodes(self):
         # excess series: 0 3 2 0 0 1 0 -> resets at days 0, 3, 4 recover
@@ -446,10 +451,10 @@ class TestConvergenceTime:
             5, [0, 3, 2, 0, 0, -2, -1], reset_days=[0, 3, 4]
         )
         lengths = episode_lengths(trajectory)
-        assert lengths.tolist() == [3, 1, 2]
-        assert lengths.mean() == pytest.approx(2.0)
-        assert np.median(lengths) == pytest.approx(2.0)
-        assert lengths.max() == 3
+        assert lengths.tolist() == np.bincount([3, 1, 2]).tolist() == [0, 1, 1, 1]
+        assert expanded(lengths).mean() == pytest.approx(2.0)
+        assert np.median(expanded(lengths)) == pytest.approx(2.0)
+        assert expanded(lengths).max() == 3
 
     def test_unfinished_episode_dropped(self):
         trajectory = make_trajectory(5, [0, 4, 3, 2], reset_days=[0])
@@ -459,17 +464,17 @@ class TestConvergenceTime:
         config = StrategyConfig(n=201, epsilon=0.5, seed=58)
         trajectory = run(config, 3000)
         lengths = episode_lengths(trajectory)
-        assert lengths.tolist()
-        assert all(length >= 1 for length in lengths)
-        assert np.median(lengths) <= 8
+        assert lengths.sum()
+        assert lengths[0] == 0  # every episode lasts at least a day
+        assert np.median(expanded(lengths)) <= 8
 
     @pytest.mark.parametrize("wait_t", [0, 3])
     def test_matches_per_reset_loop_on_real_runs(self, wait_t):
         trajectory = run(StrategyConfig(n=201, wait_t=wait_t, seed=63), 20_000)
         lengths = episode_lengths(trajectory)
         assert lengths.dtype == np.int64
-        assert lengths.size > 100
-        assert lengths.tolist() == per_reset_episode_lengths(trajectory)
+        assert lengths.sum() > 100
+        assert np.array_equal(lengths, np.bincount(per_reset_episode_lengths(trajectory)))
 
     @pytest.mark.parametrize("kind", [{}, {"mode": MODE_BASELINE}, {"wait_t": 3}],
                              ids=["strategy", "baseline", "wait"])
@@ -478,20 +483,20 @@ class TestConvergenceTime:
         monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         trajectory = run(StrategyConfig(n=201, epsilon=0.3, seed=84, **kind), 100_000)
         lengths = episode_lengths(trajectory)
-        expected = excess_episode_lengths(trajectory)
+        expected = np.bincount(excess_episode_lengths(trajectory))
         assert lengths.dtype == expected.dtype == np.int64
         assert np.array_equal(lengths, expected)
-        assert (lengths.size > 1000) == (kind.get("mode") != MODE_BASELINE)
+        assert (lengths.sum() > 1000) == (kind.get("mode") != MODE_BASELINE)
 
     @block_sizes(stats.BLOCK_DAYS)
     def test_blocks_close_resets_on_days_that_are_not_marginal(self, monkeypatch, block):
         # resets on imbalanced days, several waiting at once, close at the
-        # next marginal day (2 or 6 here) in reset order; those on days 7, 8
-        # and 9 have no later marginal day and stay open
+        # next marginal day (2 or 6 here); those on days 7, 8 and 9 have no
+        # later marginal day and stay open
         monkeypatch.setattr(stats, "BLOCK_DAYS", block)
         deltas = [3, 2, 0, 5, 4, 4, -1, 0, 7, -3, 2]
         trajectory = make_trajectory(5, deltas, reset_days=[0, 1, 2, 3, 5, 7, 8, 9])
-        assert episode_lengths(trajectory).tolist() == [2, 1, 4, 3, 1]
+        assert episode_lengths(trajectory).tolist() == np.bincount([2, 1, 4, 3, 1]).tolist()
         assert excess_episode_lengths(trajectory).tolist() == [2, 1, 4, 3, 1]
 
     def test_open_final_episode_matches_per_reset_loop(self):
@@ -499,5 +504,19 @@ class TestConvergenceTime:
         trajectory = make_trajectory(
             5, [0, 2, -1, 0, 3, -1, 2, 3], reset_days=[0, 3, 5]
         )
-        assert episode_lengths(trajectory).tolist() == [2, 2]
+        assert episode_lengths(trajectory).tolist() == np.bincount([2, 2]).tolist()
         assert per_reset_episode_lengths(trajectory) == [2, 2]
+
+    def test_memory_does_not_grow_with_the_run(self):
+        # a reset on every third day, each recovering three days later
+        peaks = []
+        for days in (10**5, 10**6):
+            trajectory = make_trajectory(5, np.resize([0, 3, 2], days), range(0, days, 3))
+            tracemalloc.start()
+            try:
+                lengths = episode_lengths(trajectory)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert lengths.tolist() == [0, 0, 0, (days - 1) // 3]
+        assert peaks[1] <= peaks[0] + 2**12, peaks
